@@ -20,10 +20,14 @@ fn short_scenario(protocol: Protocol) -> Scenario {
 fn bench_protocols(c: &mut Criterion) {
     let mut group = c.benchmark_group("protocol_scenario_20s");
     group.sample_size(10);
+    // OLSR-ETX skips fewer link-state recomputations than hop-count OLSR:
+    // its link costs move as HELLOs enter and leave the LQ window.
     for p in [
         Protocol::Aodv,
         Protocol::Olsr,
+        Protocol::OlsrEtx,
         Protocol::Dymo,
+        Protocol::Dsdv,
         Protocol::Flooding,
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {

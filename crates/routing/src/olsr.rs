@@ -16,12 +16,12 @@
 //! the rate the neighbour reports back — exactly the olsrd LQ extension the
 //! paper cites.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use cavenet_net::snapshot::{read_node_id, read_time, write_node_id, write_time};
 use cavenet_net::{
-    ControlBlob, ControlCodec, DropReason, NodeApi, NodeId, Packet, RoutingProtocol,
+    ControlBlob, ControlCodec, DropReason, FastMap, NodeApi, NodeId, Packet, RoutingProtocol,
     RoutingTelemetry, SimTime, WireError, WireReader, WireWriter,
 };
 
@@ -126,29 +126,99 @@ impl LinkInfo {
     fn is_heard(&self, now: SimTime) -> bool {
         self.heard_until > now
     }
+
+    /// Drop HELLO times older than the LQ `window` — exactly the ones
+    /// [`Olsr::ni`] no longer counts.
+    fn trim_window(&mut self, now: SimTime, window: Duration) {
+        while self
+            .hello_times
+            .front()
+            .is_some_and(|&t| now.saturating_since(t) > window)
+        {
+            self.hello_times.pop_front();
+        }
+    }
+}
+
+/// A directed link-state edge `(from, to, cost)`.
+type Edge = (NodeId, NodeId, f64);
+
+/// Inputs of the last MPR selection and route computation, with the
+/// scratch buffers both reuse.
+///
+/// MPR selection is a pure function of (sorted symmetric neighbours, sorted
+/// unexpired two-hop pairs) and the route computation of (own id, sorted
+/// edge list). A recompute whose inputs equal the stored ones — costs
+/// compared bit for bit — leaves `mprs`/`routes` as they are. Inputs are
+/// kept verbatim rather than hashed, so no collision can hide a change.
+///
+/// Derived state: never serialized, and invalidated on restore.
+#[derive(Debug, Default)]
+struct LinkStateMemo {
+    /// `mprs` was selected from these when `mpr_valid`.
+    mpr_neighbours: Vec<NodeId>,
+    mpr_pairs: Vec<(NodeId, NodeId)>,
+    mpr_valid: bool,
+    /// `routes` was computed at node `route_me` over these edges.
+    route_edges: Vec<Edge>,
+    route_me: Option<NodeId>,
+    /// This call's candidate inputs; swapped with the stored ones when they
+    /// differ.
+    next_neighbours: Vec<NodeId>,
+    next_pairs: Vec<(NodeId, NodeId)>,
+    next_edges: Vec<Edge>,
+    mpr_scratch: MprScratch,
+    path_scratch: PathScratch,
+    /// Test hook: compute on every call, as if no input were ever equal.
+    #[cfg(test)]
+    never_skip: bool,
+    #[cfg(test)]
+    mpr_skips: u64,
+    #[cfg(test)]
+    route_skips: u64,
+}
+
+impl LinkStateMemo {
+    fn invalidate(&mut self) {
+        self.mpr_valid = false;
+        self.route_me = None;
+    }
+
+    fn may_skip(&self) -> bool {
+        #[cfg(test)]
+        {
+            !self.never_skip
+        }
+        #[cfg(not(test))]
+        {
+            true
+        }
+    }
 }
 
 /// The OLSR routing protocol state for one node.
 #[derive(Debug)]
 pub struct Olsr {
     config: OlsrConfig,
-    links: HashMap<NodeId, LinkInfo>,
+    links: FastMap<NodeId, LinkInfo>,
     /// (neighbour, two-hop node) → expiry.
-    two_hop: HashMap<(NodeId, NodeId), SimTime>,
-    mprs: HashSet<NodeId>,
+    two_hop: FastMap<(NodeId, NodeId), SimTime>,
+    /// Selected MPRs, ascending.
+    mprs: Vec<NodeId>,
     /// Neighbours that selected us as MPR → expiry.
-    mpr_selectors: HashMap<NodeId, SimTime>,
+    mpr_selectors: FastMap<NodeId, SimTime>,
     /// (destination, last hop) → (link quality, expiry).
-    topology: HashMap<(NodeId, NodeId), (f64, SimTime)>,
+    topology: FastMap<(NodeId, NodeId), (f64, SimTime)>,
     /// Highest ANSN seen per origin.
-    origin_ansn: HashMap<NodeId, u16>,
+    origin_ansn: FastMap<NodeId, u16>,
     /// TC duplicate cache: (origin, seq) → expiry.
-    seen_tc: HashMap<(NodeId, u32), SimTime>,
+    seen_tc: FastMap<(NodeId, u32), SimTime>,
     /// Destination → (next hop, cost).
-    routes: HashMap<NodeId, (NodeId, f64)>,
+    routes: FastMap<NodeId, (NodeId, f64)>,
     tc_seq: u32,
     ansn: u16,
     last_selector_snapshot: Vec<NodeId>,
+    memo: LinkStateMemo,
 }
 
 impl Default for Olsr {
@@ -175,17 +245,18 @@ impl Olsr {
     pub fn with_config(config: OlsrConfig) -> Self {
         Olsr {
             config,
-            links: HashMap::new(),
-            two_hop: HashMap::new(),
-            mprs: HashSet::new(),
-            mpr_selectors: HashMap::new(),
-            topology: HashMap::new(),
-            origin_ansn: HashMap::new(),
-            seen_tc: HashMap::new(),
-            routes: HashMap::new(),
+            links: FastMap::default(),
+            two_hop: FastMap::default(),
+            mprs: Vec::new(),
+            mpr_selectors: FastMap::default(),
+            topology: FastMap::default(),
+            origin_ansn: FastMap::default(),
+            seen_tc: FastMap::default(),
+            routes: FastMap::default(),
             tc_seq: 0,
             ansn: 0,
             last_selector_snapshot: Vec::new(),
+            memo: LinkStateMemo::default(),
         }
     }
 
@@ -203,9 +274,7 @@ impl Olsr {
 
     /// Currently selected MPRs.
     pub fn mpr_set(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.mprs.iter().copied().collect();
-        v.sort();
-        v
+        self.mprs.clone()
     }
 
     /// Current unexpired `(symmetric neighbour, two-hop node)` adjacency as
@@ -287,7 +356,7 @@ impl Olsr {
             .map(|(&addr, l)| HelloEntry {
                 addr,
                 sym: l.is_sym(now),
-                is_mpr: self.mprs.contains(&addr),
+                is_mpr: self.mprs.binary_search(&addr).is_ok(),
                 lq: self.ni(addr, now),
             })
             .collect();
@@ -334,13 +403,7 @@ impl Olsr {
         let link = self.links.entry(from).or_insert_with(LinkInfo::new);
         link.heard_until = now + hold;
         link.hello_times.push_back(now);
-        while let Some(&t) = link.hello_times.front() {
-            if now.saturating_since(t) > window {
-                link.hello_times.pop_front();
-            } else {
-                break;
-            }
-        }
+        link.trim_window(now, window);
         let mut lists_me = None;
         for e in &hello.entries {
             if e.addr == me {
@@ -366,7 +429,7 @@ impl Olsr {
             }
         }
         self.recompute_mprs(now);
-        self.recompute_routes(api);
+        self.recompute_routes(now, me);
     }
 
     fn handle_tc(&mut self, api: &mut NodeApi<'_>, packet: &Packet, tc: &Tc, from: NodeId) {
@@ -408,7 +471,7 @@ impl Olsr {
                 self.topology
                     .insert((sel, tc.origin), (lq, now + self.config.top_hold));
             }
-            self.recompute_routes(api);
+            self.recompute_routes(now, api.id());
         }
 
         // MPR flooding: forward only if the sender selected us as MPR.
@@ -419,92 +482,61 @@ impl Olsr {
         }
     }
 
-    /// Greedy MPR selection (RFC 3626 §8.3.1 heuristic).
+    /// Re-select the MPR set unless its inputs are unchanged. The expiry
+    /// sweep of the two-hop set runs on every call.
     fn recompute_mprs(&mut self, now: SimTime) {
-        let neighbours: HashSet<NodeId> = self
-            .links
-            .iter()
-            .filter(|(_, l)| l.is_sym(now))
-            .map(|(&n, _)| n)
-            .collect();
-        // Strict two-hop set: reachable via a sym neighbour, not a neighbour
-        // itself.
         self.two_hop.retain(|_, &mut exp| exp > now);
-        let mut uncovered: HashSet<NodeId> = self
-            .two_hop
-            .keys()
-            .filter(|(n, t)| neighbours.contains(n) && !neighbours.contains(t))
-            .map(|&(_, t)| t)
-            .collect();
-        let coverage: HashMap<NodeId, HashSet<NodeId>> = neighbours
-            .iter()
-            .map(|&n| {
-                let covers: HashSet<NodeId> = self
-                    .two_hop
-                    .keys()
-                    .filter(|&&(nb, t)| nb == n && uncovered.contains(&t))
-                    .map(|&(_, t)| t)
-                    .collect();
-                (n, covers)
-            })
-            .collect();
-        let mut mprs = HashSet::new();
-        // 1. Neighbours that are the sole cover of some two-hop node.
-        for &t in uncovered.clone().iter() {
-            let covers: Vec<NodeId> = coverage
+        let memo = &mut self.memo;
+        memo.next_neighbours.clear();
+        memo.next_neighbours.extend(
+            self.links
                 .iter()
-                .filter(|(_, c)| c.contains(&t))
-                .map(|(&n, _)| n)
-                .collect();
-            if covers.len() == 1 {
-                mprs.insert(covers[0]);
+                .filter(|(_, l)| l.is_sym(now))
+                .map(|(&n, _)| n),
+        );
+        memo.next_neighbours.sort_unstable();
+        memo.next_pairs.clear();
+        memo.next_pairs.extend(self.two_hop.keys().copied());
+        memo.next_pairs.sort_unstable();
+        if memo.may_skip()
+            && memo.mpr_valid
+            && memo.next_neighbours == memo.mpr_neighbours
+            && memo.next_pairs == memo.mpr_pairs
+        {
+            #[cfg(test)]
+            {
+                memo.mpr_skips += 1;
             }
+            if cfg!(debug_assertions) {
+                let mut fresh = Vec::new();
+                select_mprs(
+                    &memo.next_neighbours,
+                    &memo.next_pairs,
+                    &mut memo.mpr_scratch,
+                    &mut fresh,
+                );
+                debug_assert_eq!(fresh, self.mprs, "skipped MPR selection was stale");
+            }
+            return;
         }
-        for m in &mprs {
-            if let Some(c) = coverage.get(m) {
-                for t in c {
-                    uncovered.remove(t);
-                }
-            }
-        }
-        // 2. Greedy: repeatedly take the neighbour covering most uncovered.
-        while !uncovered.is_empty() {
-            let best = coverage
-                .iter()
-                .filter(|(n, _)| !mprs.contains(*n))
-                .max_by_key(|(n, c)| {
-                    (
-                        c.iter().filter(|t| uncovered.contains(t)).count(),
-                        // Deterministic tie-break by id.
-                        std::cmp::Reverse(n.0),
-                    )
-                })
-                .map(|(&n, _)| n);
-            let Some(best) = best else { break };
-            let gain: Vec<NodeId> = coverage[&best]
-                .iter()
-                .filter(|t| uncovered.contains(t))
-                .copied()
-                .collect();
-            if gain.is_empty() {
-                break;
-            }
-            mprs.insert(best);
-            for t in gain {
-                uncovered.remove(&t);
-            }
-        }
-        self.mprs = mprs;
+        std::mem::swap(&mut memo.next_neighbours, &mut memo.mpr_neighbours);
+        std::mem::swap(&mut memo.next_pairs, &mut memo.mpr_pairs);
+        memo.mpr_valid = true;
+        select_mprs(
+            &memo.mpr_neighbours,
+            &memo.mpr_pairs,
+            &mut memo.mpr_scratch,
+            &mut self.mprs,
+        );
     }
 
-    /// Dijkstra over HELLO links + TC topology.
-    fn recompute_routes(&mut self, api: &mut NodeApi<'_>) {
-        let now = api.now();
-        let me = api.id();
+    /// Recompute routes over HELLO links + TC topology unless the edge list
+    /// is unchanged. The expiry sweep of the topology runs on every call.
+    fn recompute_routes(&mut self, now: SimTime, me: NodeId) {
         self.topology.retain(|_, &mut (_, exp)| exp > now);
 
-        // Edge list: (from, to, cost).
-        let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
+        let mut edges = std::mem::take(&mut self.memo.next_edges);
+        edges.clear();
         for (&n, l) in &self.links {
             if l.is_sym(now) {
                 edges.push((me, n, self.link_cost(n, now)));
@@ -518,54 +550,270 @@ impl Olsr {
         for (&(dest, lasthop), &(lq, _)) in &self.topology {
             edges.push((lasthop, dest, self.remote_cost(lq)));
         }
-        // The edge list is assembled from HashMaps, so its order is
-        // per-process random; equal-cost relaxations below resolve by edge
-        // order, which must not leak into next-hop choice.
-        edges.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.total_cmp(&b.2)));
+        // The edge list is assembled from maps, so its order is arbitrary;
+        // equal-cost relaxations resolve by edge order, which must not leak
+        // into next-hop choice. Equal edges are bit-identical, so an
+        // unstable sort is deterministic.
+        edges.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.total_cmp(&b.2)));
 
-        // Dijkstra with a simple scan (graphs are tiny).
-        let mut dist: HashMap<NodeId, f64> = HashMap::new();
-        let mut first_hop: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut done: HashSet<NodeId> = HashSet::new();
-        dist.insert(me, 0.0);
-        loop {
-            let next = dist
-                .iter()
-                .filter(|(n, _)| !done.contains(*n))
-                .min_by(|a, b| a.1.total_cmp(b.1).then_with(|| a.0.cmp(b.0)))
-                .map(|(&n, &d)| (n, d));
-            let Some((u, du)) = next else { break };
-            done.insert(u);
-            for &(from, to, cost) in &edges {
-                if from != u || cost.is_infinite() {
-                    continue;
-                }
-                let nd = du + cost;
-                if dist.get(&to).is_none_or(|&old| nd < old - 1e-12) {
-                    dist.insert(to, nd);
-                    let fh = if u == me {
-                        to
-                    } else {
-                        first_hop.get(&u).copied().unwrap_or(u)
-                    };
-                    first_hop.insert(to, fh);
-                }
+        let memo = &mut self.memo;
+        if memo.may_skip() && memo.route_me == Some(me) && same_edges(&edges, &memo.route_edges) {
+            #[cfg(test)]
+            {
+                memo.route_skips += 1;
             }
+            if cfg!(debug_assertions) {
+                let mut fresh = FastMap::default();
+                shortest_paths(me, &edges, &mut memo.path_scratch, &mut fresh);
+                debug_assert_eq!(fresh, self.routes, "skipped route computation was stale");
+            }
+            memo.next_edges = edges;
+            return;
         }
-        self.routes = dist
-            .into_iter()
-            .filter(|&(n, _)| n != me)
-            .filter_map(|(n, d)| first_hop.get(&n).map(|&fh| (n, (fh, d))))
-            .collect();
+        memo.next_edges = std::mem::replace(&mut memo.route_edges, edges);
+        memo.route_me = Some(me);
+        shortest_paths(
+            me,
+            &memo.route_edges,
+            &mut memo.path_scratch,
+            &mut self.routes,
+        );
     }
 
     fn tick(&mut self, api: &mut NodeApi<'_>) {
         let now = api.now();
         self.seen_tc.retain(|_, &mut exp| exp > now);
+        // Without this trim a neighbour gone silent would keep its stale
+        // HELLO times, and its link, forever.
+        let window = self.config.hello_interval * self.config.lq_window;
+        for link in self.links.values_mut() {
+            link.trim_window(now, window);
+        }
         self.links
             .retain(|_, l| l.is_heard(now) || !l.hello_times.is_empty());
         self.recompute_mprs(now);
-        self.recompute_routes(api);
+        self.recompute_routes(now, api.id());
+    }
+}
+
+/// Reusable buffers for [`select_mprs`].
+#[derive(Debug, Default)]
+struct MprScratch {
+    /// Strict two-hop nodes, ascending.
+    strict: Vec<NodeId>,
+    /// `(neighbour index, strict index)` per covering pair, ascending.
+    cover: Vec<(usize, usize)>,
+    /// `cover[first_cover[n]..first_cover[n + 1]]` are neighbour `n`'s pairs.
+    first_cover: Vec<usize>,
+    /// Per strict node: how many neighbours cover it, and the last of them.
+    coverers: Vec<u32>,
+    sole: Vec<usize>,
+    covered: Vec<bool>,
+    chosen: Vec<bool>,
+}
+
+impl MprScratch {
+    /// Strict indices neighbour `ni` covers.
+    fn pairs_of(&self, ni: usize) -> impl Iterator<Item = usize> + '_ {
+        self.cover[self.first_cover[ni]..self.first_cover[ni + 1]]
+            .iter()
+            .map(|&(_, ti)| ti)
+    }
+
+    /// Select neighbour `ni`; returns how many strict nodes it newly covers.
+    fn choose(&mut self, ni: usize) -> usize {
+        self.chosen[ni] = true;
+        let mut newly = 0;
+        for &(_, ti) in &self.cover[self.first_cover[ni]..self.first_cover[ni + 1]] {
+            if !self.covered[ti] {
+                self.covered[ti] = true;
+                newly += 1;
+            }
+        }
+        newly
+    }
+}
+
+/// Greedy MPR selection (RFC 3626 §8.3.1 heuristic) over sorted symmetric
+/// `neighbours` and sorted `(neighbour, two-hop node)` pairs, written to
+/// `mprs` in ascending order.
+fn select_mprs(
+    neighbours: &[NodeId],
+    pairs: &[(NodeId, NodeId)],
+    s: &mut MprScratch,
+    mprs: &mut Vec<NodeId>,
+) {
+    let is_neighbour = |n: &NodeId| neighbours.binary_search(n).is_ok();
+    // Strict two-hop set: reachable via a sym neighbour, not a neighbour
+    // itself.
+    s.strict.clear();
+    s.strict.extend(
+        pairs
+            .iter()
+            .filter(|(n, t)| is_neighbour(n) && !is_neighbour(t))
+            .map(|&(_, t)| t),
+    );
+    s.strict.sort_unstable();
+    s.strict.dedup();
+    s.cover.clear();
+    for (n, t) in pairs {
+        if let (Ok(ni), Ok(ti)) = (neighbours.binary_search(n), s.strict.binary_search(t)) {
+            s.cover.push((ni, ti));
+        }
+    }
+    s.first_cover.clear();
+    s.first_cover.resize(neighbours.len() + 1, 0);
+    for &(ni, _) in &s.cover {
+        s.first_cover[ni + 1] += 1;
+    }
+    for i in 0..neighbours.len() {
+        s.first_cover[i + 1] += s.first_cover[i];
+    }
+    s.coverers.clear();
+    s.coverers.resize(s.strict.len(), 0);
+    s.sole.clear();
+    s.sole.resize(s.strict.len(), 0);
+    for &(ni, ti) in &s.cover {
+        s.coverers[ti] += 1;
+        s.sole[ti] = ni;
+    }
+    s.chosen.clear();
+    s.chosen.resize(neighbours.len(), false);
+    s.covered.clear();
+    s.covered.resize(s.strict.len(), false);
+    let mut uncovered = s.strict.len();
+    // 1. Neighbours that are the sole cover of some two-hop node.
+    for ti in 0..s.strict.len() {
+        if s.coverers[ti] == 1 && !s.chosen[s.sole[ti]] {
+            uncovered -= s.choose(s.sole[ti]);
+        }
+    }
+    // 2. Greedy: repeatedly take the neighbour covering most uncovered,
+    // the lowest id among equals.
+    while uncovered > 0 {
+        let mut best: Option<(usize, usize)> = None;
+        for ni in (0..neighbours.len()).filter(|&ni| !s.chosen[ni]) {
+            let gain = s.pairs_of(ni).filter(|&ti| !s.covered[ti]).count();
+            if best.is_none_or(|(_, g)| gain > g) {
+                best = Some((ni, gain));
+            }
+        }
+        match best {
+            Some((ni, gain)) if gain > 0 => uncovered -= s.choose(ni),
+            _ => break,
+        }
+    }
+    mprs.clear();
+    mprs.extend(
+        neighbours
+            .iter()
+            .zip(&s.chosen)
+            .filter(|&(_, &c)| c)
+            .map(|(&n, _)| n),
+    );
+}
+
+/// Reusable buffers for [`shortest_paths`], indexed densely by position in
+/// `nodes`.
+#[derive(Debug, Default)]
+struct PathScratch {
+    /// Every node of the graph, ascending, so index order is id order.
+    nodes: Vec<NodeId>,
+    /// `edges[first_edge[u]..first_edge[u + 1]]` leave node `u`.
+    first_edge: Vec<usize>,
+    /// Dense index of each edge's head.
+    head: Vec<usize>,
+    dist: Vec<f64>,
+    reached: Vec<bool>,
+    done: Vec<bool>,
+    first_hop: Vec<usize>,
+}
+
+fn same_edges(a: &[Edge], b: &[Edge]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.0 == y.0 && x.1 == y.1 && x.2.to_bits() == y.2.to_bits())
+}
+
+/// Dijkstra from `me` over `edges` (sorted by `(from, to, cost)`), writing
+/// `destination → (first hop, cost)` to `routes`.
+///
+/// The graphs are tiny, so the next node is found by a scan in `(dist, id)`
+/// order; edges out of it relax in `(to, cost)` order and replace a known
+/// distance only when shorter by more than 1e-12, which fixes every
+/// equal-cost tie.
+fn shortest_paths(
+    me: NodeId,
+    edges: &[Edge],
+    s: &mut PathScratch,
+    routes: &mut FastMap<NodeId, (NodeId, f64)>,
+) {
+    s.nodes.clear();
+    s.nodes.push(me);
+    for &(from, to, _) in edges {
+        s.nodes.push(from);
+        s.nodes.push(to);
+    }
+    s.nodes.sort_unstable();
+    s.nodes.dedup();
+    let n = s.nodes.len();
+    let nodes = &s.nodes;
+    let index = |id: NodeId| {
+        nodes
+            .binary_search(&id)
+            .expect("every edge endpoint is a node")
+    };
+    s.first_edge.clear();
+    s.first_edge.resize(n + 1, 0);
+    s.head.clear();
+    for &(from, to, _) in edges {
+        s.first_edge[index(from) + 1] += 1;
+        s.head.push(index(to));
+    }
+    for i in 0..n {
+        s.first_edge[i + 1] += s.first_edge[i];
+    }
+    s.dist.clear();
+    s.dist.resize(n, 0.0);
+    s.reached.clear();
+    s.reached.resize(n, false);
+    s.done.clear();
+    s.done.resize(n, false);
+    s.first_hop.clear();
+    s.first_hop.extend(0..n);
+
+    let src = index(me);
+    s.reached[src] = true;
+    loop {
+        let mut next: Option<usize> = None;
+        for i in 0..n {
+            if s.reached[i]
+                && !s.done[i]
+                && next.is_none_or(|b| s.dist[i].total_cmp(&s.dist[b]).is_lt())
+            {
+                next = Some(i);
+            }
+        }
+        let Some(u) = next else { break };
+        s.done[u] = true;
+        let du = s.dist[u];
+        let out = s.first_edge[u]..s.first_edge[u + 1];
+        for (&(_, _, cost), &v) in edges[out.clone()].iter().zip(&s.head[out]) {
+            if cost.is_infinite() {
+                continue;
+            }
+            let nd = du + cost;
+            if !s.reached[v] || nd < s.dist[v] - 1e-12 {
+                s.dist[v] = nd;
+                s.reached[v] = true;
+                s.first_hop[v] = if u == src { v } else { s.first_hop[u] };
+            }
+        }
+    }
+    routes.clear();
+    for i in (0..n).filter(|&i| i != src && s.reached[i]) {
+        routes.insert(s.nodes[i], (s.nodes[s.first_hop[i]], s.dist[i]));
     }
 }
 
@@ -695,13 +943,11 @@ impl RoutingProtocol for Olsr {
 
     fn handle_received(&mut self, api: &mut NodeApi<'_>, mut packet: Packet, from: NodeId) {
         if let Some(hello) = packet.body.as_control::<Hello>() {
-            let hello = hello.clone();
-            self.handle_hello(api, &hello, from);
+            self.handle_hello(api, hello, from);
             return;
         }
         if let Some(tc) = packet.body.as_control::<Tc>() {
-            let tc = tc.clone();
-            self.handle_tc(api, &packet, &tc, from);
+            self.handle_tc(api, &packet, tc, from);
             return;
         }
         // Data.
@@ -774,10 +1020,8 @@ impl RoutingProtocol for Olsr {
             write_time(w, self.two_hop[&key]);
         }
 
-        let mut mprs: Vec<NodeId> = self.mprs.iter().copied().collect();
-        mprs.sort_by_key(|n| n.0);
-        w.put_usize(mprs.len());
-        for n in mprs {
+        w.put_usize(self.mprs.len());
+        for &n in &self.mprs {
             write_node_id(w, n);
         }
 
@@ -867,8 +1111,10 @@ impl RoutingProtocol for Olsr {
 
         self.mprs.clear();
         for _ in 0..r.get_usize()? {
-            self.mprs.insert(read_node_id(r)?);
+            self.mprs.push(read_node_id(r)?);
         }
+        self.mprs.sort_unstable();
+        self.mprs.dedup();
 
         self.mpr_selectors.clear();
         for _ in 0..r.get_usize()? {
@@ -910,6 +1156,7 @@ impl RoutingProtocol for Olsr {
         for _ in 0..r.get_usize()? {
             self.last_selector_snapshot.push(read_node_id(r)?);
         }
+        self.memo.invalidate();
         Ok(())
     }
 
@@ -1134,6 +1381,114 @@ mod tests {
             "recovered node must be re-elected as MPR"
         );
         assert_eq!(olsr_of(&sim, 2), vec![NodeId(1)]);
+    }
+
+    #[test]
+    fn silent_neighbours_are_pruned_from_the_link_set() {
+        // 0-1-2 chain; node 1 crashes at 6 s and stays down. Its last HELLO
+        // leaves the LQ window (10 s) after its hold (3 s) has run out, so
+        // by 20 s both ends must have dropped it from their link sets.
+        use cavenet_net::{FaultPlan, ScenarioConfig, Simulator, StaticMobility};
+
+        let mut sim = Simulator::builder(ScenarioConfig::default())
+            .nodes(3)
+            .seed(3)
+            .mobility(Box::new(StaticMobility::line(3, 200.0)))
+            .fault_plan(FaultPlan::new().crash(SimTime::from_secs(6), 1))
+            .routing_with(|_| Box::new(Olsr::new()))
+            .build();
+        let neighbours = |sim: &Simulator, node: usize| {
+            sim.routing(node)
+                .expect("routing attached")
+                .telemetry()
+                .neighbours
+        };
+        sim.run_until_secs(5.0);
+        assert_eq!(neighbours(&sim, 0), 1);
+        assert_eq!(neighbours(&sim, 2), 1);
+        sim.run_until_secs(20.0);
+        assert_eq!(neighbours(&sim, 0), 0, "dead link must be pruned");
+        assert_eq!(neighbours(&sim, 2), 0, "dead link must be pruned");
+    }
+
+    /// Table-1-sized ring (30 nodes, 100 m apart) whose nodes circle at
+    /// 5–17 m/s, so they overtake each other and the link graph keeps
+    /// changing.
+    struct DriftingRing;
+
+    impl cavenet_net::MobilityModel for DriftingRing {
+        fn position(&self, index: usize, t: SimTime) -> (f64, f64) {
+            let r = 3000.0 / std::f64::consts::TAU;
+            let speed = 5.0 + (index % 7) as f64 * 2.0;
+            let theta = index as f64 / 30.0 * std::f64::consts::TAU + speed * t.as_secs_f64() / r;
+            (r + r * theta.cos(), r + r * theta.sin())
+        }
+
+        fn node_count(&self) -> usize {
+            30
+        }
+    }
+
+    #[test]
+    fn skipping_unchanged_inputs_never_changes_delivery() {
+        use crate::testutil::{TestSink, TestSource};
+        use cavenet_net::{FaultPlan, ScenarioConfig, Simulator};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        // Every skip is also re-checked against a full recompute by the
+        // debug assertions in `recompute_mprs`/`recompute_routes`.
+        let run = |make: fn() -> Olsr, never_skip: bool| {
+            let log = Rc::new(RefCell::new(crate::testutil::SinkLog::default()));
+            let mut sim = Simulator::builder(ScenarioConfig::default())
+                .nodes(30)
+                .seed(11)
+                .mobility(Box::new(DriftingRing))
+                .fault_plan(
+                    FaultPlan::new()
+                        .crash(SimTime::from_secs(8), 2)
+                        .recover(SimTime::from_secs(16), 2),
+                )
+                .routing_with(move |_| {
+                    let mut olsr = make();
+                    olsr.memo.never_skip = never_skip;
+                    Box::new(olsr)
+                })
+                .app(0, Box::new(TestSource::new(NodeId(4), 100)))
+                .app(
+                    4,
+                    Box::new(TestSink {
+                        log: Rc::clone(&log),
+                    }),
+                )
+                .build();
+            sim.run_until_secs(25.0);
+            let (mut mpr_skips, mut route_skips) = (0, 0);
+            for i in 0..30 {
+                let olsr = sim
+                    .routing(i)
+                    .expect("routing attached")
+                    .as_any()
+                    .expect("OLSR opts into downcasting")
+                    .downcast_ref::<Olsr>()
+                    .expect("protocol is OLSR");
+                mpr_skips += olsr.memo.mpr_skips;
+                route_skips += olsr.memo.route_skips;
+            }
+            let stats: Vec<_> = (0..30).map(|i| sim.node_stats(i)).collect();
+            let received = log.borrow().received.clone();
+            (received, stats, mpr_skips, route_skips)
+        };
+        for make in [Olsr::new as fn() -> Olsr, Olsr::new_etx] {
+            let (got, stats, mpr_skips, route_skips) = run(make, false);
+            let (want, want_stats, no_mpr_skips, no_route_skips) = run(make, true);
+            assert_eq!((no_mpr_skips, no_route_skips), (0, 0));
+            assert!(mpr_skips > 0, "the MPR skip path was never taken");
+            assert!(route_skips > 0, "the route skip path was never taken");
+            assert!(!want.is_empty(), "the scenario must deliver something");
+            assert_eq!(got, want, "skipping changed delivery");
+            assert_eq!(stats, want_stats, "skipping changed per-node counters");
+        }
     }
 
     #[test]
