@@ -30,18 +30,13 @@
 use std::time::{Duration, Instant};
 
 use cavenet_bench::report::{self, num, obj};
-use cavenet_core::{Experiment, Fidelity, MobilitySource, Protocol, Scenario};
-use cavenet_mobility::{LaneGeometry, MobilityTrace, NodeTrajectory, TraceSample};
+use cavenet_core::{Experiment, Fidelity, Protocol, Scenario};
 use cavenet_net::{FaultPlan, SimTime};
 use cavenet_telemetry::{fnv64, json, ErrorEnvelope, Json, RunManifest};
+use cavenet_testkit::{jam_ring_scenario, JAM_HEADWAY_M, JAM_SIM_SECS};
 
 const REPORT_PATH: &str = "benchmarks/BENCH_fluid.json";
 
-/// Jam-ring constants — identical to `scale_report` so the exact-engine
-/// wall times are comparable across the two artifacts.
-const HEADWAY_M: f64 = 2.0;
-const CREEP_MPS: f64 = 3.0;
-const JAM_SIM_SECS: u64 = 4;
 /// The `--check` gate point of the speedup sweep.
 const GATE_NODES: usize = 10_000;
 
@@ -92,44 +87,6 @@ fn accuracy_classes() -> Vec<(&'static str, Scenario)> {
     churn.fault_plan = fixed_churn_plan();
     classes.push(("table1_aodv_churn", churn));
     classes
-}
-
-/// A saturated jam ring (same trace as `scale_report`).
-fn jam_trace(nodes: usize) -> MobilityTrace {
-    let circuit = nodes as f64 * HEADWAY_M;
-    let geometry = LaneGeometry::ring_circle(circuit);
-    let trajectories = (0..nodes)
-        .map(|i| {
-            let samples = (0..=JAM_SIM_SECS)
-                .map(|t| {
-                    let s = (i as f64 * HEADWAY_M + CREEP_MPS * t as f64) % circuit;
-                    TraceSample {
-                        time: t as f64,
-                        position: geometry.embed(s),
-                        speed: CREEP_MPS,
-                        teleport: false,
-                    }
-                })
-                .collect();
-            NodeTrajectory::new(samples).expect("monotone jam samples")
-        })
-        .collect();
-    MobilityTrace::from_trajectories(trajectories)
-}
-
-fn jam_scenario(nodes: usize) -> Scenario {
-    let mut s = Scenario::paper_table1(Protocol::Flooding);
-    s.nodes = nodes;
-    s.circuit_m = nodes as f64 * HEADWAY_M;
-    s.mobility = MobilitySource::Trace(jam_trace(nodes));
-    s.sim_time = Duration::from_secs(JAM_SIM_SECS);
-    s.traffic.senders = vec![1];
-    s.traffic.receiver = 0;
-    s.traffic.cbr.start = Duration::from_secs(1);
-    s.traffic.cbr.stop = Duration::from_secs(3);
-    s.traffic.cbr.rate_pps = 0.6; // exactly one flooded packet
-    s.seed = 1;
-    s
 }
 
 /// One backend's view of a scenario: PDR, delivered goodput, wall time.
@@ -316,7 +273,7 @@ fn main() {
     let mut sweep_members: Vec<(String, Json)> = Vec::new();
     let mut gate_speedup = 0.0;
     for &nodes in sweep_nodes {
-        let scenario = jam_scenario(nodes);
+        let scenario = jam_ring_scenario(nodes);
         let exact = run_backend(&scenario, Fidelity::Exact);
         let fluid = run_backend(&scenario, Fidelity::Fluid);
         let speedup = exact.wall_s / fluid.wall_s.max(1e-9);
@@ -365,7 +322,7 @@ fn main() {
                 "workload".into(),
                 obj(vec![
                     ("classes", Json::num_u64(classes.len() as u64)),
-                    ("jam_headway_m", num(HEADWAY_M)),
+                    ("jam_headway_m", num(JAM_HEADWAY_M)),
                     ("jam_sim_secs", Json::num_u64(JAM_SIM_SECS)),
                     ("quick", Json::Bool(quick)),
                 ]),

@@ -26,25 +26,16 @@
 //!
 //! Usage: `scale_report [--quick] [--check]`
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cavenet_bench::report::{self, num, obj};
-use cavenet_core::{Experiment, MobilitySource, Protocol, Scenario};
-use cavenet_mobility::{LaneGeometry, MobilityTrace, NodeTrajectory, TraceSample};
+use cavenet_core::{Experiment, Scenario};
 use cavenet_stats::Ensemble;
 use cavenet_telemetry::{fnv64, json, Json, RunManifest};
-use cavenet_testkit::digest_scenario;
+use cavenet_testkit::{
+    digest_scenario, jam_ring_scenario, JAM_CREEP_MPS, JAM_HEADWAY_M, JAM_SIM_SECS,
+};
 
-/// Jam headway between consecutive vehicles, metres. Constant across the
-/// sweep so every transmission's carrier-sense disk holds the same station
-/// count regardless of fleet size.
-const HEADWAY_M: f64 = 2.0;
-/// Jam creep speed, m/s — the trace's finite speed bound, which keeps the
-/// engine in the stale-grid (lazy resample) regime the shards accelerate.
-const CREEP_MPS: f64 = 3.0;
-/// Simulated seconds. The flooded packet needs only ~20 relay generations
-/// to circle the ring, all well inside this window.
-const SIM_SECS: u64 = 4;
 /// Shard counts measured against the serial engine.
 const SHARDS: [usize; 3] = [2, 4, 8];
 /// The `--check` gate point: 4 shards at 10 k nodes.
@@ -78,44 +69,10 @@ fn peak_rss_kb() -> u64 {
     }
 }
 
-/// A saturated jam ring: `nodes` vehicles at [`HEADWAY_M`] spacing creeping
-/// at [`CREEP_MPS`], sampled once per simulated second.
-fn jam_trace(nodes: usize) -> MobilityTrace {
-    let circuit = nodes as f64 * HEADWAY_M;
-    let geometry = LaneGeometry::ring_circle(circuit);
-    let trajectories = (0..nodes)
-        .map(|i| {
-            let samples = (0..=SIM_SECS)
-                .map(|t| {
-                    let s = (i as f64 * HEADWAY_M + CREEP_MPS * t as f64) % circuit;
-                    TraceSample {
-                        time: t as f64,
-                        position: geometry.embed(s),
-                        speed: CREEP_MPS,
-                        teleport: false,
-                    }
-                })
-                .collect();
-            NodeTrajectory::new(samples).expect("monotone jam samples")
-        })
-        .collect();
-    MobilityTrace::from_trajectories(trajectories)
-}
-
-/// The sweep scenario: one CBR source, its packet flooded by every station.
+/// The sweep scenario: the shared jam ring under `shards` spatial shards.
 fn jam_scenario(nodes: usize, shards: usize) -> Scenario {
-    let mut s = Scenario::paper_table1(Protocol::Flooding);
-    s.nodes = nodes;
-    s.circuit_m = nodes as f64 * HEADWAY_M;
-    s.mobility = MobilitySource::Trace(jam_trace(nodes));
-    s.sim_time = Duration::from_secs(SIM_SECS);
-    s.traffic.senders = vec![1];
-    s.traffic.receiver = 0;
-    s.traffic.cbr.start = Duration::from_secs(1);
-    s.traffic.cbr.stop = Duration::from_secs(3);
-    s.traffic.cbr.rate_pps = 0.6; // exactly one flooded packet
+    let mut s = jam_ring_scenario(nodes);
     s.shards = shards;
-    s.seed = 1;
     s
 }
 
@@ -331,9 +288,9 @@ fn main() {
             (
                 "workload".into(),
                 obj(vec![
-                    ("headway_m", num(HEADWAY_M)),
-                    ("creep_mps", num(CREEP_MPS)),
-                    ("sim_secs", Json::num_u64(SIM_SECS)),
+                    ("headway_m", num(JAM_HEADWAY_M)),
+                    ("creep_mps", num(JAM_CREEP_MPS)),
+                    ("sim_secs", Json::num_u64(JAM_SIM_SECS)),
                     ("protocol", Json::Str("Flooding".into())),
                     ("cores", Json::num_u64(cores as u64)),
                     ("quick", Json::Bool(quick)),

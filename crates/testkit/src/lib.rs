@@ -30,6 +30,7 @@ mod diff;
 mod digest;
 mod golden;
 mod invariants;
+mod jam;
 mod tee;
 
 pub use bisect::bisect_divergence;
@@ -39,4 +40,5 @@ pub use diff::{
 pub use digest::GoldenDigest;
 pub use golden::{check_golden, golden_path, load_golden, store_golden, Golden};
 pub use invariants::{InvariantChecker, LedgerReport};
+pub use jam::{jam_ring_scenario, JAM_CREEP_MPS, JAM_HEADWAY_M, JAM_SIM_SECS};
 pub use tee::Tee;

@@ -13,7 +13,8 @@ use cavenet_core::{Experiment, Fidelity, MobilitySource, Protocol, Scenario};
 use cavenet_net::{FaultPlan, RecoveryMode, SimTime};
 use cavenet_stats::Ensemble;
 use cavenet_testkit::{
-    assert_equiv, check_golden, digest_scenario, GoldenDigest, InvariantChecker, Tee,
+    assert_equiv, check_golden, digest_scenario, jam_ring_scenario, GoldenDigest, InvariantChecker,
+    Tee,
 };
 use proptest::prelude::*;
 
@@ -78,6 +79,16 @@ fn golden_fig11_eight_senders() {
     let mut s = conformance_scenario(Protocol::Aodv, 1);
     s.traffic.senders = (1..=8).collect();
     check_scenario_golden("fig11_aodv_8senders", &s);
+}
+
+// --- Golden digest: dense fan-out (flooded jam ring) ----------------------
+
+#[test]
+fn golden_jam_ring_dense_flood() {
+    // 600 vehicles on a 1.2 km ring: every station hears every other, so
+    // each transmission fans out to ~600 receptions — the regime where
+    // the scheduler handles hundreds of same-instant RxStart/RxEnd pairs.
+    check_scenario_golden("jam_ring_dense_flood", &jam_ring_scenario(600));
 }
 
 // --- Golden digest: Fig. 4 (CA fundamental diagram) ----------------------
