@@ -1,41 +1,48 @@
-//! Slab-arena calendar queue: the engine's event scheduler.
+//! Calendar queue over sorted runs: the engine's event scheduler.
 //!
 //! A discrete-event simulator spends a large share of its time inserting and
-//! popping timestamped events. A binary heap does both in `O(log n)` with
-//! every sift moving whole entries around; a *calendar queue* (Brown 1988)
-//! exploits the fact that event times are dense and near-monotonic to make
-//! both operations amortized `O(1)`:
+//! popping timestamped events. A binary heap does both in `O(log n)`; a
+//! *calendar queue* (Brown 1988) exploits the fact that event times are dense
+//! and near-monotonic to make both amortized `O(1)`. This one also exploits
+//! the fact that events arrive in batches: one transmission schedules a
+//! reception start and end at every station in carrier-sense range —
+//! hundreds of events within a few microseconds of each other.
 //!
+//! * Every pending entry belongs to a **run**, a buffer sorted by
+//!   `(time, seq)`. [`CalendarQueue::insert_run`] sorts a batch once and
+//!   files it as one run; a lone [`insert`](CalendarQueue::insert) is a run
+//!   of one. The scheduling structures below hold run **heads** (each run's
+//!   smallest key), never the events behind them.
 //! * Time is partitioned into fixed-width **days** (`1 << DAY_SHIFT` ns,
-//!   ≈1.05 ms). The queue keeps a window of `nb` consecutive days (`nb` a
-//!   power of two), one unsorted bucket per day.
-//! * Events in the **current day** live in a small binary heap (`active`),
+//!   ≈1.05 ms), and a run is filed by the day of its head.
+//! * Heads in the **current day** live in a small binary heap (`active`),
 //!   ordered by the full `(time, seq)` key — this is where exact tie-break
-//!   order is enforced, on a heap that holds only one day's worth of events.
-//! * Events in a **future in-window day** sit unsorted in that day's bucket;
-//!   sorting is deferred until the cursor reaches the day and the bucket is
-//!   drained into `active`.
-//! * Events **beyond the window** go to an overflow heap ordered by day,
+//!   order is enforced. Popping takes the top run's head and re-files the
+//!   run by its next head: in place on the heap while that is still due
+//!   today, otherwise by its day.
+//! * Heads in a **future in-window day** sit unsorted in that day's bucket
+//!   (a window of `nb` days, `nb` a power of two) until the cursor reaches
+//!   the day.
+//! * Heads **beyond the window** go to an overflow heap ordered by day,
 //!   promoted into buckets as the window advances.
 //!
-//! Event payloads are stored once in a **slab arena** (`Vec<Slot<T>>` with a
-//! free list); buckets and heaps shuffle 4-byte slot ids instead of whole
-//! entries. Slot ids also give O(1) cancellation: [`CalendarQueue::cancel`]
-//! takes the payload out and leaves a tombstone that is reclaimed when its
-//! container reference surfaces.
+//! Drained run buffers go back to a [`VecPool`] and are handed out again by
+//! [`CalendarQueue::run_buffer`], so the steady state does not allocate.
 //!
 //! # Ordering invariant
 //!
 //! The queue dequeues in exactly ascending `(time, seq)` order — the same
-//! total order a `BinaryHeap<Reverse<(time, seq)>>` would produce. This is
-//! the foundation of the repository's bit-identity guarantee: replacing the
-//! binary heap with this structure must not reorder any two events, and the
-//! property tests in this module verify that against a reference heap under
-//! random insert/cancel/pop interleavings.
+//! total order a `BinaryHeap<Reverse<(time, seq)>>` would produce, however
+//! the entries were batched. This is the foundation of the repository's
+//! bit-identity guarantee: replacing the binary heap with this structure
+//! must not reorder any two events, and the property tests in this module
+//! verify that against a reference heap under random interleavings of
+//! single inserts, unsorted batches and pops.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
+use crate::pool::VecPool;
 use crate::time::SimTime;
 
 /// Width of one calendar day in nanoseconds, as a shift: ≈1.05 ms. Chosen so
@@ -51,26 +58,18 @@ fn day_of(time: SimTime) -> u64 {
     time.as_nanos() >> DAY_SHIFT
 }
 
-/// One arena slot. `value: None` marks a tombstone (cancelled or popped);
-/// the slot returns to the free list when the container holding its id
-/// encounters it.
-#[derive(Debug)]
-struct Slot<T> {
-    time: SimTime,
-    seq: u64,
-    value: Option<T>,
-}
+/// One pending event: its `(time, seq)` key and payload.
+pub type Entry<T> = (SimTime, u64, T);
 
-/// Reference to a slot, carrying its key so heap ordering never touches the
-/// arena.
+/// A run's head, carrying its key so heap ordering never touches the runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EntryRef {
+struct Head {
     time: SimTime,
     seq: u64,
-    slot: u32,
+    run: u32,
 }
 
-impl EntryRef {
+impl Head {
     /// The single source of truth for event ordering.
     #[inline]
     fn key(&self) -> (SimTime, u64) {
@@ -78,42 +77,47 @@ impl EntryRef {
     }
 }
 
-impl Ord for EntryRef {
+impl Ord for Head {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest key on top.
         other.key().cmp(&self.key())
     }
 }
 
-impl PartialOrd for EntryRef {
+impl PartialOrd for Head {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// Calendar-queue priority queue over a slab arena, keyed by `(SimTime, seq)`.
+/// Calendar-queue priority queue over sorted runs, keyed by `(SimTime, seq)`.
 ///
 /// See the module docs for the design; the API surface is what the engine
-/// kernel needs: [`insert`](Self::insert), [`pop`](Self::pop),
-/// [`min_key`](Self::min_key) (a normalizing peek),
-/// [`cancel`](Self::cancel), and [`sorted_entries`](Self::sorted_entries)
-/// for checkpoint capture.
+/// kernel needs: [`insert`](Self::insert), [`insert_run`](Self::insert_run)
+/// with [`run_buffer`](Self::run_buffer), [`pop`](Self::pop),
+/// [`min_key`](Self::min_key) (a normalizing peek), and
+/// [`sorted_entries`](Self::sorted_entries) for checkpoint capture.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    slab: Vec<Slot<T>>,
+    /// Run arena. A pending run holds its entries in *descending* key
+    /// order, so its head is `last()` and taking it is `Vec::pop`; a free
+    /// slot holds an empty, unallocated vec.
+    runs: Vec<Vec<Entry<T>>>,
     free: Vec<u32>,
-    /// Entries whose day ≤ `cursor`, ordered by full key.
-    active: BinaryHeap<EntryRef>,
-    /// One unsorted bucket per in-window day; index = `day & mask`.
+    /// Drained run buffers, handed out again by [`run_buffer`](Self::run_buffer).
+    spare: VecPool<Entry<T>>,
+    /// Heads of runs whose head day ≤ `cursor`, ordered by full key.
+    active: BinaryHeap<Head>,
+    /// Runs whose head day is a future in-window day; index = `day & mask`.
     buckets: Vec<Vec<u32>>,
-    /// Number of slot ids currently sitting in `buckets`.
+    /// Number of run ids currently sitting in `buckets`.
     in_buckets: usize,
-    /// Entries whose day ≥ `cursor + buckets.len()`, ordered by day.
+    /// Runs whose head day ≥ `cursor + buckets.len()`, ordered by day.
     overflow: BinaryHeap<Reverse<(u64, u32)>>,
     /// The day `active` is currently collecting.
     cursor: u64,
     mask: u64,
-    /// Live (not cancelled, not popped) entries.
+    /// Pending entries across all runs.
     len: usize,
 }
 
@@ -130,13 +134,14 @@ impl<T> CalendarQueue<T> {
     }
 
     /// An empty queue pre-sized for about `n` concurrently pending events:
-    /// the arena, the active heap and the bucket window are allocated up
+    /// the run arena, the active heap and the bucket window are allocated up
     /// front so the steady state does not grow them.
     pub fn with_capacity(n: usize) -> Self {
         let nb = (n / 2).next_power_of_two().clamp(16, MAX_BUCKETS);
         CalendarQueue {
-            slab: Vec::with_capacity(n),
+            runs: Vec::with_capacity(n),
             free: Vec::new(),
+            spare: VecPool::new(),
             active: BinaryHeap::with_capacity(64.min(n.max(16))),
             buckets: (0..nb).map(|_| Vec::new()).collect(),
             in_buckets: 0,
@@ -147,138 +152,143 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Number of live entries.
+    /// Number of pending entries.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// True if no live entries remain.
+    /// True if no entries are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Insert `value` at key `(time, seq)` and return its slot id (usable
-    /// with [`cancel`](Self::cancel) until the entry is popped).
-    ///
-    /// Keys must be unique: `seq` is the caller's monotone event counter.
-    pub fn insert(&mut self, time: SimTime, seq: u64, value: T) -> u32 {
-        let slot = self.alloc(time, seq, value);
-        let day = day_of(time);
-        self.len += 1;
-        if day <= self.cursor {
-            self.active.push(EntryRef { time, seq, slot });
-        } else if day < self.cursor + self.buckets.len() as u64 {
-            self.buckets[(day & self.mask) as usize].push(slot);
-            self.in_buckets += 1;
-        } else {
-            self.overflow.push(Reverse((day, slot)));
-        }
-        self.maybe_grow();
-        slot
+    /// An empty buffer with room for at least `n` entries, to stage a batch
+    /// for [`insert_run`](Self::insert_run); a drained run's buffer when one
+    /// is spare.
+    pub fn run_buffer(&mut self, n: usize) -> Vec<Entry<T>> {
+        // The pool files buffers by power-of-two capacity class, so a fresh
+        // buffer is sized to a class boundary for a later same-size request
+        // to find it.
+        self.spare.take(n.next_power_of_two())
     }
 
-    /// Cancel the entry in `slot`, returning its payload if it was still
-    /// pending. O(1): the slot becomes a tombstone reclaimed lazily.
-    pub fn cancel(&mut self, slot: u32) -> Option<T> {
-        let value = self.slab.get_mut(slot as usize)?.value.take()?;
-        self.len -= 1;
-        Some(value)
+    /// Insert `value` at key `(time, seq)`: a run of one.
+    ///
+    /// Keys must be unique: `seq` is the caller's monotone event counter.
+    pub fn insert(&mut self, time: SimTime, seq: u64, value: T) {
+        let mut run = self.run_buffer(1);
+        run.push((time, seq, value));
+        self.insert_run(run);
+    }
+
+    /// Insert a batch of entries, in any order, as one run. Keys must be
+    /// unique across the queue; an empty batch just recycles its buffer.
+    pub fn insert_run(&mut self, mut run: Vec<Entry<T>>) {
+        if run.is_empty() {
+            return self.spare.put(run);
+        }
+        // Descending, so the head is `last()`. The stable sort finds a
+        // batch's monotone stretches (receptions come as a V of propagation
+        // delays around the sender) and merges them in linear time.
+        run.sort_by_key(|&(time, seq, _)| Reverse((time, seq)));
+        self.len += run.len();
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.runs[id as usize] = run;
+                id
+            }
+            None => {
+                assert!(self.runs.len() < u32::MAX as usize, "run arena overflow");
+                self.runs.push(run);
+                (self.runs.len() - 1) as u32
+            }
+        };
+        self.file(id);
+        self.maybe_grow();
     }
 
     /// The smallest pending `(time, seq)` key, or `None` when empty.
     ///
     /// Takes `&mut self` because peeking normalizes: the cursor advances
-    /// over empty days and tombstones are reclaimed until the true minimum
-    /// sits on top of the active heap.
+    /// over empty days until the minimum sits on top of the active heap.
     pub fn min_key(&mut self) -> Option<(SimTime, u64)> {
         self.normalize();
-        self.active.peek().map(EntryRef::key)
+        self.active.peek().map(Head::key)
     }
 
     /// Remove and return the entry with the smallest `(time, seq)` key.
-    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+    pub fn pop(&mut self) -> Option<Entry<T>> {
         self.normalize();
-        let top = self.active.pop()?;
-        let cell = &mut self.slab[top.slot as usize];
-        let value = cell
-            .value
-            .take()
-            .expect("normalize leaves a live entry on top");
-        self.release(top.slot);
+        let mut top = self.active.peek_mut()?;
+        let id = top.run;
+        let run = &mut self.runs[id as usize];
+        let entry = run.pop().expect("filed runs are non-empty");
         self.len -= 1;
-        Some((top.time, top.seq, value))
+        match run.last() {
+            // Still due today: re-key the head in place, one sift down.
+            Some(&(time, seq, _)) if day_of(time) <= self.cursor => {
+                top.time = time;
+                top.seq = seq;
+            }
+            next => {
+                let drained = next.is_none();
+                PeekMut::pop(top);
+                if drained {
+                    self.spare.put(std::mem::take(&mut self.runs[id as usize]));
+                    self.free.push(id);
+                } else {
+                    self.file(id);
+                }
+            }
+        }
+        Some(entry)
     }
 
-    /// All live entries in ascending `(time, seq)` order. Used by checkpoint
-    /// capture, which needs a deterministic serialization order; O(n log n)
-    /// and allocation-heavy, so not for the hot path.
+    /// All pending entries in ascending `(time, seq)` order. Used by
+    /// checkpoint capture, which needs a deterministic serialization order;
+    /// O(n log n) and allocation-heavy, so not for the hot path.
     pub fn sorted_entries(&self) -> Vec<(SimTime, u64, &T)> {
         let mut out: Vec<(SimTime, u64, &T)> = self
-            .slab
+            .runs
             .iter()
-            .filter_map(|s| s.value.as_ref().map(|v| (s.time, s.seq, v)))
+            .flatten()
+            .map(|(time, seq, v)| (*time, *seq, v))
             .collect();
         out.sort_unstable_by_key(|&(t, q, _)| (t, q));
         out
     }
 
-    fn alloc(&mut self, time: SimTime, seq: u64, value: T) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.slab[slot as usize] = Slot {
-                time,
-                seq,
-                value: Some(value),
-            };
-            slot
+    /// File the non-empty run `id` by the day of its head.
+    fn file(&mut self, id: u32) {
+        let &(time, seq, _) = self.runs[id as usize]
+            .last()
+            .expect("filed runs are non-empty");
+        let day = day_of(time);
+        if day <= self.cursor {
+            self.active.push(Head { time, seq, run: id });
+        } else if day < self.cursor + self.buckets.len() as u64 {
+            self.buckets[(day & self.mask) as usize].push(id);
+            self.in_buckets += 1;
         } else {
-            assert!(self.slab.len() < u32::MAX as usize, "event arena overflow");
-            self.slab.push(Slot {
-                time,
-                seq,
-                value: Some(value),
-            });
-            (self.slab.len() - 1) as u32
+            self.overflow.push(Reverse((day, id)));
         }
     }
 
-    /// Return a slot whose container reference has been consumed to the
-    /// free list.
-    #[inline]
-    fn release(&mut self, slot: u32) {
-        self.free.push(slot);
-    }
-
-    /// Advance the cursor until the top of `active` is the live global
-    /// minimum (or the queue is exhausted), reclaiming tombstones on the way.
+    /// Advance the cursor until the active heap holds the global minimum
+    /// (or the queue is exhausted).
     fn normalize(&mut self) {
-        loop {
-            // Discard cancelled entries surfacing on the active heap.
-            while let Some(top) = self.active.peek() {
-                if self.slab[top.slot as usize].value.is_some() {
-                    return;
-                }
-                let slot = top.slot;
-                self.active.pop();
-                self.release(slot);
-            }
+        while self.active.is_empty() {
             if self.in_buckets > 0 {
                 // Scan forward one day; `in_buckets > 0` bounds this loop to
-                // at most one full window sweep before an entry surfaces.
+                // at most one full window sweep before a head surfaces.
                 self.cursor += 1;
                 let idx = (self.cursor & self.mask) as usize;
-                while let Some(slot) = self.buckets[idx].pop() {
-                    self.in_buckets -= 1;
-                    let cell = &self.slab[slot as usize];
-                    if cell.value.is_some() {
-                        self.active.push(EntryRef {
-                            time: cell.time,
-                            seq: cell.seq,
-                            slot,
-                        });
-                    } else {
-                        self.release(slot);
-                    }
+                let mut due = std::mem::take(&mut self.buckets[idx]);
+                self.in_buckets -= due.len();
+                for id in due.drain(..) {
+                    self.file(id);
                 }
+                self.buckets[idx] = due;
                 self.promote();
             } else if let Some(&Reverse((day, _))) = self.overflow.peek() {
                 // Window is empty: jump straight to the overflow's first day.
@@ -290,64 +300,38 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Move overflow entries whose day entered the window into buckets (or
-    /// straight into `active` for the cursor day).
+    /// Re-file overflow runs whose head day entered the window.
     fn promote(&mut self) {
         let window_end = self.cursor + self.buckets.len() as u64;
-        while let Some(&Reverse((day, slot))) = self.overflow.peek() {
+        while let Some(&Reverse((day, id))) = self.overflow.peek() {
             if day >= window_end {
                 break;
             }
             self.overflow.pop();
-            let cell = &self.slab[slot as usize];
-            if cell.value.is_none() {
-                self.release(slot);
-            } else if day <= self.cursor {
-                self.active.push(EntryRef {
-                    time: cell.time,
-                    seq: cell.seq,
-                    slot,
-                });
-            } else {
-                self.buckets[(day & self.mask) as usize].push(slot);
-                self.in_buckets += 1;
-            }
+            self.file(id);
         }
     }
 
-    /// Double the bucket window when occupancy exceeds 4 entries per bucket,
-    /// redistributing in-window and overflow ids by day. Rare (amortized by
-    /// the doubling), and order-neutral: placement is derived from keys only.
+    /// Double the bucket window when it holds more than 4 pending runs per
+    /// bucket, re-filing in-window and overflow runs by day. Rare (amortized
+    /// by the doubling), and order-neutral: placement is derived from keys.
     fn maybe_grow(&mut self) {
-        if self.len <= self.buckets.len() * 4 || self.buckets.len() >= MAX_BUCKETS {
+        let pending_runs = self.runs.len() - self.free.len();
+        if pending_runs <= self.buckets.len() * 4 || self.buckets.len() >= MAX_BUCKETS {
             return;
         }
         let nb = self.buckets.len() * 2;
-        let mut ids: Vec<u32> = self.buckets.iter_mut().flat_map(|b| b.drain(..)).collect();
-        ids.extend(self.overflow.drain().map(|Reverse((_, slot))| slot));
+        let ids: Vec<u32> = self
+            .buckets
+            .iter_mut()
+            .flat_map(|b| b.drain(..))
+            .chain(self.overflow.drain().map(|Reverse((_, id))| id))
+            .collect();
         self.buckets = (0..nb).map(|_| Vec::new()).collect();
         self.mask = (nb - 1) as u64;
         self.in_buckets = 0;
-        let window_end = self.cursor + nb as u64;
-        for slot in ids {
-            let cell = &self.slab[slot as usize];
-            if cell.value.is_none() {
-                self.release(slot);
-                continue;
-            }
-            let day = day_of(cell.time);
-            if day <= self.cursor {
-                self.active.push(EntryRef {
-                    time: cell.time,
-                    seq: cell.seq,
-                    slot,
-                });
-            } else if day < window_end {
-                self.buckets[(day & self.mask) as usize].push(slot);
-                self.in_buckets += 1;
-            } else {
-                self.overflow.push(Reverse((day, slot)));
-            }
+        for id in ids {
+            self.file(id);
         }
     }
 }
@@ -359,6 +343,10 @@ mod tests {
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
+    }
+
+    fn day(d: u64, k: u64) -> SimTime {
+        t((d << DAY_SHIFT) + k)
     }
 
     #[test]
@@ -379,15 +367,22 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_entry_and_reclaims_slot() {
+    fn drained_run_buffers_are_recycled() {
         let mut q = CalendarQueue::new();
-        let a = q.insert(t(100), 1, 10u32);
-        let b = q.insert(t(200), 2, 20u32);
-        assert_eq!(q.cancel(a), Some(10));
-        assert_eq!(q.cancel(a), None, "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((t(200), 2, 20)));
-        assert_eq!(q.cancel(b), None, "popped entries cannot be cancelled");
+        let mut run = q.run_buffer(8);
+        run.extend([(t(30), 3, 30u32), (t(10), 1, 10), (t(20), 2, 20)]);
+        let buffer = run.as_ptr();
+        q.insert_run(run);
+        assert_eq!(q.len(), 3);
+        for k in 1..=3 {
+            assert_eq!(q.pop(), Some((t(k * 10), k, k as u32 * 10)));
+        }
+        assert!(q.is_empty());
+        let reused = q.run_buffer(5);
+        assert_eq!(reused.as_ptr(), buffer, "the drained run's buffer");
+        q.insert_run(reused); // an empty batch only recycles
+        let again = q.run_buffer(8);
+        assert_eq!(again.as_ptr(), buffer);
         assert!(q.is_empty());
     }
 
@@ -408,15 +403,14 @@ mod tests {
     fn sorted_entries_lists_live_entries_ascending() {
         let mut q = CalendarQueue::new();
         q.insert(t(30), 3, "z");
-        let dead = q.insert(t(10), 1, "dead");
-        q.insert(t(20), 2, "y");
-        q.cancel(dead);
+        q.insert_run(vec![(t(20), 2, "y"), (t(10), 1, "popped"), (t(40), 4, "w")]);
+        assert_eq!(q.pop(), Some((t(10), 1, "popped")));
         let entries: Vec<(u64, u64, &&str)> = q
             .sorted_entries()
             .into_iter()
             .map(|(time, seq, v)| (time.as_nanos(), seq, v))
             .collect();
-        assert_eq!(entries, vec![(20, 2, &"y"), (30, 3, &"z")]);
+        assert_eq!(entries, vec![(20, 2, &"y"), (30, 3, &"z"), (40, 4, &"w")]);
     }
 
     #[test]
@@ -425,10 +419,10 @@ mod tests {
         // 4 entries per day across 512 days: forces several doublings and
         // exercises overflow promotion.
         let mut seq = 0u64;
-        for day in 0..512u64 {
+        for d in 0..512u64 {
             for k in 0..4u64 {
                 seq += 1;
-                q.insert(t((day << DAY_SHIFT) + k), seq, seq);
+                q.insert(day(d, k), seq, seq);
             }
         }
         assert_eq!(q.len(), 2048);
@@ -446,158 +440,137 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_overflow_entries_vanish_across_day_rollover() {
-        // Regression for the overflow tombstone path: entries cancelled
-        // while sitting in the overflow heap must be reclaimed — not
-        // surfaced — when a pop crosses the day boundary and the cursor
-        // jumps to their day. Day 100 below becomes *all* tombstones, so
-        // normalization has to roll straight through it.
-        let day = |d: u64, k: u64| t((d << DAY_SHIFT) + k);
+    fn overflow_runs_roll_over_day_boundaries() {
+        // A run filed in the overflow heap whose entries span days 100, 101
+        // and 120: as its head advances it must be re-filed from the active
+        // heap into a bucket, then back into the overflow heap, and
+        // interleave with a lone entry on its last day.
         let mut q = CalendarQueue::new(); // 16-day window
         q.insert(day(0, 5), 1, 1u32);
-        let dead_head = q.insert(day(100, 0), 2, 2u32);
-        let dead_mid = q.insert(day(100, 7), 3, 3u32);
-        q.insert(day(101, 3), 4, 4u32);
-        let dead_tail = q.insert(day(120, 0), 5, 5u32);
-        q.insert(day(120, 9), 6, 6u32);
-        assert_eq!(q.cancel(dead_head), Some(2));
-        assert_eq!(q.cancel(dead_mid), Some(3));
-        assert_eq!(q.cancel(dead_tail), Some(5));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some((day(0, 5), 1, 1)));
-        // Crosses day 0 → 100 (tombstones only) → 101 in one normalize.
-        assert_eq!(q.pop(), Some((day(101, 3), 4, 4)));
-        // Day 120's head is a tombstone promoted on the second jump.
+        q.insert_run(vec![
+            (day(120, 0), 5, 5),
+            (day(100, 7), 3, 3),
+            (day(101, 3), 4, 4),
+            (day(100, 0), 2, 2),
+        ]);
+        q.insert(day(120, 9), 6, 6);
+        for (d, k, s) in [
+            (0, 5, 1),
+            (100, 0, 2),
+            (100, 7, 3),
+            (101, 3, 4),
+            (120, 0, 5),
+        ] {
+            assert_eq!(q.pop(), Some((day(d, k), s, s as u32)));
+        }
         assert_eq!(q.pop(), Some((day(120, 9), 6, 6)));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
     }
 
     #[test]
-    fn cancellation_after_promotion_is_reclaimed_in_the_drain() {
-        // The complementary rollover case: an overflow entry is promoted
-        // (still live) by a cursor jump, and only *then* cancelled — the
-        // tombstone now sits in the active heap / a bucket and must be
-        // reclaimed by the drain instead of the overflow path.
-        let day = |d: u64, k: u64| t((d << DAY_SHIFT) + k);
+    fn inserts_after_a_promoting_peek_stay_ordered() {
         let mut q = CalendarQueue::new();
         q.insert(day(0, 1), 1, 1u32);
-        let far = q.insert(day(30, 0), 2, 2u32);
-        q.insert(day(31, 0), 3, 3u32);
+        q.insert_run(vec![(day(31, 0), 3, 3), (day(30, 0), 2, 2)]);
         assert_eq!(q.pop(), Some((day(0, 1), 1, 1)));
-        // Normalizing peek jumps the cursor to day 30, promoting `far`
-        // into the active heap and day 31 into a bucket.
+        // The normalizing peek jumps the cursor to day 30, promoting the run
+        // into the active heap; later inserts land on both sides of it.
         assert_eq!(q.min_key(), Some((day(30, 0), 2)));
-        assert_eq!(q.cancel(far), Some(2));
-        assert_eq!(q.pop(), Some((day(31, 0), 3, 3)));
-        assert_eq!(q.pop(), None);
+        q.insert(day(30, 0), 4, 4);
+        q.insert(day(5, 0), 5, 5);
+        for (d, s) in [(5, 5), (30, 2), (30, 4), (31, 3)] {
+            assert_eq!(q.pop(), Some((day(d, 0), s, s as u32)));
+        }
         assert!(q.is_empty());
     }
 
     /// The heart of the bit-identity argument: against a reference binary
-    /// heap, random interleavings of insert/cancel/pop dequeue in exactly
-    /// the same `(time, seq)` order.
-    #[derive(Debug, Clone, Copy)]
+    /// heap, random interleavings of single inserts, batches and pops
+    /// dequeue in exactly the same `(time, seq)` order.
+    #[derive(Debug, Clone)]
     enum Op {
-        /// Insert at `now + dt` ns (dt spans in-window and overflow days).
+        /// Insert one entry at `now + dt` ns.
         Insert(u64),
-        /// Cancel the k-th oldest still-pending insert, if any.
-        Cancel(usize),
+        /// Insert entries at `now + dt` ns as one run, in this order.
+        Run(Vec<u64>),
         /// Pop the minimum from both and compare.
         Pop,
+    }
+
+    /// Batches start in the window or in the overflow heap's range and
+    /// spread over up to four day boundaries. Shape 0 keeps a random order,
+    /// 1 makes a V (falling, then rising: the propagation delays around a
+    /// sender) and 2 snaps offsets to whole days, so entries tie on time.
+    fn batch_strategy() -> impl Strategy<Value = Vec<u64>> {
+        let base = prop_oneof![0u64..(1 << 24), (1u64 << 24)..(1 << 32)];
+        let spread = prop::collection::vec(0u64..(1 << 22), 0..48);
+        (base, spread, 0u8..3).prop_map(|(base, mut dts, shape)| {
+            match shape {
+                1 => {
+                    dts.sort_unstable();
+                    let half = dts.len() / 2;
+                    dts[..half].reverse();
+                }
+                2 => dts.iter_mut().for_each(|dt| *dt &= !((1 << DAY_SHIFT) - 1)),
+                _ => {}
+            }
+            dts.into_iter().map(|dt| base + dt).collect()
+        })
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
             (0u64..(1u64 << 24)).prop_map(Op::Insert),
             // Far inserts: 16 .. 4096 days out — beyond the bucket window
-            // even after growth, so they live in the overflow heap. Their
-            // cancellations leave tombstones that must be reclaimed as day
-            // rollovers promote them (the gap the pure in-window strategy
-            // left: overflow cancels crossing a day boundary).
+            // even after growth, so they live in the overflow heap.
             ((1u64 << 24)..(1u64 << 32)).prop_map(Op::Insert),
-            (0usize..32).prop_map(Op::Cancel),
+            batch_strategy().prop_map(Op::Run),
             Just(Op::Pop),
             Just(Op::Pop),
         ]
     }
 
     proptest! {
+        // At least 512 cases; `PROPTEST_CASES` raises it (CI runs 4096).
+        #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(512)))]
         #[test]
         fn matches_reference_heap(ops in prop::collection::vec(op_strategy(), 1..200)) {
             let mut calq = CalendarQueue::new();
             let mut reference: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-            let mut values: std::collections::HashMap<(u64, u64), u64> =
-                std::collections::HashMap::new();
-            // (key, slot) of still-pending inserts, oldest first.
-            let mut pending: Vec<((SimTime, u64), u32)> = Vec::new();
-            let mut now = 0u64;
-            let mut seq = 0u64;
+            let (mut now, mut seq) = (0u64, 0u64);
             for op in ops {
                 match op {
                     Op::Insert(dt) => {
                         seq += 1;
-                        let time = t(now + dt);
-                        let slot = calq.insert(time, seq, seq * 7);
-                        reference.push(Reverse((time, seq)));
-                        values.insert((time.as_nanos(), seq), seq * 7);
-                        pending.push(((time, seq), slot));
+                        calq.insert(t(now + dt), seq, seq * 7);
+                        reference.push(Reverse((t(now + dt), seq)));
                     }
-                    Op::Cancel(k) => {
-                        if pending.is_empty() {
-                            continue;
+                    Op::Run(dts) => {
+                        let mut run = calq.run_buffer(dts.len());
+                        for dt in dts {
+                            seq += 1;
+                            run.push((t(now + dt), seq, seq * 7));
+                            reference.push(Reverse((t(now + dt), seq)));
                         }
-                        let (key, slot) = pending.remove(k % pending.len());
-                        let cancelled = calq.cancel(slot);
-                        prop_assert_eq!(
-                            cancelled,
-                            values.remove(&(key.0.as_nanos(), key.1))
-                        );
-                        // The reference heap has no cancel; drop the key from
-                        // `values` and skip it when it surfaces.
+                        calq.insert_run(run);
                     }
                     Op::Pop => {
-                        // Drain cancelled keys off the reference top.
-                        let live = loop {
-                            match reference.peek() {
-                                Some(&Reverse((rt, rs)))
-                                    if !values.contains_key(&(rt.as_nanos(), rs)) =>
-                                {
-                                    reference.pop();
-                                }
-                                other => break other.map(|&Reverse(k)| k),
-                            }
-                        };
-                        prop_assert_eq!(calq.min_key(), live);
-                        let got = calq.pop();
-                        match live {
-                            None => prop_assert!(got.is_none()),
-                            Some((rt, rs)) => {
-                                reference.pop();
-                                let expected = values.remove(&(rt.as_nanos(), rs));
-                                prop_assert_eq!(got.map(|(gt, gs, gv)| {
-                                    prop_assert_eq!((gt, gs), (rt, rs));
-                                    Ok(gv)
-                                }).transpose()?, expected);
-                                pending.retain(|&(key, _)| key != (rt, rs));
-                                now = rt.as_nanos();
-                            }
+                        let expected = reference.pop().map(|Reverse((rt, rs))| (rt, rs, rs * 7));
+                        prop_assert_eq!(calq.min_key(), expected.map(|(rt, rs, _)| (rt, rs)));
+                        prop_assert_eq!(calq.pop(), expected);
+                        if let Some((rt, _, _)) = expected {
+                            now = rt.as_nanos();
                         }
                     }
                 }
+                prop_assert_eq!(calq.len(), reference.len());
             }
             // Drain both to empty; remaining orders must agree too.
-            while let Some((gt, gs, _)) = calq.pop() {
-                let live = loop {
-                    let Some(&Reverse((rt, rs))) = reference.peek() else { break None };
-                    reference.pop();
-                    if values.remove(&(rt.as_nanos(), rs)).is_some() {
-                        break Some((rt, rs));
-                    }
-                };
-                prop_assert_eq!(Some((gt, gs)), live);
+            while let Some(Reverse((rt, rs))) = reference.pop() {
+                prop_assert_eq!(calq.pop(), Some((rt, rs, rs * 7)));
             }
-            prop_assert!(values.is_empty());
+            prop_assert!(calq.pop().is_none());
         }
     }
 }

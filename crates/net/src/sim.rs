@@ -8,7 +8,7 @@ use cavenet_rng::SimRng;
 
 use crate::api::{ApiKind, NodeApi};
 use crate::backend::{ChannelBackend, MacBackend};
-use crate::calq::CalendarQueue;
+use crate::calq::{CalendarQueue, Entry};
 use crate::channel::Channel;
 use crate::error::NetError;
 use crate::fault::{FaultKind, FaultPlan, RecoveryMode};
@@ -180,13 +180,29 @@ pub(crate) struct Kernel {
 }
 
 impl Kernel {
-    fn schedule(&mut self, at: SimTime, event: Event) {
+    /// Assign the next sequence number to `event`, due at `at`, and log it
+    /// for the observer.
+    fn next_seq(&mut self, at: SimTime, event: &Event) -> u64 {
         self.seq += 1;
         if self.record_sched {
             self.sched_log
                 .push((at, self.seq, event.node(), event.kind()));
         }
-        self.queue.insert(at, self.seq, event);
+        self.seq
+    }
+
+    fn schedule(&mut self, at: SimTime, event: Event) {
+        let seq = self.next_seq(at, &event);
+        self.queue.insert(at, seq, event);
+    }
+
+    /// Schedule `event` at `at` into `run`, a batch later handed to the
+    /// queue whole by [`CalendarQueue::insert_run`]: same sequence number
+    /// and log record as [`schedule`](Self::schedule), one queue insert for
+    /// the whole batch.
+    fn stage(&mut self, run: &mut Vec<Entry<Event>>, at: SimTime, event: Event) {
+        let seq = self.next_seq(at, &event);
+        run.push((at, seq, event));
     }
 
     pub(crate) fn schedule_layer_timer(
@@ -1244,7 +1260,9 @@ impl<O: SimObserver> Simulator<O> {
             self.cs_cutoff + drift,
             self.snapshot_lagged,
         );
-        let mut receivers = 0u32;
+        let n = pool.slots().iter().map(Vec::len).sum();
+        let mut starts = self.kernel.queue.run_buffer(n);
+        let mut ends = self.kernel.queue.run_buffer(n);
         for cand in pool.slots().iter().flat_map(|arc| arc.iter()) {
             let j = cand.node as usize;
             debug_assert_ne!(j, idx, "workers skip the sender");
@@ -1260,7 +1278,8 @@ impl<O: SimObserver> Simulator<O> {
                 }
             }
             let delay = ChannelBackend::propagation_delay(&self.config, cand.dist);
-            self.kernel.schedule(
+            self.kernel.stage(
+                &mut starts,
                 now + delay,
                 Event::RxStart {
                     node: j,
@@ -1269,11 +1288,26 @@ impl<O: SimObserver> Simulator<O> {
                 },
             );
             self.kernel
-                .schedule(end + delay, Event::RxEnd { node: j, tx_id });
-            receivers += 1;
+                .stage(&mut ends, end + delay, Event::RxEnd { node: j, tx_id });
         }
         self.pool = Some(pool);
-        self.channel.retain(tx_id, receivers);
+        self.finish_transmission(idx, end, tx_id, starts, ends);
+    }
+
+    /// Common tail of a transmission: hand its receptions to the queue as
+    /// two runs, settle the channel refcount and schedule the sender's
+    /// `TxEnd`.
+    fn finish_transmission(
+        &mut self,
+        idx: usize,
+        end: SimTime,
+        tx_id: u64,
+        starts: Vec<Entry<Event>>,
+        ends: Vec<Entry<Event>>,
+    ) {
+        self.channel.retain(tx_id, starts.len() as u32);
+        self.kernel.queue.insert_run(starts);
+        self.kernel.queue.insert_run(ends);
         self.kernel.schedule(end, Event::TxEnd { node: idx, tx_id });
     }
 
@@ -1342,7 +1376,8 @@ impl<O: SimObserver> Simulator<O> {
             None => cand.extend(0..self.kernel.node_count),
         }
 
-        let mut receivers = 0u32;
+        let mut starts = self.kernel.queue.run_buffer(cand.len());
+        let mut ends = self.kernel.queue.run_buffer(cand.len());
         for &j in &cand {
             if j == idx {
                 continue;
@@ -1370,7 +1405,8 @@ impl<O: SimObserver> Simulator<O> {
                     }
                 }
                 let delay = ChannelBackend::propagation_delay(&self.config, d);
-                self.kernel.schedule(
+                self.kernel.stage(
+                    &mut starts,
                     now + delay,
                     Event::RxStart {
                         node: j,
@@ -1379,13 +1415,11 @@ impl<O: SimObserver> Simulator<O> {
                     },
                 );
                 self.kernel
-                    .schedule(end + delay, Event::RxEnd { node: j, tx_id });
-                receivers += 1;
+                    .stage(&mut ends, end + delay, Event::RxEnd { node: j, tx_id });
             }
         }
         self.scratch = cand;
-        self.channel.retain(tx_id, receivers);
-        self.kernel.schedule(end, Event::TxEnd { node: idx, tx_id });
+        self.finish_transmission(idx, end, tx_id, starts, ends);
     }
 
     fn routing_call(
