@@ -132,7 +132,7 @@ pub struct CheckpointPlan {
 ///
 /// Execution-layout knobs that provably do not affect results are
 /// normalized to their defaults before hashing — today that is
-/// `Scenario::shards` (any shard count is bit-identical, DESIGN.md §14).
+/// `Scenario::shards` (any shard count is bit-identical).
 /// This is what lets a snapshot taken under N shards resume under M: the
 /// two scenarios share one identity.
 ///

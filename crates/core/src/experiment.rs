@@ -5,12 +5,25 @@ use std::time::Duration;
 
 use cavenet_fluid::{FluidConfig, FluidEngine, FluidFlow, RouteDiscipline};
 use cavenet_net::{
-    DropCounts, ExactBackend, Fidelity, FlowId, GlobalStats, NodeId, NoopObserver, ScenarioConfig,
-    SimObserver, SimTime, Simulator,
+    DropCounts, Fidelity, FlowId, GlobalStats, NodeId, NoopObserver, ScenarioConfig, SimObserver,
+    SimTime, Simulator,
 };
 use cavenet_traffic::{CbrSink, CbrSource, FlowMetrics, TrafficRecorder};
 
 use crate::{Protocol, Scenario, ScenarioError, TraceMobility};
+
+/// The PHY/MAC parameterization a scenario runs under, shared by both
+/// fidelities.
+fn engine_config(s: &Scenario) -> ScenarioConfig {
+    let mut config = ScenarioConfig {
+        propagation: s.propagation,
+        ..ScenarioConfig::default()
+    };
+    if s.rts_cts {
+        config.mac.rts_threshold = Some(0);
+    }
+    config
+}
 
 /// The fluid backend's abstraction of each routing protocol: forwarding
 /// discipline, periodic control load per node (packets/s) and control
@@ -226,20 +239,12 @@ impl Experiment {
 
         let recorder = TrafficRecorder::new_shared();
         let protocol = s.protocol;
-        let mut config = ScenarioConfig {
-            propagation: s.propagation,
-            ..ScenarioConfig::default()
-        };
-        if s.rts_cts {
-            config.mac.rts_threshold = Some(0);
-        }
-        let mut builder = Simulator::builder(config)
+        let mut builder = Simulator::builder(engine_config(s))
             .observer(observer)
             .nodes(s.nodes)
             .seed(s.seed)
             .mobility(Box::new(mobility))
             .neighbor_grid(s.neighbor_grid)
-            .shards(s.shards)
             .fault_plan(s.fault_plan.clone())
             .routing_with(move |_| protocol.instantiate());
         for &sender in &s.traffic.senders {
@@ -329,14 +334,6 @@ impl Experiment {
         }
         s.validate()?;
         let trace = s.build_trace()?;
-        // The very parameterization the exact engine would run.
-        let mut config = ScenarioConfig {
-            propagation: s.propagation,
-            ..ScenarioConfig::default()
-        };
-        if s.rts_cts {
-            config.mac.rts_threshold = Some(0);
-        }
         let (discipline, control_pps_per_node, control_payload_bytes) =
             fluid_routing_model(s.protocol);
         let flows = s
@@ -353,7 +350,8 @@ impl Experiment {
             nodes: s.nodes as u32,
             sim_time: s.sim_time,
             step: Duration::from_secs(1),
-            backend: ExactBackend::from(&config),
+            // The very parameterization the exact engine would run.
+            backend: engine_config(s),
             discipline,
             control_pps_per_node,
             control_payload_bytes,

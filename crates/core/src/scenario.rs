@@ -111,13 +111,13 @@ pub struct Scenario {
     /// default empty plan leaves the simulation untouched — results are
     /// bit-identical to a scenario without the field.
     pub fault_plan: FaultPlan,
-    /// Spatial shards for intra-trial parallelism (default: 1, serial).
+    /// Worker threads for the fluid backend's utilization field
+    /// (default: 1). The exact engine is serial and ignores it.
     ///
     /// An *execution* knob, not a behaviour knob: any value produces
-    /// bit-identical results (see
-    /// [`SimulatorBuilder::shards`](cavenet_net::SimulatorBuilder::shards)),
-    /// which is why it is excluded from checkpoint/run identity — a
-    /// snapshot taken under N shards resumes under M.
+    /// bit-identical results, which is why it is excluded from
+    /// checkpoint/run identity — a snapshot taken under N shards resumes
+    /// under M.
     pub shards: usize,
     /// Model backend fidelity (default: [`Fidelity::Exact`], the per-frame
     /// DCF engine). [`Fidelity::Fluid`] selects the flow-level analytic
@@ -293,7 +293,7 @@ pub enum ScenarioError {
         /// The offending node id.
         node: u32,
     },
-    /// `shards` is zero (the serial engine is `shards = 1`).
+    /// `shards` is zero (a single worker is `shards = 1`).
     BadShards,
     /// The fluid backend rejected the scenario (empty, bad flow endpoint).
     Fluid(cavenet_fluid::FluidError),
@@ -323,7 +323,7 @@ impl fmt::Display for ScenarioError {
             }
             ScenarioError::Fault(e) => write!(f, "fault plan error: {e}"),
             ScenarioError::BadShards => {
-                write!(f, "shards must be at least 1 (1 = serial engine)")
+                write!(f, "shards must be at least 1 (1 = a single worker)")
             }
             ScenarioError::Fluid(e) => write!(f, "fluid backend error: {e}"),
             ScenarioError::WrongFidelity { expected } => {

@@ -161,8 +161,7 @@ impl Field {
 
     /// Fill [`Field::util`] from [`Field::load`], fanning the pure per-cell
     /// integral over `shards` workers. The per-cell arithmetic is identical
-    /// for every shard count — this is an execution knob, mirroring the
-    /// exact engine's spatial sharding contract.
+    /// for every shard count — this is an execution knob.
     pub fn integrate(&mut self, shards: u32) {
         let n = self.len();
         let shards = (shards.max(1) as usize).min(n.max(1));

@@ -113,7 +113,7 @@ pub struct FluidConfig {
     /// The CBR flows.
     pub flows: Vec<FluidFlow>,
     /// Worker shards for the utilization field (execution knob only —
-    /// results are bit-identical for every value; see DESIGN.md §14).
+    /// results are bit-identical for every value; see [`Field::integrate`]).
     pub shards: u32,
 }
 
@@ -125,7 +125,7 @@ impl FluidConfig {
             nodes,
             sim_time,
             step: Duration::from_secs(1),
-            backend: ExactBackend::ns2_default(),
+            backend: ExactBackend::default(),
             discipline: RouteDiscipline::Unicast,
             control_pps_per_node: 1.0,
             control_payload_bytes: 48,

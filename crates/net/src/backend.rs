@@ -16,21 +16,20 @@
 //!   evaluates the closed forms.
 //!
 //! [`ScenarioConfig`](crate::ScenarioConfig) implements both traits by
-//! delegating to the same [`PhyParams`]/[`MacParams`] functions the
-//! per-frame engine calls, so the exact backend is the existing engine
+//! delegating to the same [`PhyParams`](crate::PhyParams)/
+//! [`MacParams`](crate::MacParams) functions the per-frame engine calls,
+//! so the exact backend is the existing engine
 //! *re-homed*, not re-implemented: routing the engine's call sites through
 //! the trait changes nothing bit-for-bit, and any alternative backend that
 //! answers the same questions (the `cavenet-fluid` crate's flow-level
 //! model) plugs into the same scenario pipeline.
 //!
 //! Which backend runs is selected per scenario by [`Fidelity`] — a
-//! *behaviour* knob (results differ between fidelities), unlike the
-//! `shards` execution knob, so it participates in checkpoint/run identity.
+//! *behaviour* knob (results differ between fidelities), so it
+//! participates in checkpoint/run identity.
 
 use std::time::Duration;
 
-use crate::mac::MacParams;
-use crate::phy::{PhyParams, Propagation};
 use crate::sim::ScenarioConfig;
 
 /// Which model backend a scenario runs under.
@@ -77,7 +76,8 @@ pub trait ChannelBackend {
 
     /// A conservative radius beyond which a transmission can never be
     /// carrier-sensed, or `None` when the model has an unbounded random
-    /// component (see [`PhyParams::carrier_sense_cutoff`]).
+    /// component (see
+    /// [`PhyParams::carrier_sense_cutoff`](crate::PhyParams::carrier_sense_cutoff)).
     fn carrier_sense_cutoff(&self) -> Option<f64>;
 
     /// Signal propagation delay over `d` metres.
@@ -201,9 +201,10 @@ pub trait MacBackend {
 }
 
 /// The exact engine's configuration *is* the exact backend: both traits
-/// delegate to the very [`PhyParams`]/[`MacParams`] functions the
-/// per-frame engine calls, so routing engine call sites through the trait
-/// is bit-identical by construction.
+/// delegate to the very [`PhyParams`](crate::PhyParams)/
+/// [`MacParams`](crate::MacParams) functions the per-frame engine calls,
+/// so routing engine call sites through the trait is bit-identical by
+/// construction.
 impl ChannelBackend for ScenarioConfig {
     fn mean_rx_power(&self, d: f64) -> f64 {
         self.phy.mean_rx_power(self.propagation, d)
@@ -268,110 +269,26 @@ impl MacBackend for ScenarioConfig {
     }
 }
 
-/// Standalone exact backend over explicit parameters, for callers that do
-/// not hold a full [`ScenarioConfig`] (reports, unit analysis).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExactBackend {
-    /// Physical-layer parameters.
-    pub phy: PhyParams,
-    /// MAC-layer parameters.
-    pub mac: MacParams,
-    /// Propagation model.
-    pub propagation: Propagation,
-}
+/// The exact backend's parameters: the engine's own configuration, under
+/// the name the fluid engine and the reports use for it.
+pub type ExactBackend = ScenarioConfig;
 
-impl ExactBackend {
-    /// The ns-2 WaveLAN / Table-1 default parameterization.
-    pub fn ns2_default() -> Self {
-        ExactBackend {
-            phy: PhyParams::ns2_default(),
-            mac: MacParams::default(),
-            propagation: Propagation::TwoRayGround,
-        }
-    }
-}
-
-impl From<&ScenarioConfig> for ExactBackend {
+/// Lets callers that hold a configuration by reference write
+/// `ExactBackend::from(&config)`.
+impl From<&ScenarioConfig> for ScenarioConfig {
     fn from(c: &ScenarioConfig) -> Self {
-        ExactBackend {
-            phy: c.phy,
-            mac: c.mac,
-            propagation: c.propagation,
-        }
-    }
-}
-
-impl ChannelBackend for ExactBackend {
-    fn mean_rx_power(&self, d: f64) -> f64 {
-        self.phy.mean_rx_power(self.propagation, d)
-    }
-
-    fn rx_threshold_w(&self) -> f64 {
-        self.phy.rx_threshold_w
-    }
-
-    fn carrier_sense_cutoff(&self) -> Option<f64> {
-        self.phy.carrier_sense_cutoff(self.propagation)
-    }
-
-    fn propagation_delay(&self, d: f64) -> Duration {
-        self.phy.propagation_delay(d)
-    }
-
-    fn rx_range(&self) -> f64 {
-        self.phy.effective_range(self.propagation)
-    }
-}
-
-impl MacBackend for ExactBackend {
-    fn data_airtime(&self, bytes: u32) -> Duration {
-        self.phy.data_frame_duration(bytes)
-    }
-
-    fn control_airtime(&self, bytes: u32) -> Duration {
-        self.phy.control_frame_duration(bytes)
-    }
-
-    fn slot(&self) -> Duration {
-        self.mac.slot
-    }
-
-    fn sifs(&self) -> Duration {
-        self.mac.sifs
-    }
-
-    fn difs(&self) -> Duration {
-        self.mac.difs
-    }
-
-    fn cw_min(&self) -> u32 {
-        self.mac.cw_min
-    }
-
-    fn cw_max(&self) -> u32 {
-        self.mac.cw_max
-    }
-
-    fn retry_limit(&self) -> u32 {
-        self.mac.retry_limit
-    }
-
-    fn data_overhead_bytes(&self) -> u32 {
-        self.mac.ip_overhead_bytes + self.mac.mac_overhead_bytes
-    }
-
-    fn ack_size_bytes(&self) -> u32 {
-        self.mac.ack_size_bytes
+        *c
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MacParams, PhyParams, Propagation};
 
     #[test]
     fn exact_backend_matches_raw_params() {
-        let b = ExactBackend::ns2_default();
+        let b = ExactBackend::default();
         let phy = PhyParams::ns2_default();
         assert_eq!(
             b.mean_rx_power(100.0),
@@ -388,19 +305,21 @@ mod tests {
 
     #[test]
     fn scenario_config_is_the_exact_backend() {
-        let c = ScenarioConfig::default();
-        let b = ExactBackend::from(&c);
-        assert_eq!(
-            ChannelBackend::mean_rx_power(&c, 321.0),
-            b.mean_rx_power(321.0)
-        );
-        assert_eq!(MacBackend::data_airtime(&c, 570), b.data_airtime(570));
-        assert_eq!(MacBackend::cw_min(&c), b.cw_min());
+        let c = ScenarioConfig {
+            propagation: Propagation::FreeSpace,
+            ..ScenarioConfig::default()
+        };
+        assert_eq!(ExactBackend::from(&c), c);
+        // The Table-1 parameterization is the default one.
+        let ns2 = ExactBackend::default();
+        assert_eq!(ns2.phy, PhyParams::ns2_default());
+        assert_eq!(ns2.mac, MacParams::default());
+        assert_eq!(ns2.propagation, Propagation::TwoRayGround);
     }
 
     #[test]
     fn bianchi_fixed_point_behaves() {
-        let b = ExactBackend::ns2_default();
+        let b = ExactBackend::default();
         // A lone station never collides.
         let (tau1, p1) = b.saturation_fixed_point(1);
         assert_eq!(p1, 0.0);
@@ -421,7 +340,7 @@ mod tests {
 
     #[test]
     fn service_time_grows_with_collision_probability() {
-        let b = ExactBackend::ns2_default();
+        let b = ExactBackend::default();
         let calm = b.unicast_service_time(512, 0.0);
         let busy = b.unicast_service_time(512, 0.5);
         assert!(busy > calm);
@@ -432,7 +351,7 @@ mod tests {
 
     #[test]
     fn delivery_probability_uses_retry_budget() {
-        let b = ExactBackend::ns2_default();
+        let b = ExactBackend::default();
         assert_eq!(b.unicast_delivery_probability(0.0), 1.0);
         let d = b.unicast_delivery_probability(0.5);
         // 1 - 0.5^8 with the default 7-retry limit.

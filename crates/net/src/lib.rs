@@ -19,10 +19,8 @@
 //!
 //! The simulator is seeded and fully deterministic: the same scenario and
 //! seed reproduce byte-identical results, which is what makes the paper's
-//! figures regenerable. The event loop is single-threaded; optionally the
-//! pure receiver-candidate kernel is fanned out over spatial shard workers
-//! ([`SimulatorBuilder::shards`]) with bit-identical output (see `shard`
-//! module docs and DESIGN.md §14).
+//! figures regenerable. The event loop is single-threaded; parallelism
+//! lives a level up, across independent trials.
 //!
 //! ```
 //! use cavenet_net::{Simulator, ScenarioConfig, StaticMobility};
@@ -57,7 +55,6 @@ mod packet;
 mod phy;
 pub mod pool;
 mod progress;
-mod shard;
 mod sim;
 pub mod snapshot;
 mod stats;
@@ -83,7 +80,6 @@ pub use packet::{ControlBlob, DataPayload, Frame, FrameKind, Packet, PacketBody}
 pub use phy::{PhyParams, Propagation};
 pub use pool::VecPool;
 pub use progress::{CancelSignal, ProgressHandle, ProgressProbe, TrialCancelled};
-pub use shard::{ArcStats, ShardStats};
 pub use sim::{ScenarioConfig, Simulator, SimulatorBuilder};
 pub use snapshot::{ControlCodec, DataOnlyCodec, WireError, WireReader, WireWriter};
 pub use stats::{DropCounts, GlobalStats};

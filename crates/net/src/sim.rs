@@ -1,7 +1,6 @@
 //! The discrete-event engine and simulator assembly.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Duration;
 
 use cavenet_rng::SimRng;
@@ -20,7 +19,6 @@ use crate::observer::{
     DropReason, EventKind, FrameDropReason, NoopObserver, RouteEventKind, SimObserver,
 };
 use crate::packet::Frame;
-use crate::shard::ShardPool;
 use crate::snapshot::{
     read_time, write_time, ControlCodec, DataOnlyCodec, WireError, WireReader, WireWriter,
 };
@@ -264,7 +262,7 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     routings: Vec<Option<Box<dyn RoutingProtocol>>>,
     apps: Vec<Option<Box<dyn Application>>>,
     channel: Channel,
-    mobility: Arc<dyn MobilityModel>,
+    mobility: Box<dyn MobilityModel>,
     config: ScenarioConfig,
     started: bool,
     /// Cached `(x, y)` of every node, valid for the epoch in `pos_key` —
@@ -292,14 +290,6 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// Whether the shared snapshot may lag the current instant (stale-grid
     /// regime); [`Simulator::position_of`] then resamples on demand.
     snapshot_lagged: bool,
-    /// Instant the current position snapshot was sampled at (epoch start
-    /// for [`PositionEpoch::Step`]). Sharded mode resolves the sender's
-    /// position from this instead of the central arrays.
-    snapshot_at: SimTime,
-    /// Spatial shard workers (see the `shard` module): `Some` iff more than
-    /// one shard was requested *and* the neighbor grid is active. `None`
-    /// falls back to the serial path — bit-identical either way.
-    pool: Option<ShardPool>,
     /// Reusable candidate buffer for broadcast scans.
     scratch: Vec<usize>,
     /// The validated fault schedule (empty by default — and provably
@@ -336,7 +326,6 @@ pub struct SimulatorBuilder<O: SimObserver = NoopObserver> {
     routing_factory: Box<dyn Fn(usize) -> Box<dyn RoutingProtocol>>,
     apps: Vec<(usize, Box<dyn Application>)>,
     neighbor_grid: bool,
-    shards: usize,
     fault_plan: FaultPlan,
     observer: O,
 }
@@ -363,7 +352,6 @@ impl<O: SimObserver> SimulatorBuilder<O> {
             routing_factory: self.routing_factory,
             apps: self.apps,
             neighbor_grid: self.neighbor_grid,
-            shards: self.shards,
             fault_plan: self.fault_plan,
             observer,
         }
@@ -416,23 +404,11 @@ impl<O: SimObserver> SimulatorBuilder<O> {
         self
     }
 
-    /// Number of spatial shards for intra-trial parallelism (default: 1,
-    /// fully serial).
-    ///
-    /// With `n >= 2`, the node-id space is split into `n` contiguous arcs
-    /// and the pure receiver-candidate kernel (position sampling, distance,
-    /// received power) runs on one worker thread per arc; the event loop,
-    /// RNG draws and scheduling stay on the calling thread, so results are
-    /// **bit-identical** to the serial engine for every scenario (see the
-    /// `shard` module docs and DESIGN.md §14).
-    ///
-    /// The request is clamped to the node count, and silently degrades to
-    /// the serial path when the neighbor grid is inactive (grid disabled,
-    /// or a propagation model without a deterministic carrier-sense
-    /// cutoff) — sharding is only sound, and only profitable, when the
-    /// candidate kernel is deterministic.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n;
+    /// Does nothing: the engine is serial. This once set the shard count
+    /// of a sharded engine, removed because it never beat the serial one
+    /// (DESIGN.md §14). It remains only because the repository benchmark
+    /// package (`benchmarks/benchmark`) still calls it.
+    pub fn shards(self, _n: usize) -> Self {
         self
     }
 
@@ -465,10 +441,9 @@ impl<O: SimObserver> SimulatorBuilder<O> {
     ///   out-of-range node;
     /// - any [`FaultPlan::validate`] error for an invalid fault plan.
     pub fn try_build(self) -> Result<Simulator<O>, NetError> {
-        let mobility: Arc<dyn MobilityModel> = Arc::from(
-            self.mobility
-                .unwrap_or_else(|| Box::new(crate::StaticMobility::grid(self.nodes, 100.0))),
-        );
+        let mobility = self
+            .mobility
+            .unwrap_or_else(|| Box::new(crate::StaticMobility::grid(self.nodes, 100.0)));
         if mobility.node_count() < self.nodes {
             return Err(NetError::MobilityTooSmall {
                 nodes: self.nodes,
@@ -505,21 +480,6 @@ impl<O: SimObserver> SimulatorBuilder<O> {
         // inflated by a finite drift bound (and pointless without a grid).
         let lazy_vmax = match (cutoff, mobility.max_speed()) {
             (Some(_), Some(v)) if v.is_finite() && v >= 0.0 => Some(v),
-            _ => None,
-        };
-        // Spatial shard workers: engaged only when they can be bit-identical
-        // *and* useful — more than one shard requested (clamped to the node
-        // count) and a deterministic candidate kernel (grid active).
-        let shards = self.shards.clamp(1, self.nodes.max(1));
-        let pool = match cutoff {
-            Some(cell) if shards >= 2 => Some(ShardPool::new(
-                shards,
-                self.nodes,
-                Arc::clone(&mobility),
-                self.config.phy,
-                self.config.propagation,
-                cell,
-            )),
             _ => None,
         };
         Ok(Simulator {
@@ -569,8 +529,6 @@ impl<O: SimObserver> SimulatorBuilder<O> {
             // (1.5)² ≈ 2.25× before a rebuild amortizes the drift away.
             grid_slack: cutoff.unwrap_or(0.0) * 0.5,
             snapshot_lagged: false,
-            snapshot_at: SimTime::ZERO,
-            pool,
             scratch: Vec::new(),
             fault_plan: self.fault_plan,
             impairments,
@@ -599,7 +557,6 @@ impl Simulator {
             routing_factory: Box::new(|_| Box::new(NullRouting)),
             apps: Vec::new(),
             neighbor_grid: true,
-            shards: 1,
             fault_plan: FaultPlan::default(),
             observer: NoopObserver,
         }
@@ -621,21 +578,6 @@ impl<O: SimObserver> Simulator<O> {
     /// Consume the simulator, returning the observer and what it collected.
     pub fn into_observer(self) -> O {
         self.observer
-    }
-
-    /// Number of active spatial shard workers; `1` means the serial engine
-    /// (either requested, or the sharded path degraded because the neighbor
-    /// grid is inactive — see [`SimulatorBuilder::shards`]).
-    pub fn shard_count(&self) -> usize {
-        self.pool.as_ref().map_or(1, ShardPool::shards)
-    }
-
-    /// Per-arc work statistics of the shard pool, or `None` on the serial
-    /// path. Pure observability: the counters are written by the workers
-    /// off the simulation's data flow, so reading (or ignoring) them
-    /// cannot perturb the event stream.
-    pub fn shard_stats(&self) -> Option<crate::shard::ShardStats> {
-        self.pool.as_ref().map(ShardPool::stats)
     }
 
     /// Inspect node `i`'s routing protocol (for tests and tools; see
@@ -1158,19 +1100,8 @@ impl<O: SimObserver> Simulator<O> {
     }
 
     /// Sample every node's position at `at` and rebuild the grid from them.
-    ///
-    /// In sharded mode the O(nodes) sampling and grid rebuild are fanned
-    /// out to the shard workers (each covering its own arc) and the central
-    /// arrays stay empty; worker task channels are ordered, so the next
-    /// query is guaranteed to see the new snapshot while the rebuilds of
-    /// different arcs overlap each other and the main thread.
     fn resample_all(&mut self, at: SimTime) {
-        self.snapshot_at = at;
         self.grid_built_at = at;
-        if let Some(pool) = &mut self.pool {
-            pool.resample(at);
-            return;
-        }
         self.positions.clear();
         for i in 0..self.kernel.node_count {
             self.positions.push(self.mobility.position(i, at));
@@ -1204,111 +1135,6 @@ impl<O: SimObserver> Simulator<O> {
         } else {
             self.positions[j]
         }
-    }
-
-    /// Exact position of the sender at `now`, honouring the active regime.
-    ///
-    /// Serial mode reads the central snapshot via
-    /// [`position_of`](Self::position_of). Sharded mode keeps no central
-    /// arrays, so the sender is resolved by the same pure mobility call the
-    /// serial cache would have served — at `now` in the stale-grid regime,
-    /// at the snapshot instant (e.g. a step epoch's start) otherwise —
-    /// hence bitwise-identical coordinates.
-    fn sender_position(&mut self, idx: usize, now: SimTime) -> (f64, f64) {
-        if self.pool.is_some() {
-            let at = if self.snapshot_lagged {
-                now
-            } else {
-                self.snapshot_at
-            };
-            self.mobility.position(idx, at)
-        } else {
-            self.position_of(idx, now)
-        }
-    }
-
-    /// Sharded tail of [`start_transmission`](Self::start_transmission):
-    /// fan the candidate kernel out to the shard workers, then merge.
-    ///
-    /// Workers return, per arc, the ascending-id stations whose received
-    /// power clears the carrier-sense floor, with bitwise the powers and
-    /// distances the serial loop computes. Concatenating the arcs in order
-    /// yields global ascending node order, so the order-sensitive serial
-    /// steps — liveness filtering, impairment draws from the fault RNG,
-    /// `(time, seq)` event scheduling — run here exactly as the serial loop
-    /// runs them, on exactly the same sequence of receivers. Stations the
-    /// workers filtered out are unobservable in the serial engine too: a
-    /// below-threshold candidate draws no RNG and schedules nothing.
-    fn finish_transmission_sharded(
-        &mut self,
-        idx: usize,
-        now: SimTime,
-        end: SimTime,
-        tx_id: u64,
-        (sx, sy): (f64, f64),
-    ) {
-        // The same drift inflation the serial grid query applies: cells may
-        // lag `now` by up to `grid_slack / vmax` of motion.
-        let drift = self
-            .lazy_vmax
-            .map_or(0.0, |vmax| vmax * self.grid_age_secs(now));
-        let mut pool = self.pool.take().expect("sharded path without a pool");
-        pool.query(
-            now,
-            idx as u32,
-            (sx, sy),
-            self.cs_cutoff + drift,
-            self.snapshot_lagged,
-        );
-        let n = pool.slots().iter().map(Vec::len).sum();
-        let mut starts = self.kernel.queue.run_buffer(n);
-        let mut ends = self.kernel.queue.run_buffer(n);
-        for cand in pool.slots().iter().flat_map(|arc| arc.iter()) {
-            let j = cand.node as usize;
-            debug_assert_ne!(j, idx, "workers skip the sender");
-            // A crashed station's antenna is off — same filter, same spot
-            // in the per-receiver order as the serial loop.
-            if !self.node_up[j] {
-                continue;
-            }
-            if self.impairments {
-                let loss = self.fault_plan.loss_at(j, now);
-                if loss > 0.0 && self.fault_rng.gen_bool(loss) {
-                    continue;
-                }
-            }
-            let delay = ChannelBackend::propagation_delay(&self.config, cand.dist);
-            self.kernel.stage(
-                &mut starts,
-                now + delay,
-                Event::RxStart {
-                    node: j,
-                    tx_id,
-                    power: cand.power,
-                },
-            );
-            self.kernel
-                .stage(&mut ends, end + delay, Event::RxEnd { node: j, tx_id });
-        }
-        self.pool = Some(pool);
-        self.finish_transmission(idx, end, tx_id, starts, ends);
-    }
-
-    /// Common tail of a transmission: hand its receptions to the queue as
-    /// two runs, settle the channel refcount and schedule the sender's
-    /// `TxEnd`.
-    fn finish_transmission(
-        &mut self,
-        idx: usize,
-        end: SimTime,
-        tx_id: u64,
-        starts: Vec<Entry<Event>>,
-        ends: Vec<Entry<Event>>,
-    ) {
-        self.channel.retain(tx_id, starts.len() as u32);
-        self.kernel.queue.insert_run(starts);
-        self.kernel.queue.insert_run(ends);
-        self.kernel.schedule(end, Event::TxEnd { node: idx, tx_id });
     }
 
     /// Put a frame on the air from node `idx`: schedule its end at the
@@ -1345,16 +1171,12 @@ impl<O: SimObserver> Simulator<O> {
         }
 
         self.refresh_positions(now);
-        let (sx, sy) = self.sender_position(idx, now);
+        let (sx, sy) = self.position_of(idx, now);
         if O::ENABLED {
             self.observer.on_frame_tx(now, idx, &frame);
         }
         let tx_id = self.channel.begin(NodeId(idx as u32), frame, now, end, 1);
         self.kernel.stats.transmissions += 1;
-
-        if self.pool.is_some() {
-            return self.finish_transmission_sharded(idx, now, end, tx_id, (sx, sy));
-        }
 
         // Enumerate candidate receivers: grid-adjacent stations when the
         // grid is active, otherwise all stations. Grid candidates come back
@@ -1419,7 +1241,10 @@ impl<O: SimObserver> Simulator<O> {
             }
         }
         self.scratch = cand;
-        self.finish_transmission(idx, end, tx_id, starts, ends);
+        self.channel.retain(tx_id, starts.len() as u32);
+        self.kernel.queue.insert_run(starts);
+        self.kernel.queue.insert_run(ends);
+        self.kernel.schedule(end, Event::TxEnd { node: idx, tx_id });
     }
 
     fn routing_call(
@@ -2145,16 +1970,12 @@ mod tests {
     }
 
     /// Build a 30-node ring under contention and return its stats fingerprint.
-    fn ring_fingerprint(
-        neighbor_grid: bool,
-        shards: usize,
-    ) -> (GlobalStats, Vec<(NodeStats, MacStats)>) {
+    fn ring_fingerprint(neighbor_grid: bool) -> (GlobalStats, Vec<(NodeStats, MacStats)>) {
         let mut builder = Simulator::builder(ScenarioConfig::default())
             .nodes(30)
             .seed(7)
             .mobility(Box::new(StaticMobility::ring(30, 3000.0)))
-            .neighbor_grid(neighbor_grid)
-            .shards(shards);
+            .neighbor_grid(neighbor_grid);
         for sender in [0usize, 7, 14, 21] {
             builder = builder.app(
                 sender,
@@ -2176,42 +1997,15 @@ mod tests {
 
     #[test]
     fn grid_scan_matches_full_scan_exactly() {
-        let (ga, na) = ring_fingerprint(true, 1);
-        let (gb, nb) = ring_fingerprint(false, 1);
+        let (ga, na) = ring_fingerprint(true);
+        let (gb, nb) = ring_fingerprint(false);
         assert_eq!(ga, gb, "global stats diverged between grid and full scan");
         assert_eq!(na, nb, "per-node stats diverged between grid and full scan");
         assert!(ga.transmissions > 80, "scenario should carry real traffic");
     }
 
-    #[test]
-    fn sharded_ring_matches_serial_exactly() {
-        let (gs, ns) = ring_fingerprint(true, 1);
-        for shards in [2, 3, 7] {
-            let (g, n) = ring_fingerprint(true, shards);
-            assert_eq!(gs, g, "global stats diverged at {shards} shards");
-            assert_eq!(ns, n, "per-node stats diverged at {shards} shards");
-        }
-        assert!(gs.transmissions > 80, "scenario should carry real traffic");
-    }
-
-    #[test]
-    fn shards_degrade_to_serial_without_a_grid() {
-        // No neighbor grid ⇒ no deterministic candidate kernel ⇒ the pool
-        // must silently not exist; results equal the serial full scan.
-        let (gs, ns) = ring_fingerprint(false, 1);
-        let (g, n) = ring_fingerprint(false, 4);
-        assert_eq!(gs, g);
-        assert_eq!(ns, n);
-        let sim = Simulator::builder(ScenarioConfig::default())
-            .nodes(8)
-            .neighbor_grid(false)
-            .shards(4)
-            .build();
-        assert_eq!(sim.shard_count(), 1);
-    }
-
     /// Bounded-speed continuous mobility: nodes orbit a ring at constant
-    /// angular velocity, exercising the stale-grid regime under sharding.
+    /// angular velocity, exercising the stale-grid regime.
     struct Orbit {
         n: usize,
         circumference: f64,
@@ -2232,10 +2026,12 @@ mod tests {
         }
     }
 
-    /// Moving + faulted fingerprint: the stale-grid regime with exact
-    /// per-candidate resampling, plus impairment draws from the fault RNG —
-    /// the two most order-sensitive paths the sharded merge must preserve.
-    fn moving_faulted_fingerprint(shards: usize) -> (GlobalStats, Vec<(NodeStats, MacStats)>) {
+    /// Moving + faulted fingerprint: with the grid, the stale-grid regime
+    /// with exact per-candidate resampling, plus impairment draws from the
+    /// fault RNG — the two most order-sensitive receiver-loop paths.
+    fn moving_faulted_fingerprint(
+        neighbor_grid: bool,
+    ) -> (GlobalStats, Vec<(NodeStats, MacStats)>) {
         let plan = FaultPlan::default()
             .crash(SimTime::from_millis(600), 5)
             .recover(SimTime::from_millis(1400), 5)
@@ -2249,7 +2045,7 @@ mod tests {
                 speed: 30.0,
             }))
             .fault_plan(plan)
-            .shards(shards);
+            .neighbor_grid(neighbor_grid);
         for sender in [0usize, 6, 12, 18] {
             builder = builder.app(
                 sender,
@@ -2262,7 +2058,6 @@ mod tests {
             );
         }
         let mut sim = builder.build();
-        assert_eq!(sim.shard_count(), shards.clamp(1, 24));
         sim.run_until_secs(2.0);
         let per_node = (0..24)
             .map(|i| (sim.node_stats(i), sim.mac_stats(i)))
@@ -2271,14 +2066,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_stale_grid_with_faults_matches_serial() {
-        let (gs, ns) = moving_faulted_fingerprint(1);
-        for shards in [2, 3, 7] {
-            let (g, n) = moving_faulted_fingerprint(shards);
-            assert_eq!(gs, g, "global stats diverged at {shards} shards");
-            assert_eq!(ns, n, "per-node stats diverged at {shards} shards");
-        }
-        assert!(gs.transmissions > 50, "scenario should carry real traffic");
+    fn stale_grid_with_faults_matches_full_scan() {
+        let (ga, na) = moving_faulted_fingerprint(true);
+        let (gb, nb) = moving_faulted_fingerprint(false);
+        assert_eq!(ga, gb, "global stats diverged between grid and full scan");
+        assert_eq!(na, nb, "per-node stats diverged between grid and full scan");
+        assert!(ga.transmissions > 50, "scenario should carry real traffic");
     }
 
     /// Piecewise-constant mobility: node 1 starts in range of node 0 and

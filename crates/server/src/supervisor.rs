@@ -33,7 +33,7 @@ use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use cavenet_checkpoint::{store, Snapshot};
-use cavenet_core::{Experiment, Fidelity, Lineage, Scenario};
+use cavenet_core::{CheckpointError, Experiment, Fidelity, Lineage, Scenario};
 use cavenet_net::{
     CancelSignal, EventKind, ProgressHandle, ProgressProbe, SimObserver, SimTime, TrialCancelled,
 };
@@ -372,9 +372,14 @@ impl CampaignServer {
     ///
     /// # Errors
     ///
-    /// A present-but-unreadable ledger (it guards against re-execution,
-    /// so it must not be silently ignored).
+    /// A zero [`checkpoint_every`](ServerConfig::checkpoint_every) (every
+    /// trial would snapshot forever without advancing virtual time), or a
+    /// present-but-unreadable ledger (it guards against re-execution, so
+    /// it must not be silently ignored).
     pub fn start(config: ServerConfig) -> Result<CampaignServer, String> {
+        if config.checkpoint_every.is_zero() {
+            return Err(CheckpointError::ZeroInterval.to_string());
+        }
         let prior = CampaignLedger::load(&config.ledger_path())?
             .unwrap_or_else(|| CampaignLedger::new(config.seed));
         let workers = config.workers.max(1);
@@ -1008,7 +1013,7 @@ fn drive_trial(
             })?,
     };
 
-    let every = (config.checkpoint_every.as_nanos().min(u128::from(u64::MAX)) as u64).max(1);
+    let every = config.checkpoint_every.as_nanos().min(u128::from(u64::MAX)) as u64;
     let end = SimTime::from_secs_f64(job.scenario.sim_time.as_secs_f64()).as_nanos();
     loop {
         let now = sim.now().as_nanos();
@@ -1094,7 +1099,7 @@ fn drive_fluid_trial(
         })?,
     };
 
-    let every = (config.checkpoint_every.as_nanos().min(u128::from(u64::MAX)) as u64).max(1);
+    let every = config.checkpoint_every.as_nanos().min(u128::from(u64::MAX)) as u64;
     while !engine.finished() {
         if handle.signal() == CancelSignal::Shutdown {
             let snap = exp
@@ -1178,6 +1183,18 @@ mod tests {
         }
         assert!(report.ledger_path.is_file());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_checkpoint_interval_is_rejected_at_start() {
+        let dir = scratch("zero-interval");
+        let mut config = quick_config(dir.clone());
+        config.checkpoint_every = Duration::ZERO;
+        let err = CampaignServer::start(config)
+            .err()
+            .expect("a zero checkpoint interval must not start a server");
+        assert_eq!(err, CheckpointError::ZeroInterval.to_string());
+        assert!(!dir.exists(), "a refused start must touch nothing");
     }
 
     #[test]

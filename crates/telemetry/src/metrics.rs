@@ -9,12 +9,11 @@ use crate::json::Json;
 
 /// Monotonic counters, one slot each in [`MetricsRegistry`].
 ///
-/// Slots fall into three families sharing the one registry so every sink
+/// Slots fall into two families sharing the one registry so every sink
 /// (snapshot bus, JSONL feed, Prometheus exposition) works unchanged:
 /// engine counters fed by the
-/// [`TelemetryObserver`](crate::TelemetryObserver), shard-kernel counters
-/// fed from `ShardStats`, and campaign-supervisor counters fed by
-/// `cavenet-server`. A source only ever touches its own family; the merge
+/// [`TelemetryObserver`](crate::TelemetryObserver) and campaign-supervisor
+/// counters fed by `cavenet-server`. A source only ever touches its own family; the merge
 /// semantics (counters add) keep foreign slots at zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
@@ -44,12 +43,6 @@ pub enum Counter {
     RouteDiscoveryFailures,
     /// Fault events (crashes and recoveries).
     Faults,
-    /// Shard-kernel candidate queries answered across all arcs.
-    ShardQueries,
-    /// Shard arcs skipped whole by the bbox-lookahead test.
-    ShardBboxSkips,
-    /// Per-arc position resamples (grid rebuilds) across all arcs.
-    ShardResamples,
     /// Supervisor: trials admitted for execution.
     TrialsSubmitted,
     /// Supervisor: trials that reached a completed outcome.
@@ -68,7 +61,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 23;
+    pub const COUNT: usize = 20;
 
     /// All counters, in declaration (= snapshot) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -85,9 +78,6 @@ impl Counter {
         Counter::RouteDiscoverySuccesses,
         Counter::RouteDiscoveryFailures,
         Counter::Faults,
-        Counter::ShardQueries,
-        Counter::ShardBboxSkips,
-        Counter::ShardResamples,
         Counter::TrialsSubmitted,
         Counter::TrialsCompleted,
         Counter::TrialRetries,
@@ -113,9 +103,6 @@ impl Counter {
             Counter::RouteDiscoverySuccesses => "route_discovery_successes",
             Counter::RouteDiscoveryFailures => "route_discovery_failures",
             Counter::Faults => "faults",
-            Counter::ShardQueries => "shard_queries",
-            Counter::ShardBboxSkips => "shard_bbox_skips",
-            Counter::ShardResamples => "shard_resamples",
             Counter::TrialsSubmitted => "trials_submitted",
             Counter::TrialsCompleted => "trials_completed",
             Counter::TrialRetries => "trial_retries",

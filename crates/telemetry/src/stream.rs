@@ -55,7 +55,7 @@ use crate::trace::TraceConfig;
 
 /// Version stamped into every serialized [`SnapshotEnvelope`]. Bump on
 /// any change to the envelope or registry-snapshot shape.
-pub const STREAM_SCHEMA_VERSION: u32 = 1;
+pub const STREAM_SCHEMA_VERSION: u32 = 2;
 
 /// One published registry snapshot with its provenance.
 #[derive(Debug, Clone, PartialEq)]

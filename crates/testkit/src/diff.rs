@@ -81,8 +81,8 @@ pub fn assert_equiv(
 /// Assert the identity semantics of [`scenario_identity`]: the `fidelity`
 /// backend knob is digest-relevant (the exact and fluid engines produce
 /// different results, so their snapshots must never cross-resume), while
-/// the `shards` execution knob is normalized away (any shard count is
-/// bit-identical, so a snapshot taken under N shards resumes under M).
+/// the `shards` execution knob is normalized away (it never changes a
+/// result, so a snapshot taken under N shards resumes under M).
 ///
 /// # Panics
 ///
@@ -115,41 +115,4 @@ pub fn assert_identity_semantics(base: &Scenario, shard_counts: &[usize]) {
             );
         }
     }
-}
-
-/// Assert that the sharded engine is **bit-identical** to the serial one
-/// on `base` for every shard count in `shard_counts`: same event-stream
-/// digest, same event count, run by run.
-///
-/// The serial reference (`shards = 1`) is run once; its digest is returned
-/// so callers can additionally pin it against a committed golden value.
-///
-/// # Panics
-///
-/// Panics with both digests when any shard count diverges, and if the base
-/// scenario carried no traffic (a vacuous comparison).
-pub fn assert_shard_equiv(base: &Scenario, shard_counts: &[usize]) -> RunDigest {
-    let mut serial = base.clone();
-    serial.shards = 1;
-    let reference = digest_scenario(&serial);
-    assert!(
-        reference.result.total_sent() > 0,
-        "shard equivalence check is vacuous: no traffic was sent"
-    );
-    for &shards in shard_counts {
-        let mut sharded = base.clone();
-        sharded.shards = shards;
-        let run = digest_scenario(&sharded);
-        assert!(
-            run.digest == reference.digest && run.events == reference.events,
-            "sharded engine diverged from serial:\n  serial:    digest 0x{:016x}, {} events\n  \
-             {} shards: digest 0x{:016x}, {} events",
-            reference.digest,
-            reference.events,
-            shards,
-            run.digest,
-            run.events,
-        );
-    }
-    reference
 }

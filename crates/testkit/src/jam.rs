@@ -46,8 +46,7 @@ fn jam_trace(nodes: usize) -> MobilityTrace {
 }
 
 /// The jam-ring scenario over [`jam_trace`]: node 1 sends exactly one CBR
-/// packet towards node 0 and every station floods it. Serial engine
-/// (`shards = 1`), seed 1.
+/// packet towards node 0 and every station floods it. Seed 1.
 pub fn jam_ring_scenario(nodes: usize) -> Scenario {
     let mut s = Scenario::paper_table1(Protocol::Flooding);
     s.nodes = nodes;

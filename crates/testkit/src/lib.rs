@@ -34,9 +34,7 @@ mod jam;
 mod tee;
 
 pub use bisect::bisect_divergence;
-pub use diff::{
-    assert_equiv, assert_identity_semantics, assert_shard_equiv, digest_scenario, RunDigest,
-};
+pub use diff::{assert_equiv, assert_identity_semantics, digest_scenario, RunDigest};
 pub use digest::GoldenDigest;
 pub use golden::{check_golden, golden_path, load_golden, store_golden, Golden};
 pub use invariants::{InvariantChecker, LedgerReport};

@@ -50,6 +50,16 @@ fn golden_table1_aodv() {
 }
 
 #[test]
+fn golden_table1_aodv_ignores_shards() {
+    // The exact engine is serial: `shards` must not move its digest.
+    let s = Scenario {
+        shards: 4,
+        ..conformance_scenario(Protocol::Aodv, 1)
+    };
+    check_scenario_golden("table1_aodv", &s);
+}
+
+#[test]
 fn golden_table1_olsr() {
     check_scenario_golden("table1_olsr", &conformance_scenario(Protocol::Olsr, 1));
 }
