@@ -98,12 +98,15 @@ pub struct FluidReport {
 
 /// The flow-level engine: see the crate docs for the model.
 ///
-/// Owns its [`MobilityTrace`] — the trace is the only channel through
-/// which the scenario seed influences fluid results.
+/// Holds its [`MobilityTrace`] (a shared handle, not a copy) — the trace
+/// is the only channel through which the scenario seed influences fluid
+/// results.
 #[derive(Debug, Clone)]
 pub struct FluidEngine {
     cfg: FluidConfig,
     trace: MobilityTrace,
+    /// Node positions at the current step's midpoint, reused across steps.
+    positions: Vec<Point2>,
     cell: f64,
     cs_range: f64,
     rx_range: f64,
@@ -123,7 +126,7 @@ impl FluidEngine {
     /// # Errors
     ///
     /// [`FluidError`] for an empty scenario, a zero step, an out-of-range
-    /// flow endpoint, or a trace that cannot place node 0.
+    /// flow endpoint, or a trace that cannot place every node.
     pub fn new(cfg: FluidConfig, trace: MobilityTrace) -> Result<Self, FluidError> {
         if cfg.nodes == 0 || cfg.sim_time.is_zero() {
             return Err(FluidError::EmptyScenario);
@@ -140,9 +143,8 @@ impl FluidEngine {
             }
         }
         // Fail fast if the trace cannot place every node.
-        for id in 0..cfg.nodes {
-            trace.position_at(id as usize, 0.0)?;
-        }
+        let mut positions = Vec::new();
+        trace.positions_into(cfg.nodes as usize, 0.0, &mut positions)?;
         let rx_range = cfg.backend.rx_range();
         // An unbounded carrier-sense model (shadowing) degrades to twice
         // the reception range for contention purposes.
@@ -182,6 +184,7 @@ impl FluidEngine {
             digest: Fnv64::new(),
             cfg,
             trace,
+            positions,
         })
     }
 
@@ -239,14 +242,10 @@ impl FluidEngine {
         let mid = (w0 + (w1 - w0) / 2) as f64 * 1e-9;
 
         // 1. Sample the shared trace at the step midpoint and bin.
-        let positions: Vec<Point2> = (0..self.cfg.nodes)
-            .map(|id| {
-                self.trace
-                    .position_at(id as usize, mid)
-                    .expect("trace validated in new()")
-            })
-            .collect();
-        let mut field = Field::bin(&positions, self.cell, self.cs_range);
+        self.trace
+            .positions_into(self.cfg.nodes as usize, mid, &mut self.positions)
+            .expect("trace validated in new()");
+        let mut field = Field::bin(&self.positions, self.cell, self.cs_range);
 
         // 2. Background routing-control load, everywhere.
         let b = &self.cfg.backend;
@@ -369,12 +368,14 @@ impl FluidEngine {
                     // competing, so only other traffic degrades delivery
                     // (the closure that keeps a lone flooded packet at the
                     // exact engine's PDR ≈ 1 in a saturated jam).
-                    let foreign = |c: u32| {
-                        (field.util[c as usize] - field.util_from(&deposits[i], c)).max(0.0)
-                    };
-                    let mean_u =
-                        cells.iter().map(|&c| foreign(c)).sum::<f64>() / cells.len() as f64;
-                    let max_u = cells.iter().map(|&c| foreign(c)).fold(0.0f64, f64::max);
+                    let foreign: Vec<f64> = cells
+                        .iter()
+                        .map(|&c| {
+                            (field.util[c as usize] - field.util_from(&deposits[i], c)).max(0.0)
+                        })
+                        .collect();
+                    let mean_u = foreign.iter().sum::<f64>() / cells.len() as f64;
+                    let max_u = foreign.iter().copied().fold(0.0f64, f64::max);
                     // Overloaded neighborhoods drain at their capacity.
                     let capacity = if max_u > 1.0 { 1.0 / max_u } else { 1.0 };
                     match self.cfg.discipline {

@@ -1,5 +1,7 @@
 //! Mobility traces: sampled node trajectories with interpolation.
 
+use std::sync::Arc;
+
 use cavenet_ca::{Lane, MultiLaneRoad};
 
 use crate::{LaneGeometry, MobilityError, Point2};
@@ -76,23 +78,46 @@ impl NodeTrajectory {
     /// last sample, the last. Across a teleport the node holds its previous
     /// position until the instant of the jump.
     ///
-    /// Returns `None` for an empty trajectory.
+    /// Returns `None` for an empty trajectory or a NaN `t`.
     pub fn position_at(&self, t: f64) -> Option<Point2> {
+        self.interpolate(t, |samples| segment_of(samples, t))
+    }
+
+    /// [`position_at`](Self::position_at), trying segment `*hint` (the
+    /// index of the segment's first sample) before the binary search; on
+    /// return `*hint` holds the segment used, or is unchanged when `t`
+    /// clamps. The hint is tested in the search's own `total_cmp` order,
+    /// so any hint, even out of range, gives bit-identical results.
+    pub(crate) fn position_at_hinted(&self, t: f64, hint: &mut usize) -> Option<Point2> {
+        self.interpolate(t, |samples| {
+            let i = *hint;
+            let inside = i < samples.len() - 1
+                && samples[i].time.total_cmp(&t).is_le()
+                && samples[i + 1].time.total_cmp(&t).is_gt();
+            if !inside {
+                *hint = segment_of(samples, t)?;
+            }
+            Some(*hint)
+        })
+    }
+
+    /// Clamp `t` to the sampled span, or interpolate on the segment that
+    /// `segment` finds for it (called only on a non-empty trajectory).
+    #[inline]
+    fn interpolate(
+        &self,
+        t: f64,
+        segment: impl FnOnce(&[TraceSample]) -> Option<usize>,
+    ) -> Option<Point2> {
         let samples = &self.samples;
-        if samples.is_empty() {
-            return None;
+        let (first, last) = (samples.first()?, samples.last()?);
+        if t <= first.time {
+            return Some(first.position);
         }
-        if t <= samples[0].time {
-            return Some(samples[0].position);
+        if t >= last.time {
+            return Some(last.position);
         }
-        if t >= samples[samples.len() - 1].time {
-            return Some(samples[samples.len() - 1].position);
-        }
-        // Index of the last sample with time <= t.
-        let i = match samples.binary_search_by(|s| s.time.total_cmp(&t)) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
+        let i = segment(samples)?;
         let a = &samples[i];
         let b = &samples[i + 1];
         if b.teleport {
@@ -135,17 +160,46 @@ impl NodeTrajectory {
     }
 }
 
+/// The segment of `samples` that holds `t`: the index of the last sample at
+/// or before `t` in `total_cmp` order, when a later sample follows it.
+/// `None` when `t` sorts outside the samples, which past the clamps in
+/// `NodeTrajectory::interpolate` only a NaN of either sign does.
+fn segment_of(samples: &[TraceSample], t: f64) -> Option<usize> {
+    let i = match samples.binary_search_by(|s| s.time.total_cmp(&t)) {
+        Ok(i) => i,
+        Err(i) => i.checked_sub(1)?,
+    };
+    (i + 1 < samples.len()).then_some(i)
+}
+
+/// Why a known node has no position at `t`: a NaN time, or no samples.
+fn unresolved(id: usize, t: f64) -> MobilityError {
+    if t.is_nan() {
+        MobilityError::InvalidParameter {
+            name: "query time must not be NaN",
+        }
+    } else {
+        MobilityError::UnknownNode { node: id }
+    }
+}
+
 /// A full mobility trace: one trajectory per node, identified by a dense
 /// node id `0..node_count`.
+///
+/// A built trace is never mutated, so the trajectories sit behind an
+/// [`Arc`]: cloning a trace (with the scenario that holds it, or into a
+/// fluid engine) shares them rather than copying every node's samples.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MobilityTrace {
-    nodes: Vec<NodeTrajectory>,
+    nodes: Arc<[NodeTrajectory]>,
 }
 
 impl MobilityTrace {
     /// Build from per-node trajectories.
     pub fn from_trajectories(nodes: Vec<NodeTrajectory>) -> Self {
-        MobilityTrace { nodes }
+        MobilityTrace {
+            nodes: nodes.into(),
+        }
     }
 
     /// Number of nodes.
@@ -174,11 +228,41 @@ impl MobilityTrace {
     /// # Errors
     ///
     /// Returns [`MobilityError::UnknownNode`] for an out-of-range id or a
-    /// node with no samples.
+    /// node with no samples, and [`MobilityError::InvalidParameter`] for a
+    /// NaN `t`.
     pub fn position_at(&self, id: usize, t: f64) -> Result<Point2, MobilityError> {
         self.node(id)?
             .position_at(t)
-            .ok_or(MobilityError::UnknownNode { node: id })
+            .ok_or_else(|| unresolved(id, t))
+    }
+
+    /// Positions of nodes `0..n` at time `t`, written into `out` (cleared
+    /// first): the per-node [`position_at`](Self::position_at) in one pass,
+    /// bit for bit. Each node first tries the segment the previous node
+    /// used, so a trace sampled on a common time grid, as every generated
+    /// one is, skips the binary search.
+    ///
+    /// # Errors
+    ///
+    /// The error [`position_at`](Self::position_at) gives for the lowest
+    /// node id that has no position.
+    pub fn positions_into(
+        &self,
+        n: usize,
+        t: f64,
+        out: &mut Vec<Point2>,
+    ) -> Result<(), MobilityError> {
+        out.clear();
+        out.reserve(n);
+        let mut hint = 0;
+        for id in 0..n {
+            let p = self
+                .node(id)?
+                .position_at_hinted(t, &mut hint)
+                .ok_or_else(|| unresolved(id, t))?;
+            out.push(p);
+        }
+        Ok(())
     }
 
     /// Largest sample time across all nodes (0 if the trace is empty).
@@ -201,10 +285,11 @@ impl MobilityTrace {
 
     /// All node positions at time `t` (nodes with no samples are skipped).
     pub fn positions_at(&self, t: f64) -> Vec<(usize, Point2)> {
+        let mut hint = 0;
         self.nodes
             .iter()
             .enumerate()
-            .filter_map(|(i, n)| n.position_at(t).map(|p| (i, p)))
+            .filter_map(|(i, n)| n.position_at_hinted(t, &mut hint).map(|p| (i, p)))
             .collect()
     }
 }
@@ -295,7 +380,7 @@ impl TraceGenerator {
                 record(&lane, &mut nodes);
             }
         }
-        MobilityTrace { nodes }
+        MobilityTrace::from_trajectories(nodes)
     }
 
     /// Run a multi-lane road, embedding lane `k` through `geometries[k]`
@@ -334,7 +419,7 @@ impl TraceGenerator {
                 record(&road, &mut nodes);
             }
         }
-        MobilityTrace { nodes }
+        MobilityTrace::from_trajectories(nodes)
     }
 }
 
@@ -342,6 +427,7 @@ impl TraceGenerator {
 mod tests {
     use super::*;
     use cavenet_ca::{Boundary, NasParams};
+    use proptest::prelude::*;
 
     fn sample(t: f64, x: f64, y: f64) -> TraceSample {
         TraceSample {
@@ -523,6 +609,84 @@ mod tests {
     }
 
     #[test]
+    fn nan_query_time_is_a_typed_error() {
+        // A NaN fails both clamps and sorts past either end under
+        // `total_cmp`, depending on its sign; the segment lookup must not
+        // index out of bounds for either.
+        let one = NodeTrajectory::new(vec![sample(0.0, 1.0, 1.0)]).unwrap();
+        let two = NodeTrajectory::new(vec![sample(0.0, 0.0, 0.0), sample(1.0, 1.0, 0.0)]).unwrap();
+        let trace = MobilityTrace::from_trajectories(vec![two.clone(), one.clone()]);
+        for t in [f64::NAN, -f64::NAN] {
+            assert_eq!(one.position_at(t), None);
+            assert_eq!(two.position_at(t), None);
+            assert_eq!(two.position_at_hinted(t, &mut 0), None);
+            for id in 0..2 {
+                assert!(matches!(
+                    trace.position_at(id, t),
+                    Err(MobilityError::InvalidParameter { .. })
+                ));
+            }
+            assert!(matches!(
+                trace.positions_into(2, t, &mut Vec::new()),
+                Err(MobilityError::InvalidParameter { .. })
+            ));
+            assert!(trace.positions_at(t).is_empty());
+        }
+    }
+
+    #[test]
+    fn hint_is_tested_in_total_cmp_order() {
+        // Under `total_cmp`, -0 sorts before the +0 sample, so it belongs to
+        // the segment before the jump, where the node has not moved yet.
+        let mut jump = sample(0.0, 100.0, 0.0);
+        jump.teleport = true;
+        let tr = NodeTrajectory::new(vec![sample(-1.0, 0.0, 0.0), jump, sample(1.0, 200.0, 0.0)])
+            .unwrap();
+        let before = Some(Point2::new(0.0, 0.0));
+        assert_eq!(tr.position_at(-0.0), before);
+        for mut hint in [0, 1, 2, usize::MAX] {
+            assert_eq!(tr.position_at_hinted(-0.0, &mut hint), before);
+            assert_eq!(hint, 0);
+        }
+    }
+
+    #[test]
+    fn bulk_sampling_reports_the_first_unplaceable_node() {
+        let placed = NodeTrajectory::new(vec![sample(0.0, 1.0, 1.0)]).unwrap();
+        let trace = MobilityTrace::from_trajectories(vec![placed, NodeTrajectory::default()]);
+        let mut out = Vec::new();
+        trace.positions_into(1, 0.0, &mut out).unwrap();
+        assert_eq!(out, vec![Point2::new(1.0, 1.0)]);
+        for n in [2, 3] {
+            assert_eq!(
+                trace.positions_into(n, 0.0, &mut out),
+                Err(MobilityError::UnknownNode { node: 1 })
+            );
+        }
+        let short = MobilityTrace::from_trajectories(vec![trace.node(0).unwrap().clone()]);
+        assert_eq!(
+            short.positions_into(2, 0.0, &mut out),
+            Err(MobilityError::UnknownNode { node: 1 })
+        );
+    }
+
+    #[test]
+    fn clones_share_the_trajectories() {
+        let params = NasParams::builder()
+            .length(100)
+            .density(0.1)
+            .build()
+            .unwrap();
+        let lane = Lane::with_uniform_placement(params, Boundary::Closed, 1).unwrap();
+        let trace = TraceGenerator::new(LaneGeometry::ring_circle(750.0))
+            .steps(10)
+            .generate(lane);
+        let copy = trace.clone();
+        assert!(std::ptr::eq(trace.node(0).unwrap(), copy.node(0).unwrap()));
+        assert_eq!(copy, trace);
+    }
+
+    #[test]
     fn unknown_node_errors() {
         let trace = MobilityTrace::default();
         assert!(matches!(
@@ -564,5 +728,137 @@ mod tests {
             .generate(lane);
         let snap = trace.positions_at(5.0);
         assert_eq!(snap.len(), 5);
+    }
+
+    /// A trajectory of 1–23 samples, sample `zero_at` at time zero (of the
+    /// sign `negative_zero` picks, so `total_cmp`'s -0 < +0 gets exercised)
+    /// and the rest on either side of it. Each gap is a whole second (`kind`
+    /// 0–1, the common grid every generated trace shares), a random
+    /// fraction (2) or a sliver (3); `jump` makes the sample a teleport.
+    fn trajectory_strategy() -> impl Strategy<Value = NodeTrajectory> {
+        let sample = (
+            0u8..4,
+            0.0f64..1.0,
+            any::<bool>(),
+            -1e3f64..1e3,
+            -1e3f64..1e3,
+        );
+        (
+            prop::collection::vec(sample, 1..24),
+            any::<usize>(),
+            any::<bool>(),
+        )
+            .prop_map(|(raw, zero_at, negative_zero)| {
+                let gap = |(kind, frac, ..): (u8, f64, bool, f64, f64)| match kind {
+                    0 | 1 => 1.0,
+                    2 => 0.001 + frac,
+                    _ => 1e-6,
+                };
+                let zero_at = zero_at % raw.len();
+                let mut times = vec![if negative_zero { -0.0 } else { 0.0 }; raw.len()];
+                for j in (0..zero_at).rev() {
+                    times[j] = times[j + 1] - gap(raw[j]);
+                }
+                for j in zero_at + 1..raw.len() {
+                    times[j] = times[j - 1] + gap(raw[j]);
+                }
+                let samples = raw
+                    .iter()
+                    .zip(times)
+                    .map(|(&(_, _, jump, x, y), time)| TraceSample {
+                        time,
+                        position: Point2::new(x, y),
+                        speed: 0.0,
+                        teleport: jump,
+                    })
+                    .collect();
+                NodeTrajectory::new(samples).expect("strictly increasing times")
+            })
+    }
+
+    /// A query time for `tr`, and the sample it was drawn near: on sample
+    /// `i` (`kind` 0), on the zero sample with its sign flipped (1), inside
+    /// segment `i` (2), anywhere from 10 s before to 10 s after the samples
+    /// (3), a zero of either sign (4), an infinity (5) or a NaN of either
+    /// sign (6).
+    fn query(tr: &NodeTrajectory, kind: u8, pick: usize, u: f64) -> (f64, usize) {
+        let s = tr.samples();
+        let (first, last) = (s[0].time, s[s.len() - 1].time);
+        let i = pick % s.len();
+        let zero = s.iter().position(|x| x.time == 0.0).unwrap_or(i);
+        let t = match kind {
+            0 => s[i].time,
+            1 => return (-s[zero].time, zero),
+            2 if i + 1 < s.len() => s[i].time + u * (s[i + 1].time - s[i].time),
+            2 => last + u,
+            3 => first - 10.0 + u * (last - first + 20.0),
+            4 => [0.0, -0.0][pick % 2],
+            5 => [f64::INFINITY, f64::NEG_INFINITY][pick % 2],
+            _ => [f64::NAN, -f64::NAN][pick % 2],
+        };
+        (t, i)
+    }
+
+    fn bits(p: Option<Point2>) -> Option<(u64, u64)> {
+        p.map(|p| (p.x.to_bits(), p.y.to_bits()))
+    }
+
+    proptest! {
+        // At least 512 cases; `PROPTEST_CASES` raises it (CI runs 4096).
+        #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(512)))]
+        #[test]
+        fn hinted_lookup_equals_reference(
+            tr in trajectory_strategy(),
+            kind in 0u8..7,
+            pick in any::<usize>(),
+            u in 0.0f64..1.0,
+            mode in 0u8..4,
+            raw in any::<usize>(),
+        ) {
+            let (t, near) = query(&tr, kind, pick, u);
+            // Any hint at all, a small one, or one within a segment of the
+            // query, where an off-by-one would show.
+            let hint = match mode {
+                0 => raw,
+                1 => raw % 32,
+                _ => (near + raw % 3).wrapping_sub(1),
+            };
+            let expected = bits(tr.position_at(t));
+            let mut left = hint;
+            prop_assert_eq!(bits(tr.position_at_hinted(t, &mut left)), expected);
+            // The hint left behind is good for the same query again.
+            let mut again = left;
+            prop_assert_eq!(bits(tr.position_at_hinted(t, &mut again)), expected);
+            prop_assert_eq!(again, left);
+        }
+
+        #[test]
+        fn bulk_sampling_equals_reference(
+            nodes in prop::collection::vec(trajectory_strategy(), 1..12),
+            kind in 0u8..7,
+            pick in any::<usize>(),
+            u in 0.0f64..1.0,
+        ) {
+            let (t, _) = query(&nodes[pick % nodes.len()], kind, pick / 7, u);
+            let n = nodes.len();
+            let trace = MobilityTrace::from_trajectories(nodes);
+            let reference: Result<Vec<Point2>, MobilityError> =
+                (0..n).map(|id| trace.position_at(id, t)).collect();
+            let mut out = vec![Point2::new(1.0, 1.0)];
+            let bulk = trace.positions_into(n, t, &mut out).map(|()| out);
+            prop_assert_eq!(
+                bulk.map(|ps| ps.into_iter().map(|p| bits(Some(p))).collect::<Vec<_>>()),
+                reference.map(|ps| ps.into_iter().map(|p| bits(Some(p))).collect::<Vec<_>>())
+            );
+            let all: Vec<(usize, Option<(u64, u64)>)> = trace
+                .positions_at(t)
+                .into_iter()
+                .map(|(id, p)| (id, bits(Some(p))))
+                .collect();
+            let each: Vec<(usize, Option<(u64, u64)>)> = (0..n)
+                .filter_map(|id| trace.position_at(id, t).ok().map(|p| (id, bits(Some(p)))))
+                .collect();
+            prop_assert_eq!(all, each);
+        }
     }
 }

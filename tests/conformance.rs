@@ -101,6 +101,36 @@ fn golden_jam_ring_dense_flood() {
     check_scenario_golden("jam_ring_dense_flood", &jam_ring_scenario(600));
 }
 
+// --- Golden digests: the fluid backend -----------------------------------
+
+/// Run `scenario` under [`Fidelity::Fluid`] and check the engine's running
+/// digest, with the step count standing in for the event count.
+fn check_fluid_golden(name: &str, scenario: &Scenario) {
+    let mut s = scenario.clone();
+    s.fidelity = Fidelity::Fluid;
+    let (result, engine) = Experiment::new(s).run_fluid().expect("fluid run");
+    assert!(
+        result.total_sent() > 0,
+        "golden scenario `{name}` carried no traffic"
+    );
+    check_golden(name, engine.digest(), engine.steps_done());
+}
+
+#[test]
+fn golden_fluid_fig11_aodv_8senders() {
+    // Unicast routing with a 1 Hz control load over the CA ring.
+    let mut s = conformance_scenario(Protocol::Aodv, 1);
+    s.traffic.senders = (1..=8).collect();
+    check_fluid_golden("fluid_fig11_aodv_8senders", &s);
+}
+
+#[test]
+fn golden_fluid_jam_ring() {
+    // A flooded 20k-node jam ring: thousands of occupied cells, so binning,
+    // the utilization integral and the flood closure all run at scale.
+    check_fluid_golden("fluid_jam_ring", &jam_ring_scenario(20_000));
+}
+
 // --- Golden digest: Fig. 4 (CA fundamental diagram) ----------------------
 
 #[test]
