@@ -11,7 +11,11 @@
 //!   per-protocol scenario.
 //!
 //! This library crate carries the small shared rendering helpers and the
-//! [`report`] writer every `BENCH_*.json`-emitting binary goes through.
+//! [`report`] writer behind `resilience`'s `BENCH_resilience.json`.
+//!
+//! Correctness claims live in the tier-1 tests and speed claims in the
+//! repository benchmark (`BENCHMARK.json`); no binary here gates on
+//! wall-clock time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -210,12 +210,6 @@ impl Resilience {
         Resilience { base }
     }
 
-    /// The paper's Fig. 11 scenario (Table 1, 8 senders → receiver 0) for
-    /// the given protocol.
-    pub fn paper_fig11(protocol: Protocol) -> Self {
-        Resilience::new(Scenario::paper_table1(protocol))
-    }
-
     /// The base scenario.
     pub fn scenario(&self) -> &Scenario {
         &self.base

@@ -6,8 +6,8 @@
 //! [`ChannelBackend`]/[`MacBackend`] seam: a deterministic, time-stepped,
 //! flow-level model that answers the same experiment questions (per-flow
 //! PDR, goodput series, delay) 100–1000x faster, at the price of a bounded
-//! approximation error that `cavenet-bench`'s `fidelity_report` measures
-//! and commits.
+//! approximation error. The per-class tolerance table in
+//! `tests/conformance.rs` prices that error against the exact engine.
 //!
 //! ## The model
 //!

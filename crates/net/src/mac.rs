@@ -117,11 +117,6 @@ pub struct MacStats {
 impl MacStats {
     /// Number of log₂ backoff buckets (covers `cw_max` up to 1023).
     pub const BACKOFF_BUCKETS: usize = 11;
-
-    /// Total backoff draws recorded in [`MacStats::backoff_hist`].
-    pub fn backoff_draws(&self) -> u64 {
-        self.backoff_hist.iter().sum()
-    }
 }
 
 /// What the MAC asks its host to do; drained by the simulator after every
@@ -266,6 +261,7 @@ impl Mac {
         &self.stats
     }
 
+    #[cfg(test)]
     pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
     }

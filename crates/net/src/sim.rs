@@ -646,15 +646,6 @@ impl<O: SimObserver> Simulator<O> {
         *self.macs[i].stats()
     }
 
-    /// Current interface-queue occupancy of node `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn mac_queue_len(&self, i: usize) -> usize {
-        self.macs[i].queue_len()
-    }
-
     /// Run the event loop until virtual time `t` (inclusive of events at
     /// `t`). The clock ends at exactly `t` even if the queue drains early.
     pub fn run_until(&mut self, t: SimTime) {

@@ -95,14 +95,6 @@ impl Dsdv {
         }
     }
 
-    /// Number of usable (finite-metric) routes currently known.
-    pub fn route_count(&self) -> usize {
-        self.routes
-            .values()
-            .filter(|r| r.metric < self.config.infinity)
-            .count()
-    }
-
     fn broadcast_update(&mut self, api: &mut NodeApi<'_>) {
         // Our own entry advances by 2 (stays even = reachable).
         self.own_seq = self.own_seq.wrapping_add(2);

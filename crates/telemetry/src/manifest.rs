@@ -38,7 +38,7 @@ pub struct ErrorEnvelope {
 /// Provenance of one benchmark or experiment run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
-    /// The producing binary ("telemetry_report", "perf_report", ...).
+    /// The producing binary or test ("resilience", "server_test", ...).
     pub tool: String,
     /// [`fnv64`] of the scenario's canonical rendering; 0 when the run has
     /// no single scenario.

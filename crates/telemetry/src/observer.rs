@@ -130,11 +130,6 @@ impl TelemetryObserver {
         &self.registry
     }
 
-    /// Mutable registry access (for folding in external metrics).
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
-    }
-
     /// The trace stream.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -143,11 +138,6 @@ impl TelemetryObserver {
     /// The per-phase wall-clock profile.
     pub fn profiler(&self) -> &PhaseProfiler {
         &self.profiler
-    }
-
-    /// Mutable profiler access (for attributing externally timed phases).
-    pub fn profiler_mut(&mut self) -> &mut PhaseProfiler {
-        &mut self.profiler
     }
 }
 

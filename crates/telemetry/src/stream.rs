@@ -154,7 +154,7 @@ struct BusShared {
 
 /// A bounded multi-producer snapshot queue shared by every publisher of a
 /// campaign. Cheap to clone (it is a handle); drained by the supervisor or
-/// a `campaign_status` tailer.
+/// any tailer of the campaign feed.
 #[derive(Debug, Clone)]
 pub struct SnapshotBus {
     shared: Arc<BusShared>,

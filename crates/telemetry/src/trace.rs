@@ -113,12 +113,6 @@ impl TraceConfig {
         }
     }
 
-    /// Builder-style per-category toggle.
-    pub fn with_category(mut self, cat: TraceCategory, on: bool) -> Self {
-        self.enabled[cat as usize] = on;
-        self
-    }
-
     /// Builder-style stride (clamped to ≥ 1).
     pub fn with_stride(mut self, stride: u64) -> Self {
         self.stride = stride.max(1);

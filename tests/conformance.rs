@@ -402,19 +402,20 @@ proptest! {
 
 // --- Fluid backend fidelity -----------------------------------------------
 
-/// Per-scenario-class error tolerances for the fluid backend, calibrated
-/// against the measured differentials committed in
-/// `benchmarks/BENCH_fluid.json` (regenerated by `fidelity_report`) with
-/// headroom for platform jitter. Columns: `(class, scenario, max |PDR
-/// error|, max relative goodput error)`.
+/// Per-scenario-class error tolerances for the fluid backend. Each bound
+/// is at most the measured error plus 0.02 PDR and 0.05 relative goodput,
+/// the slack the retired fidelity report's `--check` allowed. Columns:
+/// `(class, scenario, max |PDR error|, max relative goodput error)`.
 ///
-/// * The unicast Table 1 classes and the churn variant measure ≈ 0 error
-///   (all flows saturate to PDR 1 under both backends).
-/// * Flooding measures 0.007 PDR error — the fluid flood closure slightly
-///   overshoots the exact broadcast storm's residual losses.
-/// * Fig. 11's eight-sender load measures 0.069 PDR / 7.5 % goodput
-///   error: the fluid model has no per-packet route-discovery latency, so
-///   it over-delivers on the most contended class.
+/// Measured errors (both backends are deterministic):
+///
+/// * the unicast Table 1 classes and the churn variant: 0 PDR, 0 goodput
+///   (every flow delivers PDR 1.000 under both backends);
+/// * flooding: 0.0067 PDR, 0.0068 goodput. Fluid over-delivers slightly,
+///   PDR 0.990 against the exact broadcast storm's 0.983;
+/// * Fig. 11's eight-sender load: 0.0688 PDR, 0.0745 goodput. Fluid
+///   under-delivers here, PDR 0.931 and 3.05 Mbit against the exact
+///   engine's 1.000 and 3.30 Mbit (DESIGN.md §17).
 fn fluid_tolerance_table() -> Vec<(&'static str, Scenario, f64, f64)> {
     let mut churn = conformance_scenario(Protocol::Aodv, 1);
     churn.fault_plan = fixed_churn_plan();
@@ -448,16 +449,15 @@ fn fluid_tolerance_table() -> Vec<(&'static str, Scenario, f64, f64)> {
         (
             "table1_flooding",
             conformance_scenario(Protocol::Flooding, 1),
-            0.05,
-            0.08,
+            0.025,
+            0.055,
         ),
-        ("fig11_aodv_8senders", fig11, 0.10, 0.12),
+        ("fig11_aodv_8senders", fig11, 0.088, 0.12),
         ("table1_aodv_churn", churn, 0.02, 0.05),
     ]
 }
 
-/// `(mean PDR, delivered goodput bits)` of `scenario` under `fidelity` —
-/// the same two observables `fidelity_report` records per class.
+/// `(mean PDR, delivered goodput bits)` of `scenario` under `fidelity`.
 fn backend_observables(scenario: &Scenario, fidelity: Fidelity) -> (f64, f64) {
     let mut s = scenario.clone();
     s.fidelity = fidelity;

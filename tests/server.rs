@@ -16,7 +16,10 @@ use cavenet_server::{
     AdmissionError, BackoffPolicy, CampaignServer, ChaosEntry, ChaosKind, ChaosPlan, ServerConfig,
     TrialKey, TrialOutcome, TrialState,
 };
-use cavenet_telemetry::{CampaignAggregator, Counter, Gauge, HistogramId, SnapshotBus};
+use cavenet_telemetry::{
+    render_prometheus, CampaignAggregator, Counter, Gauge, HistogramId, SnapshotBus,
+    SnapshotEnvelope,
+};
 use cavenet_testkit::digest_scenario;
 use proptest::prelude::*;
 
@@ -193,7 +196,8 @@ fn chaos_campaign_recovers_everything_but_poison() {
 /// snapshots from every in-flight trial plus the supervisor — and stays
 /// digest-invisible: every trial's golden digest equals its unobserved
 /// straight run, while the aggregated feed accounts for every dispatched
-/// event.
+/// event. The JSONL feed round-trips: parsed back and re-aggregated, it
+/// equals the live merge, whose exposition carries the event total.
 #[test]
 fn streamed_campaign_is_digest_invisible_and_aggregates() {
     let dir = scratch("stream");
@@ -225,8 +229,14 @@ fn streamed_campaign_is_digest_invisible_and_aggregates() {
         total_events += events;
     }
 
+    // Live side: every drained envelope goes to the aggregator and, as a
+    // JSONL line, to the campaign feed.
     let mut aggregator = CampaignAggregator::new();
-    aggregator.ingest_all(bus.drain());
+    let mut feed = Vec::new();
+    for envelope in bus.drain() {
+        feed.push(envelope.render_line());
+        aggregator.ingest(envelope);
+    }
     assert_eq!(bus.shed(), 0, "the bus was sized for the whole campaign");
     assert_eq!(
         aggregator.sources(),
@@ -240,10 +250,30 @@ fn streamed_campaign_is_digest_invisible_and_aggregates() {
         total_events,
         "each trial's newest snapshot is its final flush"
     );
+    assert_eq!(merged.counter(Counter::TrialsSubmitted), seeds.len() as u64);
     assert_eq!(merged.counter(Counter::TrialsCompleted), seeds.len() as u64);
     assert_eq!(
         report.metrics.counter(Counter::TrialsCompleted),
         seeds.len() as u64
+    );
+
+    // Feed side: parsing the JSONL feed back and re-aggregating it
+    // reconstructs the live merge exactly.
+    let mut replayed = CampaignAggregator::new();
+    for line in &feed {
+        let envelope = SnapshotEnvelope::parse_line(line)
+            .unwrap_or_else(|e| panic!("feed line does not parse ({e}): {line}"));
+        replayed.ingest(envelope);
+    }
+    assert_eq!(replayed.sources(), aggregator.sources());
+    assert_eq!(replayed.merged(), merged, "the feed lost information");
+
+    let exposition = render_prometheus(&merged, &[("campaign", "stream")]);
+    assert!(
+        exposition.contains(&format!(
+            "cavenet_events_dispatched_total{{campaign=\"stream\"}} {total_events}\n"
+        )),
+        "exposition lacks the dispatched-event total:\n{exposition}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
