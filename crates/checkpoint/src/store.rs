@@ -7,6 +7,11 @@
 //! checkpointed by a batch sweep resumes under the server and vice versa.
 //! This module owns that scheme and the "latest readable" scan, so the
 //! fallback-past-corruption policy lives in exactly one place.
+//!
+//! A snapshot is written to `ckpt_<time_ns:020>.bin.tmp` and renamed into
+//! place, so a writer that dies mid-write leaves a `.tmp` file that no
+//! scan matches, never a torn `ckpt_*.bin`. Stores that only need a
+//! restart point bound themselves with [`retain_newest`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -82,11 +87,13 @@ pub fn latest_snapshot(dir: &Path) -> Result<Option<(PathBuf, Snapshot)>, std::i
 }
 
 /// Serialize `snap` into `dir` (created if needed) under the standard
-/// name for capture time `time_ns`, returning the path written.
+/// name for capture time `time_ns`, returning the path written. The bytes
+/// go to a `.tmp` sibling first and are renamed into place, so the
+/// standard name only ever holds a complete snapshot.
 ///
 /// # Errors
 ///
-/// Any failure creating the directory or writing the file.
+/// Any failure creating the directory, writing the file or renaming it.
 pub fn write_snapshot(
     dir: &Path,
     time_ns: u64,
@@ -94,8 +101,24 @@ pub fn write_snapshot(
 ) -> Result<PathBuf, std::io::Error> {
     fs::create_dir_all(dir)?;
     let path = file_path(dir, time_ns);
-    fs::write(&path, snap.to_bytes())?;
+    let tmp = path.with_extension("bin.tmp");
+    fs::write(&tmp, snap.to_bytes())?;
+    fs::rename(&tmp, &path)?;
     Ok(path)
+}
+
+/// Delete all but the `keep` newest checkpoint files in `dir`. Files that
+/// do not match the naming scheme (a stale `.tmp` included) are left
+/// alone.
+///
+/// # Errors
+///
+/// Any I/O error listing the directory or removing a file.
+pub fn retain_newest(dir: &Path, keep: usize) -> Result<(), std::io::Error> {
+    for path in list_newest_first(dir)?.iter().skip(keep) {
+        fs::remove_file(path)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -143,6 +166,51 @@ mod tests {
         let (path, snap) = latest_snapshot(&dir).unwrap().expect("older file survives");
         assert_eq!(capture_time(&path), Some(100));
         assert_eq!(snap.get(section::ENGINE), Some(&[1u8; 4][..]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn writes_leave_no_tmp_and_stale_tmp_is_never_listed() {
+        let dir = scratch("tmp");
+        write_snapshot(&dir, 100, &tiny_snapshot(1)).unwrap();
+        let names = |dir: &Path| {
+            let mut names: Vec<String> = fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(names(&dir), vec![file_name(100)], "the .tmp was renamed");
+
+        // A writer that died mid-write at a later time left a torn `.tmp`.
+        let stale = dir.join(format!("{}.tmp", file_name(200)));
+        fs::write(&stale, [0xde, 0xad]).unwrap();
+        let listed = list_newest_first(&dir).unwrap();
+        assert_eq!(listed, vec![file_path(&dir, 100)]);
+        let (path, _) = latest_snapshot(&dir).unwrap().expect("the .bin survives");
+        assert_eq!(capture_time(&path), Some(100));
+        retain_newest(&dir, 0).unwrap();
+        assert!(stale.exists(), "retention only touches checkpoint files");
+        assert!(list_newest_first(&dir).unwrap().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retain_newest_keeps_the_newest_files() {
+        let dir = scratch("retain");
+        for t in [5u64, 500, 50, 5_000] {
+            write_snapshot(&dir, t, &tiny_snapshot(t as u8)).unwrap();
+        }
+        retain_newest(&dir, 2).unwrap();
+        let times: Vec<u64> = list_newest_first(&dir)
+            .unwrap()
+            .iter()
+            .filter_map(|p| capture_time(p))
+            .collect();
+        assert_eq!(times, vec![5_000, 500]);
+        retain_newest(&dir, 2).unwrap();
+        assert_eq!(list_newest_first(&dir).unwrap().len(), 2, "idempotent");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod checkpointing;
+mod digest;
 mod experiment;
 mod mobility_adapter;
 mod protocol;
@@ -37,6 +38,7 @@ mod resilience;
 mod scenario;
 
 pub use checkpointing::{scenario_identity, Campaign, CheckpointError, CheckpointPlan, Lineage};
+pub use digest::{digest_scenario, RunDigest};
 pub use experiment::{Experiment, ExperimentResult, SenderReport};
 pub use mobility_adapter::TraceMobility;
 pub use protocol::Protocol;

@@ -1,10 +1,15 @@
 //! Folding an observed event stream into a stable 64-bit digest.
 
-use cavenet_net::{
-    DropReason, EventKind, FaultKind, Frame, FrameDropReason, GlobalStats, MacState, MacStats,
-    NodeId, NodeStats, SimObserver, SimTime,
-};
 use cavenet_rng::fnv::Fnv64;
+use cavenet_rng::wire::{WireError, WireReader, WireWriter};
+
+use crate::fault::FaultKind;
+use crate::mac::{MacState, MacStats};
+use crate::node::NodeStats;
+use crate::observer::{DropReason, EventKind, FrameDropReason, SimObserver};
+use crate::packet::Frame;
+use crate::stats::GlobalStats;
+use crate::{NodeId, SimTime};
 
 /// Per-hook tags folded before the hook's payload, so that streams which
 /// differ only in *which* hook fired cannot collide trivially.
@@ -36,6 +41,10 @@ mod tag {
 /// The encoding (tags, field order, enum discriminants) is part of the
 /// golden-fixture contract in `tests/golden/` and must not change without
 /// regenerating the fixtures.
+///
+/// It lives beside [`SimObserver`] rather than in the conformance testkit
+/// because the campaign supervisor stamps the same digest on every trial
+/// it completes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GoldenDigest {
     hash: Fnv64,
@@ -227,19 +236,13 @@ impl SimObserver for GoldenDigest {
         self.absorb_u8(kind as u8);
     }
 
-    fn capture_state(
-        &self,
-        w: &mut cavenet_rng::wire::WireWriter,
-    ) -> Result<(), cavenet_rng::wire::WireError> {
+    fn capture_state(&self, w: &mut WireWriter) -> Result<(), WireError> {
         w.put_u64(self.value());
         w.put_u64(self.events);
         Ok(())
     }
 
-    fn restore_state(
-        &mut self,
-        r: &mut cavenet_rng::wire::WireReader<'_>,
-    ) -> Result<(), cavenet_rng::wire::WireError> {
+    fn restore_state(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
         let value = r.get_u64()?;
         let events = r.get_u64()?;
         *self = GoldenDigest::from_state(value, events);

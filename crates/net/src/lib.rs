@@ -42,6 +42,7 @@ mod api;
 pub mod backend;
 pub mod calq;
 mod channel;
+mod digest;
 mod error;
 mod fault;
 mod grid;
@@ -58,6 +59,7 @@ mod progress;
 mod sim;
 pub mod snapshot;
 mod stats;
+mod tee;
 mod time;
 mod traits;
 
@@ -65,6 +67,7 @@ pub use api::NodeApi;
 pub use backend::{ChannelBackend, ExactBackend, Fidelity, MacBackend};
 pub use calq::CalendarQueue;
 pub use channel::{Channel, Transmission};
+pub use digest::GoldenDigest;
 pub use error::NetError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LossBurst, RecoveryMode};
 pub use grid::SpatialGrid;
@@ -83,5 +86,6 @@ pub use progress::{CancelSignal, ProgressHandle, ProgressProbe, TrialCancelled};
 pub use sim::{ScenarioConfig, Simulator, SimulatorBuilder};
 pub use snapshot::{ControlCodec, DataOnlyCodec, WireError, WireReader, WireWriter};
 pub use stats::{DropCounts, GlobalStats};
+pub use tee::Tee;
 pub use time::SimTime;
 pub use traits::{Application, NullApplication, NullRouting, RoutingProtocol, RoutingTelemetry};

@@ -8,8 +8,9 @@
 //! simulator, so the default [`NoopObserver`] monomorphizes every hook to
 //! nothing — the release hot path is identical to a simulator without hooks.
 //!
-//! The `cavenet-testkit` crate builds an invariant checker and a golden
-//! event-stream digest on top of this trait.
+//! [`GoldenDigest`](crate::GoldenDigest) folds the observed event stream
+//! into a digest, and the `cavenet-testkit` crate builds an invariant
+//! checker on top of this trait.
 
 use crate::fault::FaultKind;
 use crate::mac::MacState;
@@ -223,8 +224,8 @@ mod tests {
 
     #[test]
     fn reason_codes_are_stable() {
-        // The testkit digests these discriminants; they are part of the
-        // golden-fixture contract and must never be renumbered.
+        // The golden digest folds these discriminants; they are part of
+        // the golden-fixture contract and must never be renumbered.
         assert_eq!(EventKind::RxStart as u8, 0);
         assert_eq!(EventKind::AppTimer as u8, 5);
         assert_eq!(EventKind::Fault as u8, 6);

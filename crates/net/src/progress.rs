@@ -20,9 +20,9 @@
 //! (which wants to checkpoint first), not by unwinding mid-event.
 //!
 //! Like every observer, the probe is digest-proof: it perturbs nothing the
-//! engine does, it only reads the event stream. Its per-event cost is one
-//! local increment; the atomic store and signal load happen once per
-//! `stride` events.
+//! engine does, it only reads the event stream. Its per-event cost is a
+//! local increment and a countdown; the atomic store and signal load
+//! happen once per `stride` events.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -117,6 +117,7 @@ impl ProgressHandle {
         ProgressProbe {
             shared: Arc::clone(&self.shared),
             stride: stride.max(1),
+            until_beat: stride.max(1),
             local: 0,
             now_ns: 0,
         }
@@ -156,6 +157,9 @@ impl ProgressHandle {
 pub struct ProgressProbe {
     shared: Arc<ProgressShared>,
     stride: u64,
+    /// Dispatches until the next automatic beat: counting down fires at
+    /// exactly the multiples of `stride`, without a division per event.
+    until_beat: u64,
     local: u64,
     now_ns: u64,
 }
@@ -196,7 +200,9 @@ impl SimObserver for ProgressProbe {
     fn on_event_dispatched(&mut self, now: SimTime, _seq: u64, _node: usize, _kind: EventKind) {
         self.local += 1;
         self.now_ns = now.as_nanos();
-        if self.local.is_multiple_of(self.stride) {
+        self.until_beat -= 1;
+        if self.until_beat == 0 {
+            self.until_beat = self.stride;
             self.beat();
         }
     }
@@ -282,6 +288,21 @@ mod tests {
         let mut probe = handle.probe(1);
         dispatch(&mut probe, 3);
         assert_eq!(handle.beats(), 3);
+    }
+
+    #[test]
+    fn direct_beats_do_not_shift_the_stride_schedule() {
+        let handle = ProgressHandle::new();
+        let mut probe = handle.probe(5);
+        dispatch(&mut probe, 3);
+        probe.beat();
+        assert_eq!(handle.beats(), 3, "a direct beat publishes the exact count");
+        dispatch(&mut probe, 2);
+        assert_eq!(handle.beats(), 5, "the automatic beat still lands on 5");
+        dispatch(&mut probe, 4);
+        assert_eq!(handle.beats(), 5);
+        dispatch(&mut probe, 1);
+        assert_eq!(handle.beats(), 10);
     }
 
     #[test]

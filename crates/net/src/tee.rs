@@ -1,13 +1,17 @@
 //! Combining two observers into one.
 
-use cavenet_net::{
-    DropReason, EventKind, FaultKind, Frame, FrameDropReason, MacState, NodeId, RouteEventKind,
-    SimObserver, SimTime,
-};
+use cavenet_rng::wire::{WireError, WireReader, WireWriter};
+
+use crate::fault::FaultKind;
+use crate::mac::MacState;
+use crate::observer::{DropReason, EventKind, FrameDropReason, RouteEventKind, SimObserver};
+use crate::packet::Frame;
+use crate::{NodeId, SimTime};
 
 /// An observer that forwards every hook to both of its members, letting a
-/// single run feed e.g. an [`InvariantChecker`](crate::InvariantChecker)
-/// and a [`GoldenDigest`](crate::GoldenDigest) simultaneously.
+/// single run feed e.g. a telemetry observer and a
+/// [`GoldenDigest`](crate::GoldenDigest) simultaneously. Nest it for more
+/// than two.
 #[derive(Debug, Clone, Default)]
 pub struct Tee<A, B>(pub A, pub B);
 
@@ -69,18 +73,12 @@ impl<A: SimObserver, B: SimObserver> SimObserver for Tee<A, B> {
         self.1.on_route_event(now, node, dst, kind);
     }
 
-    fn capture_state(
-        &self,
-        w: &mut cavenet_rng::wire::WireWriter,
-    ) -> Result<(), cavenet_rng::wire::WireError> {
+    fn capture_state(&self, w: &mut WireWriter) -> Result<(), WireError> {
         self.0.capture_state(w)?;
         self.1.capture_state(w)
     }
 
-    fn restore_state(
-        &mut self,
-        r: &mut cavenet_rng::wire::WireReader<'_>,
-    ) -> Result<(), cavenet_rng::wire::WireError> {
+    fn restore_state(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
         self.0.restore_state(r)?;
         self.1.restore_state(r)
     }

@@ -10,6 +10,9 @@
 //! delay, from the checkpoint the dead attempt left behind) or
 //! quarantined once the attempt budget is spent.
 //!
+//! Each trial's store keeps only its two newest checkpoints: the newest
+//! to resume from, and one fallback should the newest fail to read.
+//!
 //! The watchdog polls every running trial's heartbeat. A heartbeat that
 //! stops advancing past the stall timeout gets the trial cancelled (the
 //! probe unwinds it with [`TrialCancelled`] at its next beat); a
@@ -27,7 +30,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::{Duration, Instant};
@@ -35,13 +38,13 @@ use std::time::{Duration, Instant};
 use cavenet_checkpoint::{store, Snapshot};
 use cavenet_core::{CheckpointError, Experiment, Fidelity, Lineage, Scenario};
 use cavenet_net::{
-    CancelSignal, EventKind, ProgressHandle, ProgressProbe, SimObserver, SimTime, TrialCancelled,
+    CancelSignal, EventKind, GoldenDigest, ProgressHandle, ProgressProbe, SimObserver, SimTime,
+    Tee, TrialCancelled,
 };
 use cavenet_telemetry::{
     Counter, Gauge, HistogramId, MetricsRegistry, RunManifest, SnapshotBus, SnapshotPublisher,
     StreamProbe,
 };
-use cavenet_testkit::{GoldenDigest, Tee};
 
 use crate::admission::AdmissionError;
 use crate::backoff::BackoffPolicy;
@@ -49,6 +52,10 @@ use crate::chaos::{ChaosObserver, ChaosPlan};
 use crate::failure::{TrialAttempt, TrialFailure};
 use crate::ledger::{CampaignLedger, TrialKey, TrialState};
 use crate::metrics::ServerMetrics;
+
+/// Checkpoints a supervised trial's store keeps: after every write, all
+/// but the newest two are deleted.
+const KEPT_SNAPSHOTS: usize = 2;
 
 /// Handle of one admitted trial, unique within a server instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -954,6 +961,13 @@ fn classify_panic(payload: &(dyn std::any::Any + Send), handle: &ProgressHandle)
     }
 }
 
+/// Write a trial checkpoint, then prune the trial's store to its
+/// `KEPT_SNAPSHOTS` newest files.
+fn write_bounded(dir: &Path, time_ns: u64, snap: &Snapshot) -> Result<(), String> {
+    store::write_snapshot(dir, time_ns, snap).map_err(|e| e.to_string())?;
+    store::retain_newest(dir, KEPT_SNAPSHOTS).map_err(|e| e.to_string())
+}
+
 /// Run one attempt: resume from the newest readable checkpoint (falling
 /// back past corrupt files, cold when none applies), then drive the
 /// simulation in checkpoint-interval slices, honouring shutdown at slice
@@ -1024,7 +1038,7 @@ fn drive_trial(
             let snap = exp
                 .snapshot_now(&sim, &recorder)
                 .map_err(|e| checkpoint(e.to_string()))?;
-            store::write_snapshot(&dir, now, &snap).map_err(|e| checkpoint(e.to_string()))?;
+            write_bounded(&dir, now, &snap).map_err(checkpoint)?;
             return Ok(AttemptResult::Interrupted);
         }
         let target = now.saturating_add(every - now % every).min(end);
@@ -1032,11 +1046,10 @@ fn drive_trial(
         let snap = exp
             .snapshot_now(&sim, &recorder)
             .map_err(|e| checkpoint(e.to_string()))?;
-        store::write_snapshot(&dir, sim.now().as_nanos(), &snap)
-            .map_err(|e| checkpoint(e.to_string()))?;
+        write_bounded(&dir, sim.now().as_nanos(), &snap).map_err(checkpoint)?;
     }
 
-    // Finalize exactly like `cavenet_testkit::digest_scenario`: fold the
+    // Finalize exactly like `cavenet_core::digest_scenario`: fold the
     // final global and per-node statistics into the stream digest.
     let global = sim.global_stats();
     let per_node: Vec<_> = (0..job.scenario.nodes)
@@ -1105,8 +1118,7 @@ fn drive_fluid_trial(
             let snap = exp
                 .snapshot_fluid(&engine)
                 .map_err(|e| checkpoint(e.to_string()))?;
-            store::write_snapshot(&dir, engine.now_ns(), &snap)
-                .map_err(|e| checkpoint(e.to_string()))?;
+            write_bounded(&dir, engine.now_ns(), &snap).map_err(checkpoint)?;
             return Ok(AttemptResult::Interrupted);
         }
         let now = engine.now_ns();
@@ -1124,8 +1136,7 @@ fn drive_fluid_trial(
         let snap = exp
             .snapshot_fluid(&engine)
             .map_err(|e| checkpoint(e.to_string()))?;
-        store::write_snapshot(&dir, engine.now_ns(), &snap)
-            .map_err(|e| checkpoint(e.to_string()))?;
+        write_bounded(&dir, engine.now_ns(), &snap).map_err(checkpoint)?;
     }
 
     Ok(AttemptResult::Completed {

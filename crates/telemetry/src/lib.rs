@@ -9,12 +9,10 @@
 //! * a **structured tracer** ([`Tracer`]) streaming simulation events as
 //!   schema-versioned JSONL, bounded by per-category filters, stride
 //!   sampling and a record cap;
-//! * a **phase profiler** ([`PhaseProfiler`]) attributing wall-clock time
-//!   to engine phases (PHY, MAC, routing, application, faults, mobility);
 //! * a **run manifest** ([`RunManifest`]) stamping scenario/fault-plan
 //!   hashes, the seed, crate versions and tier timings into every report.
 //!
-//! [`TelemetryObserver`] drives the first three from one observer
+//! [`TelemetryObserver`] drives the first two from one observer
 //! implementation. It is monomorphized into the simulator like any other
 //! observer: attaching it costs hook dispatch only, and the simulation it
 //! watches stays byte-identical — the conformance testkit's golden digests
@@ -35,7 +33,6 @@ pub mod json;
 mod manifest;
 mod metrics;
 mod observer;
-mod profile;
 pub mod stream;
 mod trace;
 
@@ -46,7 +43,6 @@ pub use manifest::{
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramId, MetricsRegistry};
 pub use observer::{drop_reason_name, TelemetryObserver};
-pub use profile::{Phase, PhaseProfiler};
 pub use stream::{
     CampaignAggregator, SnapshotBus, SnapshotEnvelope, SnapshotPublisher, StreamProbe,
     STREAM_SCHEMA_VERSION,

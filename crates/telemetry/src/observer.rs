@@ -1,4 +1,4 @@
-//! The observer that feeds the metrics registry, tracer and profiler.
+//! The observer that feeds the metrics registry and the tracer.
 
 use std::collections::HashMap;
 
@@ -9,7 +9,6 @@ use cavenet_net::{
 
 use crate::json::Json;
 use crate::metrics::{Counter, Gauge, HistogramId, MetricsRegistry};
-use crate::profile::PhaseProfiler;
 use crate::trace::{TraceCategory, TraceConfig, TraceRecord, Tracer};
 
 fn mac_state_name(s: MacState) -> &'static str {
@@ -79,25 +78,28 @@ fn event_kind_name(k: EventKind) -> &'static str {
     }
 }
 
-/// A [`SimObserver`] that populates a [`MetricsRegistry`], streams a
-/// structured JSONL trace and attributes wall-clock time to engine phases.
+/// A [`SimObserver`] that populates a [`MetricsRegistry`] and streams a
+/// structured JSONL trace.
 ///
 /// Attaching it (alone, or tee'd next to a conformance observer via
-/// [`Tee`]) never perturbs the simulation: every hook only reads its
-/// arguments, and the engine's event stream, RNG draws and statistics stay
-/// byte-identical to a [`NoopObserver`](cavenet_net::NoopObserver) run —
-/// the conformance testkit's golden digests prove it.
+/// [`Tee`](cavenet_net::Tee)) never perturbs the simulation: every hook
+/// only reads its arguments, and the engine's event stream, RNG draws and
+/// statistics stay byte-identical to a
+/// [`NoopObserver`](cavenet_net::NoopObserver) run — the golden digests
+/// prove it.
+///
+/// Each hook updates the registry with array-indexed counter adds and
+/// offers its trace record to the [`Tracer`], which builds the record only
+/// if its configuration keeps it: with tracing off, a hook allocates
+/// nothing.
 ///
 /// The internal packet-origination map is only ever probed by uid (never
 /// iterated), so its randomized iteration order cannot leak into any
 /// output.
-///
-/// [`Tee`]: https://docs.rs/cavenet-testkit
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryObserver {
     registry: MetricsRegistry,
     tracer: Tracer,
-    profiler: PhaseProfiler,
     origin_times: HashMap<u64, SimTime>,
 }
 
@@ -112,15 +114,13 @@ impl TelemetryObserver {
         TelemetryObserver {
             registry: MetricsRegistry::new(),
             tracer: Tracer::new(config),
-            profiler: PhaseProfiler::new(),
             origin_times: HashMap::new(),
         }
     }
 
-    /// Close the profiler's final interval and refresh derived gauges.
-    /// Call once after the run, before reading the registry or profiler.
+    /// Refresh derived gauges. Call once after the run, before reading
+    /// the registry.
     pub fn finish(&mut self) {
-        self.profiler.finish();
         self.registry
             .set(Gauge::PacketsInFlight, self.origin_times.len() as u64);
     }
@@ -134,17 +134,11 @@ impl TelemetryObserver {
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
-
-    /// The per-phase wall-clock profile.
-    pub fn profiler(&self) -> &PhaseProfiler {
-        &self.profiler
-    }
 }
 
 impl SimObserver for TelemetryObserver {
     fn on_event_scheduled(&mut self, at: SimTime, seq: u64, node: usize, kind: EventKind) {
-        self.tracer.record(TraceRecord {
-            category: TraceCategory::Sched,
+        self.tracer.record(TraceCategory::Sched, || TraceRecord {
             event: event_kind_name(kind),
             t_ns: at.as_nanos(),
             node: node as u64,
@@ -153,8 +147,7 @@ impl SimObserver for TelemetryObserver {
         });
     }
 
-    fn on_event_dispatched(&mut self, now: SimTime, _seq: u64, _node: usize, kind: EventKind) {
-        self.profiler.tick(kind);
+    fn on_event_dispatched(&mut self, now: SimTime, _seq: u64, _node: usize, _kind: EventKind) {
         self.registry.inc(Counter::EventsDispatched);
         self.registry.set(Gauge::SimTimeNs, now.as_nanos());
     }
@@ -163,8 +156,7 @@ impl SimObserver for TelemetryObserver {
         self.registry.inc(Counter::FramesTx);
         self.registry
             .observe(HistogramId::FrameSizeBytes, u64::from(frame.size_bytes));
-        self.tracer.record(TraceRecord {
-            category: TraceCategory::Frame,
+        self.tracer.record(TraceCategory::Frame, || TraceRecord {
             event: "tx",
             t_ns: now.as_nanos(),
             node: node as u64,
@@ -178,8 +170,7 @@ impl SimObserver for TelemetryObserver {
 
     fn on_frame_rx(&mut self, now: SimTime, node: usize, frame: &Frame) {
         self.registry.inc(Counter::FramesRx);
-        self.tracer.record(TraceRecord {
-            category: TraceCategory::Frame,
+        self.tracer.record(TraceCategory::Frame, || TraceRecord {
             event: "rx",
             t_ns: now.as_nanos(),
             node: node as u64,
@@ -190,8 +181,7 @@ impl SimObserver for TelemetryObserver {
 
     fn on_frame_drop(&mut self, now: SimTime, node: usize, reason: FrameDropReason) {
         self.registry.inc(Counter::FramesDropped);
-        self.tracer.record(TraceRecord {
-            category: TraceCategory::Frame,
+        self.tracer.record(TraceCategory::Frame, || TraceRecord {
             event: "drop",
             t_ns: now.as_nanos(),
             node: node as u64,
@@ -202,8 +192,7 @@ impl SimObserver for TelemetryObserver {
 
     fn on_mac_transition(&mut self, now: SimTime, node: NodeId, from: MacState, to: MacState) {
         self.registry.inc(Counter::MacTransitions);
-        self.tracer.record(TraceRecord {
-            category: TraceCategory::Mac,
+        self.tracer.record(TraceCategory::Mac, || TraceRecord {
             event: "move",
             t_ns: now.as_nanos(),
             node: u64::from(node.0),
@@ -218,8 +207,7 @@ impl SimObserver for TelemetryObserver {
     fn on_packet_originated(&mut self, now: SimTime, node: NodeId, uid: u64) {
         self.registry.inc(Counter::PacketsOriginated);
         self.origin_times.insert(uid, now);
-        self.tracer.record(TraceRecord {
-            category: TraceCategory::Packet,
+        self.tracer.record(TraceCategory::Packet, || TraceRecord {
             event: "originate",
             t_ns: now.as_nanos(),
             node: u64::from(node.0),
@@ -236,8 +224,7 @@ impl SimObserver for TelemetryObserver {
                 now.saturating_since(t0).as_nanos() as u64,
             );
         }
-        self.tracer.record(TraceRecord {
-            category: TraceCategory::Packet,
+        self.tracer.record(TraceCategory::Packet, || TraceRecord {
             event: "deliver",
             t_ns: now.as_nanos(),
             node: u64::from(node.0),
@@ -249,8 +236,7 @@ impl SimObserver for TelemetryObserver {
     fn on_packet_dropped(&mut self, now: SimTime, node: NodeId, uid: u64, reason: DropReason) {
         self.registry.inc(Counter::PacketsDropped);
         self.origin_times.remove(&uid);
-        self.tracer.record(TraceRecord {
-            category: TraceCategory::Packet,
+        self.tracer.record(TraceCategory::Packet, || TraceRecord {
             event: "drop",
             t_ns: now.as_nanos(),
             node: u64::from(node.0),
@@ -261,8 +247,7 @@ impl SimObserver for TelemetryObserver {
 
     fn on_fault(&mut self, now: SimTime, node: NodeId, kind: FaultKind) {
         self.registry.inc(Counter::Faults);
-        self.tracer.record(TraceRecord {
-            category: TraceCategory::Fault,
+        self.tracer.record(TraceCategory::Fault, || TraceRecord {
             event: match kind {
                 FaultKind::Crash => "crash",
                 FaultKind::Recover => "recover",
@@ -281,8 +266,7 @@ impl SimObserver for TelemetryObserver {
             RouteEventKind::DiscoverySuccess => Counter::RouteDiscoverySuccesses,
             _ => Counter::RouteDiscoveryFailures,
         });
-        self.tracer.record(TraceRecord {
-            category: TraceCategory::Route,
+        self.tracer.record(TraceCategory::Route, || TraceRecord {
             event: route_event_name(kind),
             t_ns: now.as_nanos(),
             node: u64::from(node.0),

@@ -338,6 +338,9 @@ struct ProbeCore {
     telemetry: TelemetryObserver,
     publisher: SnapshotPublisher,
     stride: u64,
+    /// Dispatches until the next publication: counting down fires at
+    /// exactly the multiples of `stride`, without a division per event.
+    until_publish: u64,
     local: u64,
     now_ns: u64,
 }
@@ -356,6 +359,7 @@ impl StreamProbe {
                 telemetry: TelemetryObserver::with_config(TraceConfig::off()),
                 publisher,
                 stride: stride.max(1),
+                until_publish: stride.max(1),
                 local: 0,
                 now_ns: 0,
             })),
@@ -396,7 +400,9 @@ impl SimObserver for StreamProbe {
             core.telemetry.on_event_dispatched(now, seq, node, kind);
             core.local += 1;
             core.now_ns = now.as_nanos();
-            if core.local.is_multiple_of(core.stride) {
+            core.until_publish -= 1;
+            if core.until_publish == 0 {
+                core.until_publish = core.stride;
                 core.publisher
                     .publish(core.now_ns, core.local, core.telemetry.registry());
             }

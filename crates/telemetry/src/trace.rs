@@ -8,7 +8,8 @@
 //! of a 100 s, 30-node run is millions of lines, so the tracer bounds its
 //! output three ways: per-category enable flags, stride sampling (keep one
 //! in N records per category) and a hard record cap. Suppressed records
-//! are *counted*, never silently lost.
+//! are *counted*, never silently lost, and never built: the tracer decides
+//! admission before the caller constructs the record.
 
 use crate::json::{parse, Json};
 
@@ -104,7 +105,7 @@ impl TraceConfig {
         }
     }
 
-    /// Record nothing (metrics and profiling still work).
+    /// Record nothing (metrics still work).
     pub fn off() -> Self {
         TraceConfig {
             enabled: [false; TraceCategory::COUNT],
@@ -120,11 +121,10 @@ impl TraceConfig {
     }
 }
 
-/// One decoded trace line.
+/// The body of one trace line; its category is given to
+/// [`Tracer::record`] beside it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
-    /// Record category.
-    pub category: TraceCategory,
     /// Short event code within the category ("tx", "drop", ...).
     pub event: &'static str,
     /// Virtual time in nanoseconds.
@@ -183,13 +183,15 @@ impl Tracer {
         &self.config
     }
 
-    /// Offer a record; it is emitted, filtered, sampled out or truncated.
-    pub fn record(&mut self, rec: TraceRecord) {
-        if !self.config.enabled[rec.category as usize] {
+    /// Offer a record of `category`; it is emitted, filtered, sampled out
+    /// or truncated. `build` runs only for an emitted record, so a record
+    /// the configuration suppresses costs a counter increment.
+    pub fn record(&mut self, category: TraceCategory, build: impl FnOnce() -> TraceRecord) {
+        if !self.config.enabled[category as usize] {
             self.filtered += 1;
             return;
         }
-        let seen = &mut self.seen[rec.category as usize];
+        let seen = &mut self.seen[category as usize];
         *seen += 1;
         if !(*seen - 1).is_multiple_of(self.config.stride) {
             self.sampled_out += 1;
@@ -199,9 +201,10 @@ impl Tracer {
             self.truncated += 1;
             return;
         }
+        let rec = build();
         let mut members = vec![
             ("v".to_string(), Json::num_u64(TRACE_SCHEMA_VERSION)),
-            ("cat".to_string(), Json::str(rec.category.name())),
+            ("cat".to_string(), Json::str(category.name())),
             ("ev".to_string(), Json::str(rec.event)),
             ("t".to_string(), Json::num_u64(rec.t_ns)),
             ("node".to_string(), Json::num_u64(rec.node)),
@@ -283,9 +286,8 @@ impl Tracer {
 mod tests {
     use super::*;
 
-    fn rec(cat: TraceCategory, ev: &'static str, span: u64) -> TraceRecord {
+    fn rec(ev: &'static str, span: u64) -> TraceRecord {
         TraceRecord {
-            category: cat,
             event: ev,
             t_ns: 1_000,
             node: 3,
@@ -297,9 +299,9 @@ mod tests {
     #[test]
     fn emits_and_round_trips() {
         let mut t = Tracer::new(TraceConfig::full());
-        t.record(TraceRecord {
+        t.record(TraceCategory::Packet, || TraceRecord {
             extra: vec![("reason", Json::str("no_route"))],
-            ..rec(TraceCategory::Packet, "drop", 42)
+            ..rec("drop", 42)
         });
         assert_eq!(t.emitted(), 1);
         let parsed = Tracer::parse_line(&t.lines()[0]).unwrap();
@@ -311,7 +313,7 @@ mod tests {
     #[test]
     fn category_filter_counts_suppressed() {
         let mut t = Tracer::new(TraceConfig::default());
-        t.record(rec(TraceCategory::Sched, "sched", 1));
+        t.record(TraceCategory::Sched, || rec("sched", 1));
         assert_eq!(t.emitted(), 0);
         assert_eq!(t.filtered(), 1);
     }
@@ -320,7 +322,7 @@ mod tests {
     fn stride_keeps_one_in_n_per_category() {
         let mut t = Tracer::new(TraceConfig::full().with_stride(3));
         for i in 0..9 {
-            t.record(rec(TraceCategory::Frame, "tx", i));
+            t.record(TraceCategory::Frame, || rec("tx", i));
         }
         assert_eq!(t.emitted(), 3);
         assert_eq!(t.sampled_out(), 6);
@@ -333,11 +335,39 @@ mod tests {
             ..TraceConfig::full()
         });
         for i in 0..5 {
-            t.record(rec(TraceCategory::Mac, "move", i));
+            t.record(TraceCategory::Mac, || rec("move", i));
         }
         assert_eq!(t.emitted(), 2);
         assert_eq!(t.truncated(), 3);
         assert_eq!(t.lines().len(), 2);
+    }
+
+    #[test]
+    fn suppressed_records_are_never_built() {
+        let mut built = 0;
+        for config in [
+            TraceConfig::off(),
+            TraceConfig::full().with_stride(u64::MAX),
+            TraceConfig {
+                max_records: 0,
+                ..TraceConfig::full()
+            },
+        ] {
+            let mut t = Tracer::new(config);
+            for i in 0..4 {
+                t.record(TraceCategory::Frame, || {
+                    built += 1;
+                    rec("tx", i)
+                });
+            }
+            assert_eq!(
+                t.emitted() + t.filtered() + t.sampled_out() + t.truncated(),
+                4,
+                "every offered record is accounted"
+            );
+        }
+        // Stride u64::MAX keeps only the first record of the category.
+        assert_eq!(built, 1);
     }
 
     #[test]

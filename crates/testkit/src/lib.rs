@@ -13,7 +13,9 @@
 //!   stream (plus final statistics) into a stable 64-bit FNV-1a digest.
 //!   Committed digests under `tests/golden/` turn the whole engine into a
 //!   regression test: any behavioural change, however small, flips the
-//!   digest.
+//!   digest. It lives in `cavenet-net` beside [`Tee`], and
+//!   [`digest_scenario`] in `cavenet-core`, because the campaign
+//!   supervisor needs them in production; all three are re-exported here.
 //! * [`assert_equiv`] — a differential harness that runs one scenario under
 //!   two configurations that must be behaviourally identical (neighbor grid
 //!   on/off, quantized vs. exact mobility at the same quantum, …) and
@@ -27,16 +29,14 @@
 
 mod bisect;
 mod diff;
-mod digest;
 mod golden;
 mod invariants;
 mod jam;
-mod tee;
 
 pub use bisect::bisect_divergence;
-pub use diff::{assert_equiv, assert_identity_semantics, digest_scenario, RunDigest};
-pub use digest::GoldenDigest;
+pub use cavenet_core::{digest_scenario, RunDigest};
+pub use cavenet_net::{GoldenDigest, Tee};
+pub use diff::{assert_equiv, assert_identity_semantics};
 pub use golden::{check_golden, golden_path, load_golden, store_golden, Golden};
 pub use invariants::{InvariantChecker, LedgerReport};
 pub use jam::{jam_ring_scenario, JAM_CREEP_MPS, JAM_HEADWAY_M, JAM_SIM_SECS};
-pub use tee::Tee;

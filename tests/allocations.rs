@@ -3,10 +3,13 @@
 //! The engine recycles its scheduler runs, frames and grid buffers, and a
 //! serial run makes the same number of heap allocations on every run, in
 //! debug and release alike. This binary installs a counting global
-//! allocator, runs five fixed workloads and pins, per workload, the event
+//! allocator, runs six fixed workloads and pins, per workload, the event
 //! count and an allocation ceiling of 1.2 × the committed allocations per
-//! event. Wall-clock speed is the repository benchmark's business, not
-//! this test's.
+//! event. Five run unobserved; one runs under the observer stack of a
+//! streamed campaign trial (an armed stream probe beside the golden
+//! digest), which pins that a hook whose trace record is filtered out
+//! allocates nothing. Wall-clock speed is the repository benchmark's
+//! business, not this test's.
 //!
 //! The allocation counter is process-wide, so this binary holds exactly
 //! one test: no other test can allocate while a workload is measured.
@@ -15,7 +18,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use cavenet_core::net::{GoldenDigest, Tee};
 use cavenet_core::{Experiment, Protocol, Scenario};
+use cavenet_telemetry::{SnapshotBus, StreamProbe};
 
 /// Counts every heap allocation the process makes.
 struct CountingAlloc;
@@ -79,31 +84,66 @@ fn flood_ring(factor: usize) -> Scenario {
     s
 }
 
-/// `(workload, scenario, events, committed allocations)`. The committed
-/// allocation counts are the flat-memory engine's as first recorded; the
-/// ceiling scales their per-event rate by the run's event count. The
-/// engine has since dropped to 4,734, 7,382, 13,272, 20,955 and 22,252.
-fn workloads() -> Vec<(&'static str, Scenario, u64, u64)> {
-    let mut fig11 = table1_40s(Protocol::Aodv);
+/// Events between the stream probe's snapshots, as in a campaign.
+const SNAPSHOT_STRIDE: u64 = 4096;
+
+/// How a workload's run is observed.
+#[derive(Clone, Copy)]
+enum Observer {
+    /// `Experiment::run`: no observer.
+    Bare,
+    /// A streamed campaign trial's stack: an armed `StreamProbe`
+    /// publishing every [`SNAPSHOT_STRIDE`] events, tee'd with the golden
+    /// digest.
+    Streamed,
+}
+
+/// `(workload, scenario, observer, events, committed allocations)`. The
+/// bare rows' committed allocation counts are the flat-memory engine's as
+/// first recorded; the ceiling scales their per-event rate by the run's
+/// event count. The engine has since dropped to 4,734, 7,382, 13,272,
+/// 20,955 and 22,252. The streamed row was first recorded once filtered
+/// trace records stopped being built; while every hook built its record,
+/// the same run made 79,168 allocations (1.40 per event).
+fn workloads() -> Vec<(&'static str, Scenario, Observer, u64, u64)> {
+    use Observer::{Bare, Streamed};
+    let table1 = table1_40s(Protocol::Aodv);
+    let mut fig11 = table1.clone();
     fig11.traffic.senders = (1..=8).collect();
     vec![
-        ("table1_aodv", table1_40s(Protocol::Aodv), 56_648, 4_920),
-        ("fig11_aodv_8senders", fig11, 163_053, 7_533),
-        ("flood_ring_120", flood_ring(4), 276_699, 14_261),
-        ("flood_ring_480", flood_ring(16), 311_785, 24_837),
-        ("flood_ring_960", flood_ring(32), 290_633, 26_040),
+        ("table1_aodv", table1.clone(), Bare, 56_648, 4_920),
+        ("table1_aodv_streamed", table1, Streamed, 56_648, 4_762),
+        ("fig11_aodv_8senders", fig11, Bare, 163_053, 7_533),
+        ("flood_ring_120", flood_ring(4), Bare, 276_699, 14_261),
+        ("flood_ring_480", flood_ring(16), Bare, 311_785, 24_837),
+        ("flood_ring_960", flood_ring(32), Bare, 290_633, 26_040),
     ]
+}
+
+/// Run `experiment` to its end under `observer`; returns the events the
+/// engine dispatched.
+fn run(experiment: &Experiment, observer: Observer) -> u64 {
+    let result = match observer {
+        Observer::Bare => experiment.run(),
+        Observer::Streamed => {
+            let bus = SnapshotBus::new(4096);
+            let probe = StreamProbe::armed(bus.publisher("trial"), SNAPSHOT_STRIDE);
+            experiment
+                .run_with_observer(Tee(probe, GoldenDigest::new()))
+                .map(|(result, _sim)| result)
+        }
+    };
+    result.expect("workload runs").global.events_processed
 }
 
 #[test]
 fn allocations_per_event_stay_within_the_committed_budget() {
     let mut failures = Vec::new();
-    for (name, scenario, pinned_events, committed_allocs) in workloads() {
+    for (name, scenario, observer, pinned_events, committed_allocs) in workloads() {
         let experiment = Experiment::new(scenario);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let result = experiment.run().expect("workload runs");
+        let events = run(&experiment, observer);
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        let events = result.global.events_processed;
         assert_eq!(events, pinned_events, "{name}: event count moved");
         let committed_per_event = committed_allocs as f64 / pinned_events as f64;
         let ceiling = ALLOCS_PER_EVENT_SLACK * committed_per_event * events as f64;

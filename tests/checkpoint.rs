@@ -106,6 +106,22 @@ fn resume_is_bit_identical_mid_churn() {
     assert_eq!((digest, events), (straight.digest, straight.events));
 }
 
+/// A 120-node ring at the paper's vehicle density, flooded by 8 senders
+/// at 20 packets/s from 2 s to 4 s: the shape of the allocation suite's
+/// `flood_ring(4)`.
+fn flooded_ring_120() -> Scenario {
+    let mut s = Scenario::paper_table1(Protocol::Flooding);
+    s.nodes = 120;
+    s.circuit_m = 12_000.0;
+    s.sim_time = Duration::from_secs(6);
+    s.traffic.cbr.start = Duration::from_secs(2);
+    s.traffic.cbr.stop = Duration::from_secs(4);
+    s.traffic.cbr.rate_pps = 20.0;
+    s.traffic.senders = (1u32..=8).map(|k| k * 120 / 9).collect();
+    s.traffic.receiver = 0;
+    s
+}
+
 #[test]
 fn resume_through_flat_memory_layout_is_bit_identical() {
     // Exercises the flat-memory engine's checkpoint path specifically:
@@ -117,17 +133,24 @@ fn resume_through_flat_memory_layout_is_bit_identical() {
     // * Routing and application timers sit seconds in the future — far
     //   beyond the calendar queue's ~17 ms active window — so the snapshot
     //   serializes events straight out of the overflow heap.
+    // * On the flooded ring, contention is heavy enough that many MACs
+    //   are caught mid-backoff, so a backoff counter restored off by one
+    //   shifts a transmission.
     //
     // Restore rebuilds plain owned state (fresh arenas, unshared packets,
     // cold pools); bit-identity proves none of that layout is observable.
-    for protocol in [Protocol::Flooding, Protocol::Aodv] {
-        let s = short_scenario(protocol, 47);
+    let cases = [
+        ("Flooding", short_scenario(Protocol::Flooding, 47)),
+        ("Aodv", short_scenario(Protocol::Aodv, 47)),
+        ("flooded ring of 120", flooded_ring_120()),
+    ];
+    for (label, s) in cases {
         let straight = digest_scenario(&s);
         let (digest, events) = resumed_digest(&s, Duration::from_millis(2500));
         assert_eq!(
             (digest, events),
             (straight.digest, straight.events),
-            "{protocol:?}: flat-memory resume diverged"
+            "{label}: flat-memory resume diverged"
         );
     }
 }

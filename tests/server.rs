@@ -10,8 +10,9 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use cavenet_core::{Protocol, Scenario};
-use cavenet_net::SimTime;
+use cavenet_core::checkpoint::store;
+use cavenet_core::{digest_scenario, Experiment, Protocol, Scenario};
+use cavenet_net::{GoldenDigest, SimTime};
 use cavenet_server::{
     AdmissionError, BackoffPolicy, CampaignServer, ChaosEntry, ChaosKind, ChaosPlan, ServerConfig,
     TrialKey, TrialOutcome, TrialState,
@@ -20,7 +21,6 @@ use cavenet_telemetry::{
     render_prometheus, CampaignAggregator, Counter, Gauge, HistogramId, SnapshotBus,
     SnapshotEnvelope,
 };
-use cavenet_testkit::digest_scenario;
 use proptest::prelude::*;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -438,6 +438,54 @@ fn shutdown_is_resumable_via_ledger_and_checkpoints() {
             );
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A supervised trial's store is bounded: when the trial completes, its
+/// directory holds its two newest snapshots. A complete snapshot left
+/// under a `.tmp` name (a writer that died before its rename) is ignored
+/// by the resume scan and by the pruning.
+#[test]
+fn trial_store_keeps_two_snapshots_and_ignores_stale_tmp() {
+    let dir = scratch("bounded");
+    let scenario = tiny_scenario(61);
+    let trial_dir = dir.join(TrialKey::of(&scenario).dir_name());
+    // 6 s falls between the 4 s checkpoints, so no write reuses the name.
+    let exp = Experiment::new(scenario.clone());
+    let (mut sim, recorder) = exp.build_sim(GoldenDigest::new()).unwrap();
+    sim.run_until(SimTime::from_secs(6));
+    let bytes = exp.snapshot_now(&sim, &recorder).unwrap().to_bytes();
+    std::fs::create_dir_all(&trial_dir).unwrap();
+    let stale = trial_dir.join(format!("{}.tmp", store::file_name(6_000_000_000)));
+    std::fs::write(&stale, bytes).unwrap();
+
+    let server = CampaignServer::start(quick_config(dir.clone())).unwrap();
+    server.submit(scenario.clone()).unwrap();
+    let report = server.finish().unwrap();
+    let TrialOutcome::Completed {
+        digest,
+        events,
+        lineage,
+        ..
+    } = &report.trials[0].outcome
+    else {
+        panic!("clean trial must complete: {:?}", report.trials[0]);
+    };
+    assert!(lineage.is_cold(), "resume must not read the stale .tmp");
+    let straight = digest_scenario(&scenario);
+    assert_eq!((*digest, *events), (straight.digest, straight.events));
+
+    let kept: Vec<u64> = store::list_newest_first(&trial_dir)
+        .unwrap()
+        .iter()
+        .filter_map(|p| store::capture_time(p))
+        .collect();
+    assert_eq!(
+        kept,
+        vec![12_000_000_000, 8_000_000_000],
+        "a completed trial keeps its two newest snapshots"
+    );
+    assert!(stale.exists(), "pruning leaves non-checkpoint files alone");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
