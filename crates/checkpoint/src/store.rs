@@ -1,12 +1,15 @@
 //! The on-disk checkpoint store: one directory per run, one file per
-//! snapshot, resume from the newest readable one.
+//! snapshot, listed newest first.
 //!
 //! Every layer that periodically checkpoints (core's `run_with_checkpoints`,
 //! the campaign server's supervised trials) uses the same naming scheme —
 //! `ckpt_<time_ns:020>.bin` — so their stores are interchangeable: a trial
 //! checkpointed by a batch sweep resumes under the server and vice versa.
-//! This module owns that scheme and the "latest readable" scan, so the
-//! fallback-past-corruption policy lives in exactly one place.
+//! This module owns that scheme and the newest-first listing. The
+//! fallback policy on top of it (skip a file that does not read, parse or
+//! apply, and try the next older one) lives in one place too:
+//! `cavenet_core`'s `Experiment::resume_newest`, because only a restore
+//! into a real engine proves that a snapshot applies.
 //!
 //! A snapshot is written to `ckpt_<time_ns:020>.bin.tmp` and renamed into
 //! place, so a writer that dies mid-write leaves a `.tmp` file that no
@@ -61,29 +64,6 @@ pub fn list_newest_first(dir: &Path) -> Result<Vec<PathBuf>, std::io::Error> {
     }
     found.sort_unstable_by_key(|&(t, _)| std::cmp::Reverse(t));
     Ok(found.into_iter().map(|(_, p)| p).collect())
-}
-
-/// The newest checkpoint in `dir` that reads and parses — unreadable
-/// files and files failing container verification (truncation, section
-/// hash mismatch, foreign magic) are silently skipped, older checkpoints
-/// are tried next. `Ok(None)` when no file survives.
-///
-/// Parsing proves container integrity, not scenario identity: the caller
-/// still validates [`SnapshotMeta`](crate::SnapshotMeta) when restoring,
-/// and should fall back to [`list_newest_first`] for snapshot-by-snapshot
-/// restore attempts if a parsed snapshot later fails to apply.
-///
-/// # Errors
-///
-/// Any I/O error other than the directory being absent.
-pub fn latest_snapshot(dir: &Path) -> Result<Option<(PathBuf, Snapshot)>, std::io::Error> {
-    for path in list_newest_first(dir)? {
-        let Ok(bytes) = fs::read(&path) else { continue };
-        if let Ok(snap) = Snapshot::from_bytes(&bytes) {
-            return Ok(Some((path, snap)));
-        }
-    }
-    Ok(None)
 }
 
 /// Serialize `snap` into `dir` (created if needed) under the standard
@@ -150,23 +130,6 @@ mod tests {
     fn missing_dir_is_an_empty_store() {
         let dir = scratch("missing");
         assert!(list_newest_first(&dir).unwrap().is_empty());
-        assert!(latest_snapshot(&dir).unwrap().is_none());
-    }
-
-    #[test]
-    fn latest_skips_corrupt_files() {
-        let dir = scratch("skip");
-        write_snapshot(&dir, 100, &tiny_snapshot(1)).unwrap();
-        write_snapshot(&dir, 200, &tiny_snapshot(2)).unwrap();
-        // Vandalize the newest.
-        let newest = file_path(&dir, 200);
-        let bytes = fs::read(&newest).unwrap();
-        fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
-
-        let (path, snap) = latest_snapshot(&dir).unwrap().expect("older file survives");
-        assert_eq!(capture_time(&path), Some(100));
-        assert_eq!(snap.get(section::ENGINE), Some(&[1u8; 4][..]));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -188,8 +151,6 @@ mod tests {
         fs::write(&stale, [0xde, 0xad]).unwrap();
         let listed = list_newest_first(&dir).unwrap();
         assert_eq!(listed, vec![file_path(&dir, 100)]);
-        let (path, _) = latest_snapshot(&dir).unwrap().expect("the .bin survives");
-        assert_eq!(capture_time(&path), Some(100));
         retain_newest(&dir, 0).unwrap();
         assert!(stale.exists(), "retention only touches checkpoint files");
         assert!(list_newest_first(&dir).unwrap().is_empty());

@@ -1,20 +1,31 @@
-//! Periodic checkpoints and resumable runs over the full pipeline.
+//! Periodic checkpoints and resumable runs over the full pipeline, under
+//! either fidelity.
 //!
 //! The `cavenet-checkpoint` crate captures a bare simulator; this module
-//! lifts that to a whole [`Experiment`]: the snapshot additionally carries
-//! the shared CBR traffic ledger (the metrics source) and a fingerprint of
-//! the mobility configuration, and its metadata is derived from the
-//! [`Scenario`] so a snapshot refuses to restore into a different one.
+//! lifts that to a whole [`Experiment`]: a snapshot additionally carries
+//! the run's results so far (the shared CBR traffic ledger, or the fluid
+//! model's FLUID section) and a fingerprint of the mobility
+//! configuration, and its metadata is derived from the [`Scenario`] so a
+//! snapshot refuses to restore into a different one.
 //!
-//! Three levels of service:
+//! Everything here is written once, against the [`Engine`] trait. It has
+//! two impls: the exact `(Simulator, SharedRecorder)` pair that
+//! [`Experiment::build_sim`] returns and the [`FluidEngine`] that
+//! [`Experiment::build_fluid`] returns. A caller picks a fidelity by
+//! picking the builder, and nothing else.
 //!
-//! * [`Experiment::snapshot_now`] / [`Experiment::resume_from_snapshot`] —
+//! Four levels of service:
+//!
+//! * [`Engine::capture_snapshot`] / [`Engine::restore_snapshot`] —
 //!   capture or restore a single point in a run.
+//! * [`Experiment::resume_newest`] — restore the newest checkpoint in a
+//!   directory that applies, falling back past corrupt, truncated or
+//!   foreign files, or build a cold engine when none does. It is the only
+//!   such scan: the campaign server resumes its trials through it too.
 //! * [`Experiment::run_with_checkpoints`] /
-//!   [`Experiment::resume_with_checkpoints`] — drive a run to completion
-//!   writing a snapshot file every `every` of *virtual* time, and pick a
-//!   run back up from the newest readable checkpoint in a directory
-//!   (silently falling back past corrupt or foreign files).
+//!   [`Experiment::resume_with_checkpoints`] — drive a run to completion,
+//!   cold or from the newest checkpoint, writing a snapshot file every
+//!   `every` of *virtual* time.
 //! * [`Campaign::run_resumable`] — a multi-seed sweep where every trial
 //!   checkpoints into its own subdirectory, so an interrupted sweep
 //!   restarts from the last completed (trial, checkpoint) pair instead of
@@ -26,6 +37,45 @@
 //! conformance suite). The [`Lineage`] of a resumed run — the container
 //! hash of the snapshot it woke from and the engine step it resumed at —
 //! is what telemetry stamps into a `RunManifest`.
+//!
+//! ```no_run
+//! use std::path::Path;
+//! use std::time::Duration;
+//!
+//! use cavenet_core::net::NoopObserver;
+//! use cavenet_core::{Campaign, CheckpointPlan, Experiment, Fidelity, Protocol, Scenario};
+//!
+//! # fn main() -> Result<(), cavenet_core::CheckpointError> {
+//! let plan = CheckpointPlan { every: Duration::from_secs(60), dir: "ckpts/aodv".into() };
+//!
+//! // Single run: save a snapshot every 60 simulated seconds.
+//! let exp = Experiment::new(Scenario::paper_table1(Protocol::Aodv));
+//! let (result, _engine) = exp.run_with_checkpoints(exp.build_sim(NoopObserver)?, &plan)?;
+//!
+//! // After an interruption: resume from the newest checkpoint that
+//! // restores, skipping corrupt, truncated or foreign files, or run cold
+//! // if none does.
+//! let (resumed, _engine, lineage) =
+//!     exp.resume_with_checkpoints(&plan, || exp.build_sim(NoopObserver))?;
+//! assert!(lineage.is_cold() || lineage.resume_step > 0);
+//! assert_eq!(resumed.total_received(), result.total_received());
+//!
+//! // The fluid fidelity takes the same path; only the builder differs.
+//! let mut fluid = Scenario::paper_table1(Protocol::Aodv);
+//! fluid.fidelity = Fidelity::Fluid;
+//! let fexp = Experiment::new(fluid);
+//! let plan = CheckpointPlan { every: Duration::from_secs(60), dir: "ckpts/fluid".into() };
+//! let (_result, _engine, _lineage) = fexp.resume_with_checkpoints(&plan, || fexp.build_fluid())?;
+//!
+//! // Multi-seed sweep: each trial checkpoints into ckpts/sweep/trial_NNNN/;
+//! // re-running the same command resumes every trial from its last
+//! // completed checkpoint (completed trials replay in O(restore) work).
+//! let sweep = Campaign { base: Scenario::paper_table1(Protocol::Dymo), trials: 32, master_seed: 7 };
+//! let outcomes = sweep.run_resumable(Path::new("ckpts/sweep"), Duration::from_secs(60))?;
+//! assert_eq!(outcomes.len(), 32);
+//! # Ok(())
+//! # }
+//! ```
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -35,7 +85,7 @@ use cavenet_checkpoint::{
     capture_simulator, restore_simulator, section, store, Snapshot, SnapshotError, SnapshotMeta,
 };
 use cavenet_fluid::FluidEngine;
-use cavenet_net::{Fidelity, SimObserver, SimTime, Simulator, WireWriter};
+use cavenet_net::{Fidelity, NoopObserver, SimObserver, SimTime, Simulator, WireWriter};
 use cavenet_rng::fnv::fnv64;
 use cavenet_stats::Ensemble;
 use cavenet_traffic::SharedRecorder;
@@ -104,7 +154,8 @@ impl From<std::io::Error> for CheckpointError {
 pub struct Lineage {
     /// Container hash of the snapshot the run resumed from (0 = cold).
     pub parent_snapshot_hash: u64,
-    /// Engine step (events dispatched) at which the resume started.
+    /// Engine step at which the resume started: events dispatched (exact)
+    /// or model steps (fluid).
     pub resume_step: u64,
 }
 
@@ -170,9 +221,193 @@ fn mobility_fingerprint(s: &Scenario) -> u64 {
     )
 }
 
+/// Add the MOBILITY section: `exp`'s mobility fingerprint.
+fn write_mobility(snap: &mut Snapshot, exp: &Experiment) -> Result<(), SnapshotError> {
+    let mut w = WireWriter::new();
+    w.put_u64(mobility_fingerprint(exp.scenario()));
+    snap.insert(section::MOBILITY, w.into_bytes())
+}
+
+/// Refuse `snap` unless its MOBILITY section holds `exp`'s fingerprint.
+fn check_mobility(snap: &Snapshot, exp: &Experiment) -> Result<(), SnapshotError> {
+    let mut r = snap.reader(section::MOBILITY)?;
+    let found = r
+        .get_u64()
+        .and_then(|v| r.finish().map(|()| v))
+        .map_err(SnapshotError::wire(section::MOBILITY))?;
+    let expected = mobility_fingerprint(exp.scenario());
+    if found != expected {
+        return Err(SnapshotError::MetaMismatch {
+            what: "mobility_fingerprint",
+            found,
+            expected,
+        });
+    }
+    Ok(())
+}
+
+/// One simulation engine running one scenario, as checkpointing,
+/// campaigns and the campaign server drive it.
+///
+/// The two impls are the exact `(Simulator<O>, SharedRecorder)` pair from
+/// [`Experiment::build_sim`] and the [`FluidEngine`] from
+/// [`Experiment::build_fluid`]. Methods that need the scenario take the
+/// [`Experiment`] the engine was built from.
+pub trait Engine {
+    /// Virtual time reached, in nanoseconds.
+    fn now_ns(&self) -> u64;
+
+    /// Virtual time at which `exp`'s run ends, in nanoseconds. Each engine
+    /// keeps its own rounding of `Scenario::sim_time`.
+    fn end_ns(&self, exp: &Experiment) -> u64;
+
+    /// Work done so far: events dispatched (exact) or model steps (fluid).
+    /// A snapshot records it as [`SnapshotMeta::step`].
+    fn steps(&self) -> u64;
+
+    /// Advance to virtual time `target_ns`. The fluid engine moves in
+    /// whole steps, so it may stop past the target.
+    fn run_until_ns(&mut self, target_ns: u64);
+
+    /// Snapshot the run as it stands.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError`] when a section fails to serialize.
+    fn capture_snapshot(&self, exp: &Experiment) -> Result<Snapshot, SnapshotError>;
+
+    /// Apply `snap` to this freshly built engine and return the snapshot's
+    /// metadata. A failed restore may leave the engine half-applied, so
+    /// the caller must discard it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError`] when the snapshot is malformed or belongs to a
+    /// different run: another scenario, seed or fidelity.
+    fn restore_snapshot(
+        &mut self,
+        exp: &Experiment,
+        snap: &Snapshot,
+    ) -> Result<SnapshotMeta, SnapshotError>;
+
+    /// The experiment's metrics from this (finished or mid-flight) engine.
+    fn collect(&self, exp: &Experiment) -> ExperimentResult;
+}
+
+/// The exact engine: the simulator's six sections plus the traffic ledger
+/// and the mobility fingerprint.
+impl<O: SimObserver> Engine for (Simulator<O>, SharedRecorder) {
+    fn now_ns(&self) -> u64 {
+        self.0.now().as_nanos()
+    }
+
+    fn end_ns(&self, exp: &Experiment) -> u64 {
+        SimTime::from_secs_f64(exp.scenario().sim_time.as_secs_f64()).as_nanos()
+    }
+
+    fn steps(&self) -> u64 {
+        self.0.global_stats().events_processed
+    }
+
+    fn run_until_ns(&mut self, target_ns: u64) {
+        self.0.run_until(SimTime::from_nanos(target_ns));
+    }
+
+    fn capture_snapshot(&self, exp: &Experiment) -> Result<Snapshot, SnapshotError> {
+        exp.snapshot_now(&self.0, &self.1)
+    }
+
+    fn restore_snapshot(
+        &mut self,
+        exp: &Experiment,
+        snap: &Snapshot,
+    ) -> Result<SnapshotMeta, SnapshotError> {
+        check_mobility(snap, exp)?;
+        let meta = restore_simulator(&mut self.0, snap, &scenario_identity(exp.scenario()))?;
+        let mut r = snap.reader(section::TRAFFIC)?;
+        self.1
+            .borrow_mut()
+            .restore(&mut r)
+            .and_then(|()| r.finish())
+            .map_err(SnapshotError::wire(section::TRAFFIC))?;
+        Ok(meta)
+    }
+
+    fn collect(&self, exp: &Experiment) -> ExperimentResult {
+        exp.collect(&self.0, &self.1)
+    }
+}
+
+/// The fluid engine: META (scenario identity, which includes the
+/// fidelity), the engine's FLUID section and the mobility fingerprint. A
+/// snapshot taken under the exact fidelity is refused: its META hash
+/// differs and it has no FLUID section.
+impl Engine for FluidEngine {
+    fn now_ns(&self) -> u64 {
+        FluidEngine::now_ns(self)
+    }
+
+    fn end_ns(&self, exp: &Experiment) -> u64 {
+        exp.scenario().sim_time.as_nanos() as u64
+    }
+
+    fn steps(&self) -> u64 {
+        self.steps_done()
+    }
+
+    fn run_until_ns(&mut self, target_ns: u64) {
+        FluidEngine::run_until_ns(self, target_ns);
+    }
+
+    fn capture_snapshot(&self, exp: &Experiment) -> Result<Snapshot, SnapshotError> {
+        let mut identity = scenario_identity(exp.scenario());
+        identity.time_ns = FluidEngine::now_ns(self);
+        identity.step = self.steps_done();
+        let mut snap = Snapshot::new();
+        let mut w = WireWriter::new();
+        identity.encode(&mut w);
+        snap.insert(section::META, w.into_bytes())?;
+        let mut w = WireWriter::new();
+        self.capture(&mut w);
+        snap.insert(section::FLUID, w.into_bytes())?;
+        write_mobility(&mut snap, exp)?;
+        Ok(snap)
+    }
+
+    fn restore_snapshot(
+        &mut self,
+        exp: &Experiment,
+        snap: &Snapshot,
+    ) -> Result<SnapshotMeta, SnapshotError> {
+        check_mobility(snap, exp)?;
+        let meta = snap.meta()?;
+        meta.check_same_run(&scenario_identity(exp.scenario()))?;
+        let mut r = snap.reader(section::FLUID)?;
+        self.restore(&mut r)
+            .and_then(|()| r.finish())
+            .map_err(SnapshotError::wire(section::FLUID))?;
+        Ok(meta)
+    }
+
+    fn collect(&self, exp: &Experiment) -> ExperimentResult {
+        exp.collect_fluid(self)
+    }
+}
+
+impl CheckpointPlan {
+    /// [`every`](Self::every) in nanoseconds, refusing zero.
+    fn every_ns(&self) -> Result<u64, CheckpointError> {
+        match self.every.as_nanos().min(u128::from(u64::MAX)) as u64 {
+            0 => Err(CheckpointError::ZeroInterval),
+            every => Ok(every),
+        }
+    }
+}
+
 impl Experiment {
-    /// Snapshot a mid-flight run: the simulator's six sections plus the
-    /// traffic ledger and the mobility fingerprint.
+    /// Snapshot a mid-flight exact run: the simulator's six sections plus
+    /// the traffic ledger and the mobility fingerprint. This is the exact
+    /// engine's [`Engine::capture_snapshot`].
     ///
     /// # Errors
     ///
@@ -186,40 +421,8 @@ impl Experiment {
         let mut w = WireWriter::new();
         recorder.borrow().capture(&mut w);
         snap.insert(section::TRAFFIC, w.into_bytes())?;
-        let mut w = WireWriter::new();
-        w.put_u64(mobility_fingerprint(self.scenario()));
-        snap.insert(section::MOBILITY, w.into_bytes())?;
+        write_mobility(&mut snap, self)?;
         Ok(snap)
-    }
-
-    /// Apply `snap` to a freshly built simulator/recorder pair.
-    fn restore_into<O: SimObserver>(
-        &self,
-        sim: &mut Simulator<O>,
-        recorder: &SharedRecorder,
-        snap: &Snapshot,
-    ) -> Result<SnapshotMeta, SnapshotError> {
-        let mut r = snap.reader(section::MOBILITY)?;
-        let found = r
-            .get_u64()
-            .and_then(|v| r.finish().map(|()| v))
-            .map_err(SnapshotError::wire(section::MOBILITY))?;
-        let expected = mobility_fingerprint(self.scenario());
-        if found != expected {
-            return Err(SnapshotError::MetaMismatch {
-                what: "mobility_fingerprint",
-                found,
-                expected,
-            });
-        }
-        let meta = restore_simulator(sim, snap, &scenario_identity(self.scenario()))?;
-        let mut r = snap.reader(section::TRAFFIC)?;
-        recorder
-            .borrow_mut()
-            .restore(&mut r)
-            .and_then(|()| r.finish())
-            .map_err(SnapshotError::wire(section::TRAFFIC))?;
-        Ok(meta)
     }
 
     /// Build a fresh simulator for this scenario and restore `snap` into
@@ -236,246 +439,114 @@ impl Experiment {
         observer: O,
         snap: &Snapshot,
     ) -> Result<(Simulator<O>, SharedRecorder, SnapshotMeta), CheckpointError> {
-        let (mut sim, recorder) = self.build_sim(observer)?;
-        let meta = self.restore_into(&mut sim, &recorder, snap)?;
+        let mut engine = self.build_sim(observer)?;
+        let meta = engine.restore_snapshot(self, snap)?;
+        let (sim, recorder) = engine;
         Ok((sim, recorder, meta))
     }
 
-    /// Drive `sim` from its current clock to the scenario end, writing a
-    /// snapshot file after every `plan.every` of virtual time and at the
-    /// end.
-    fn checkpoint_loop<O: SimObserver>(
-        &self,
-        sim: &mut Simulator<O>,
-        recorder: &SharedRecorder,
-        plan: &CheckpointPlan,
-    ) -> Result<(), CheckpointError> {
-        let every = plan.every.as_nanos().min(u128::from(u64::MAX)) as u64;
-        if every == 0 {
-            return Err(CheckpointError::ZeroInterval);
-        }
-        let end = SimTime::from_secs_f64(self.scenario().sim_time.as_secs_f64()).as_nanos();
-        let mut now = sim.now().as_nanos();
-        while now < end {
-            let target = now.saturating_add(every - now % every).min(end);
-            sim.run_until(SimTime::from_nanos(target));
-            now = sim.now().as_nanos();
-            let snap = self.snapshot_now(sim, recorder)?;
-            store::write_snapshot(&plan.dir, now, &snap)?;
-        }
-        Ok(())
-    }
-
-    /// Run the scenario to completion, checkpointing periodically into
-    /// `plan.dir` (created if needed). The final state is also
-    /// checkpointed, so a completed run resumes in O(restore) work.
+    /// Restore the newest checkpoint in `dir` that applies, or start cold
+    /// when none does, and return the engine with the [`Lineage`] actually
+    /// used ([`Lineage::is_cold`] tells whether any checkpoint applied).
+    ///
+    /// Files are tried newest first. One that cannot be read, fails
+    /// container verification (truncation, a flipped byte) or belongs to
+    /// another run is skipped, and the next older one is tried. `build`
+    /// makes a pristine engine for every restore attempt and for the cold
+    /// start, because a failed restore may leave an engine half-applied. A
+    /// missing `dir` is an empty store.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on scenario, snapshot or filesystem failure,
-    /// or [`CheckpointError::ZeroInterval`] when `plan.every` is zero.
-    pub fn run_with_checkpoints<O: SimObserver>(
+    /// [`CheckpointError::Io`] when `dir` cannot be listed, and
+    /// [`CheckpointError::Scenario`] when `build` fails.
+    pub fn resume_newest<E: Engine>(
         &self,
-        observer: O,
-        plan: &CheckpointPlan,
-    ) -> Result<(ExperimentResult, Simulator<O>), CheckpointError> {
-        fs::create_dir_all(&plan.dir)?;
-        let (mut sim, recorder) = self.build_sim(observer)?;
-        self.checkpoint_loop(&mut sim, &recorder, plan)?;
-        Ok((self.collect(&sim, &recorder), sim))
-    }
-
-    /// Resume the scenario from the newest readable checkpoint in
-    /// `plan.dir` — falling back, snapshot by snapshot, past corrupt,
-    /// truncated or foreign files — or start cold when none works. The run
-    /// then continues to completion, still checkpointing periodically.
-    ///
-    /// Returns the experiment result, the finished simulator and the
-    /// [`Lineage`] actually used ([`Lineage::is_cold`] tells whether any
-    /// checkpoint was usable). The observer must be `Clone` because a
-    /// restore that fails mid-way may have half-applied state: every
-    /// attempt (and the cold fallback) starts from a pristine simulator
-    /// built around a fresh clone of `observer`.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError`] on scenario, snapshot or filesystem failure
-    /// (a corrupt checkpoint *file* is not an error — it is skipped), or
-    /// [`CheckpointError::ZeroInterval`] when `plan.every` is zero.
-    pub fn resume_with_checkpoints<O: SimObserver + Clone>(
-        &self,
-        observer: O,
-        plan: &CheckpointPlan,
-    ) -> Result<(ExperimentResult, Simulator<O>, Lineage), CheckpointError> {
-        fs::create_dir_all(&plan.dir)?;
-        let mut lineage = Lineage::default();
-        let mut restored: Option<(Simulator<O>, SharedRecorder)> = None;
-        for path in store::list_newest_first(&plan.dir)? {
+        dir: &Path,
+        mut build: impl FnMut() -> Result<E, ScenarioError>,
+    ) -> Result<(E, Lineage), CheckpointError> {
+        for path in store::list_newest_first(dir)? {
             let Ok(bytes) = fs::read(&path) else { continue };
             let Ok(snap) = Snapshot::from_bytes(&bytes) else {
                 continue;
             };
-            let (mut sim, recorder) = self.build_sim(observer.clone())?;
-            if let Ok(meta) = self.restore_into(&mut sim, &recorder, &snap) {
-                lineage = Lineage {
+            let mut engine = build()?;
+            if let Ok(meta) = engine.restore_snapshot(self, &snap) {
+                let lineage = Lineage {
                     parent_snapshot_hash: snap.container_hash(),
                     resume_step: meta.step,
                 };
-                restored = Some((sim, recorder));
-                break;
+                return Ok((engine, lineage));
             }
         }
-        let (mut sim, recorder) = match restored {
-            Some(pair) => pair,
-            None => self.build_sim(observer)?,
-        };
-        self.checkpoint_loop(&mut sim, &recorder, plan)?;
-        Ok((self.collect(&sim, &recorder), sim, lineage))
+        Ok((build()?, Lineage::default()))
     }
 
-    /// Snapshot a mid-flight fluid run: META (scenario identity, which
-    /// includes the fidelity), the engine's FLUID section and the mobility
-    /// fingerprint — the fluid counterpart of
-    /// [`snapshot_now`](Self::snapshot_now).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] when a section fails to serialize.
-    pub fn snapshot_fluid(&self, engine: &FluidEngine) -> Result<Snapshot, SnapshotError> {
-        let mut identity = scenario_identity(self.scenario());
-        identity.time_ns = engine.now_ns();
-        identity.step = engine.steps_done();
-        let mut snap = Snapshot::new();
-        let mut w = WireWriter::new();
-        identity.encode(&mut w);
-        snap.insert(section::META, w.into_bytes())?;
-        let mut w = WireWriter::new();
-        engine.capture(&mut w);
-        snap.insert(section::FLUID, w.into_bytes())?;
-        let mut w = WireWriter::new();
-        w.put_u64(mobility_fingerprint(self.scenario()));
-        snap.insert(section::MOBILITY, w.into_bytes())?;
-        Ok(snap)
-    }
-
-    /// Build a fresh fluid engine for this scenario and restore `snap`
-    /// into it. A snapshot taken under the exact fidelity is refused —
-    /// its META hash differs (fidelity is identity-relevant) and it has no
-    /// FLUID section.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Scenario`] when the scenario cannot build (or is
-    /// not a fluid scenario); [`CheckpointError::Snapshot`] when the
-    /// snapshot is malformed or belongs to a different run.
-    pub fn resume_fluid_from_snapshot(
+    /// Drive `engine` from its current clock to the scenario end, writing
+    /// a snapshot file into `dir` after every `every` nanoseconds of
+    /// virtual time and at the end. The fluid engine moves in whole steps,
+    /// so when `every` is not a multiple of its step a snapshot lands on
+    /// the first step boundary past each target.
+    fn checkpoint_loop<E: Engine>(
         &self,
-        snap: &Snapshot,
-    ) -> Result<(FluidEngine, SnapshotMeta), CheckpointError> {
-        let mut engine = self.build_fluid()?;
-        let mut r = snap.reader(section::MOBILITY)?;
-        let found = r
-            .get_u64()
-            .and_then(|v| r.finish().map(|()| v))
-            .map_err(SnapshotError::wire(section::MOBILITY))?;
-        let expected = mobility_fingerprint(self.scenario());
-        if found != expected {
-            return Err(SnapshotError::MetaMismatch {
-                what: "mobility_fingerprint",
-                found,
-                expected,
-            }
-            .into());
-        }
-        let meta = snap.meta()?;
-        meta.check_same_run(&scenario_identity(self.scenario()))?;
-        let mut r = snap.reader(section::FLUID)?;
-        engine
-            .restore(&mut r)
-            .and_then(|()| r.finish())
-            .map_err(SnapshotError::wire(section::FLUID))?;
-        Ok((engine, meta))
-    }
-
-    /// Drive `engine` to the scenario end, snapshotting every `plan.every`
-    /// of virtual time. Fluid time moves in whole model steps, so when
-    /// `every` is not a multiple of the step a snapshot lands on the first
-    /// boundary past each target.
-    fn fluid_checkpoint_loop(
-        &self,
-        engine: &mut FluidEngine,
-        plan: &CheckpointPlan,
+        engine: &mut E,
+        every: u64,
+        dir: &Path,
     ) -> Result<(), CheckpointError> {
-        let every = plan.every.as_nanos().min(u128::from(u64::MAX)) as u64;
-        if every == 0 {
-            return Err(CheckpointError::ZeroInterval);
-        }
-        let end = self.scenario().sim_time.as_nanos() as u64;
+        let end = engine.end_ns(self);
         let mut now = engine.now_ns();
         while now < end {
             let target = now.saturating_add(every - now % every).min(end);
             engine.run_until_ns(target);
             now = engine.now_ns();
-            let snap = self.snapshot_fluid(engine)?;
-            store::write_snapshot(&plan.dir, now, &snap)?;
+            let snap = engine.capture_snapshot(self)?;
+            store::write_snapshot(dir, now, &snap)?;
         }
         Ok(())
     }
 
-    /// [`run_with_checkpoints`](Self::run_with_checkpoints) for the fluid
-    /// fidelity: run to completion, snapshotting periodically into
-    /// `plan.dir`.
+    /// Run `engine` to completion, checkpointing periodically into
+    /// `plan.dir` (created if needed) and keeping every file. The final
+    /// state is also checkpointed, so a completed run resumes in
+    /// O(restore) work.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on scenario, snapshot or filesystem failure, or
-    /// [`CheckpointError::ZeroInterval`] when `plan.every` is zero.
-    pub fn run_with_checkpoints_fluid(
+    /// [`CheckpointError::ZeroInterval`] when `plan.every` is zero,
+    /// checked before anything is written; otherwise [`CheckpointError`]
+    /// on snapshot or filesystem failure.
+    pub fn run_with_checkpoints<E: Engine>(
         &self,
+        mut engine: E,
         plan: &CheckpointPlan,
-    ) -> Result<(ExperimentResult, FluidEngine), CheckpointError> {
-        fs::create_dir_all(&plan.dir)?;
-        let mut engine = self.build_fluid()?;
-        self.fluid_checkpoint_loop(&mut engine, plan)?;
-        Ok((self.collect_fluid(&engine), engine))
+    ) -> Result<(ExperimentResult, E), CheckpointError> {
+        let every = plan.every_ns()?;
+        self.checkpoint_loop(&mut engine, every, &plan.dir)?;
+        Ok((engine.collect(self), engine))
     }
 
-    /// [`resume_with_checkpoints`](Self::resume_with_checkpoints) for the
-    /// fluid fidelity: resume from the newest readable checkpoint
-    /// (falling back past corrupt or foreign files), then continue to
-    /// completion, still checkpointing.
+    /// Resume from the newest checkpoint in `plan.dir` that applies, or
+    /// start cold (see [`resume_newest`](Self::resume_newest)), then
+    /// continue to completion, still checkpointing periodically.
+    ///
+    /// Returns the experiment result, the finished engine and the
+    /// [`Lineage`] actually used.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on scenario, snapshot or filesystem failure, or
-    /// [`CheckpointError::ZeroInterval`] when `plan.every` is zero.
-    pub fn resume_with_checkpoints_fluid(
+    /// [`CheckpointError::ZeroInterval`] when `plan.every` is zero,
+    /// checked before anything is built or written; otherwise
+    /// [`CheckpointError`] on scenario, snapshot or filesystem failure (a
+    /// corrupt checkpoint *file* is not an error — it is skipped).
+    pub fn resume_with_checkpoints<E: Engine>(
         &self,
         plan: &CheckpointPlan,
-    ) -> Result<(ExperimentResult, FluidEngine, Lineage), CheckpointError> {
-        fs::create_dir_all(&plan.dir)?;
-        let mut lineage = Lineage::default();
-        let mut restored: Option<FluidEngine> = None;
-        for path in store::list_newest_first(&plan.dir)? {
-            let Ok(bytes) = fs::read(&path) else { continue };
-            let Ok(snap) = Snapshot::from_bytes(&bytes) else {
-                continue;
-            };
-            if let Ok((engine, meta)) = self.resume_fluid_from_snapshot(&snap) {
-                lineage = Lineage {
-                    parent_snapshot_hash: snap.container_hash(),
-                    resume_step: meta.step,
-                };
-                restored = Some(engine);
-                break;
-            }
-        }
-        let mut engine = match restored {
-            Some(e) => e,
-            None => self.build_fluid()?,
-        };
-        self.fluid_checkpoint_loop(&mut engine, plan)?;
-        Ok((self.collect_fluid(&engine), engine, lineage))
+        build: impl FnMut() -> Result<E, ScenarioError>,
+    ) -> Result<(ExperimentResult, E, Lineage), CheckpointError> {
+        let every = plan.every_ns()?;
+        let (mut engine, lineage) = self.resume_newest(&plan.dir, build)?;
+        self.checkpoint_loop(&mut engine, every, &plan.dir)?;
+        Ok((engine.collect(self), engine, lineage))
     }
 }
 
@@ -510,7 +581,9 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] from the first failing trial.
+    /// [`CheckpointError`] from the first failing trial;
+    /// [`CheckpointError::ZeroInterval`] when `every` is zero, before any
+    /// trial directory is created.
     pub fn run_resumable(
         &self,
         dir: &Path,
@@ -523,12 +596,13 @@ impl Campaign {
                     dir: dir.join(format!("trial_{i:04}")),
                 };
                 let exp = Experiment::new(self.trial_scenario(i));
-                if exp.scenario().fidelity == Fidelity::Fluid {
-                    exp.resume_with_checkpoints_fluid(&plan)
-                        .map(|(result, _engine, lineage)| (result, lineage))
-                } else {
-                    exp.resume_with_checkpoints(cavenet_net::NoopObserver, &plan)
-                        .map(|(result, _sim, lineage)| (result, lineage))
+                match exp.scenario().fidelity {
+                    Fidelity::Fluid => exp
+                        .resume_with_checkpoints(&plan, || exp.build_fluid())
+                        .map(|(result, _engine, lineage)| (result, lineage)),
+                    _ => exp
+                        .resume_with_checkpoints(&plan, || exp.build_sim(NoopObserver))
+                        .map(|(result, _engine, lineage)| (result, lineage)),
                 }
             })
             .collect()
@@ -565,8 +639,8 @@ mod tests {
             every: Duration::from_secs(4),
             dir: dir.clone(),
         };
-        let (ckpt, _sim) = exp
-            .run_with_checkpoints(cavenet_net::NoopObserver, &plan)
+        let (ckpt, _engine) = exp
+            .run_with_checkpoints(exp.build_sim(NoopObserver).unwrap(), &plan)
             .unwrap();
         assert_eq!(plain.global, ckpt.global);
         assert_eq!(plain.total_received(), ckpt.total_received());
@@ -584,7 +658,7 @@ mod tests {
             every: Duration::from_secs(4),
             dir: dir.clone(),
         };
-        exp.run_with_checkpoints(cavenet_net::NoopObserver, &plan)
+        exp.run_with_checkpoints(exp.build_sim(NoopObserver).unwrap(), &plan)
             .unwrap();
         // Vandalize the two newest checkpoints differently: one truncated,
         // one bit-flipped.
@@ -596,8 +670,8 @@ mod tests {
         second[mid] ^= 0xFF;
         fs::write(&files[1], &second).unwrap();
 
-        let (result, _sim, lineage) = exp
-            .resume_with_checkpoints(cavenet_net::NoopObserver, &plan)
+        let (result, _engine, lineage) = exp
+            .resume_with_checkpoints(&plan, || exp.build_sim(NoopObserver))
             .unwrap();
         assert!(!lineage.is_cold(), "oldest checkpoint must still restore");
         assert_eq!(result.global, plain.global);
@@ -614,8 +688,8 @@ mod tests {
             every: Duration::from_secs(6),
             dir: dir.clone(),
         };
-        let (result, _sim, lineage) = exp
-            .resume_with_checkpoints(cavenet_net::NoopObserver, &plan)
+        let (result, _engine, lineage) = exp
+            .resume_with_checkpoints(&plan, || exp.build_sim(NoopObserver))
             .unwrap();
         assert!(lineage.is_cold());
         assert_eq!(result.global, plain.global);
@@ -623,14 +697,47 @@ mod tests {
     }
 
     #[test]
+    fn zero_interval_is_refused_before_any_work() {
+        let dir = scratch_dir("zero");
+        let plan = CheckpointPlan {
+            every: Duration::ZERO,
+            dir: dir.clone(),
+        };
+        let refused = |e: CheckpointError| matches!(e, CheckpointError::ZeroInterval);
+        let exp = Experiment::new(tiny_scenario(3));
+        let mut fluid = tiny_scenario(3);
+        fluid.fidelity = Fidelity::Fluid;
+        let fexp = Experiment::new(fluid);
+        let exact = exp.build_sim(NoopObserver).unwrap();
+        assert!(refused(
+            exp.run_with_checkpoints(exact, &plan).err().unwrap()
+        ));
+        let engine = fexp.build_fluid().unwrap();
+        assert!(refused(
+            fexp.run_with_checkpoints(engine, &plan).err().unwrap()
+        ));
+        let resumed = exp.resume_with_checkpoints(&plan, || exp.build_sim(NoopObserver));
+        assert!(refused(resumed.err().unwrap()));
+        let resumed = fexp.resume_with_checkpoints(&plan, || fexp.build_fluid());
+        assert!(refused(resumed.err().unwrap()));
+        let campaign = Campaign {
+            base: tiny_scenario(0),
+            trials: 2,
+            master_seed: 42,
+        };
+        assert!(refused(
+            campaign.run_resumable(&dir, Duration::ZERO).err().unwrap()
+        ));
+        assert!(!dir.exists(), "a refused run must leave no directory");
+    }
+
+    #[test]
     fn foreign_snapshot_is_rejected_not_applied() {
         let exp_a = Experiment::new(tiny_scenario(1));
         let exp_b = Experiment::new(tiny_scenario(2));
-        let (sim, rec) = exp_a.build_sim(cavenet_net::NoopObserver).unwrap();
+        let (sim, rec) = exp_a.build_sim(NoopObserver).unwrap();
         let snap = exp_a.snapshot_now(&sim, &rec).unwrap();
-        let err = exp_b
-            .resume_from_snapshot(cavenet_net::NoopObserver, &snap)
-            .unwrap_err();
+        let err = exp_b.resume_from_snapshot(NoopObserver, &snap).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -651,13 +758,17 @@ mod tests {
             every: Duration::from_secs(4),
             dir: dir.clone(),
         };
-        let (ckpt, engine) = exp.run_with_checkpoints_fluid(&plan).unwrap();
+        let (ckpt, engine) = exp
+            .run_with_checkpoints(exp.build_fluid().unwrap(), &plan)
+            .unwrap();
         assert_eq!(engine.digest(), plain_engine.digest());
         assert_eq!(ckpt.total_received(), exp.run().unwrap().total_received());
         assert_eq!(store::list_newest_first(&dir).unwrap().len(), 3);
 
         // And a resume from those checkpoints reproduces the same digest.
-        let (resumed, engine2, lineage) = exp.resume_with_checkpoints_fluid(&plan).unwrap();
+        let (resumed, engine2, lineage) = exp
+            .resume_with_checkpoints(&plan, || exp.build_fluid())
+            .unwrap();
         assert!(!lineage.is_cold());
         assert_eq!(engine2.digest(), plain_engine.digest());
         assert_eq!(resumed.total_received(), ckpt.total_received());
@@ -670,14 +781,14 @@ mod tests {
         fluid_s.fidelity = Fidelity::Fluid;
         let fluid_exp = Experiment::new(fluid_s.clone());
         let engine = fluid_exp.build_fluid().unwrap();
-        let fluid_snap = fluid_exp.snapshot_fluid(&engine).unwrap();
+        let fluid_snap = engine.capture_snapshot(&fluid_exp).unwrap();
 
         // The same scenario under the exact fidelity must reject it.
         let mut exact_s = fluid_s;
         exact_s.fidelity = Fidelity::Exact;
         let exact_exp = Experiment::new(exact_s);
         let err = exact_exp
-            .resume_from_snapshot(cavenet_net::NoopObserver, &fluid_snap)
+            .resume_from_snapshot(NoopObserver, &fluid_snap)
             .unwrap_err();
         assert!(
             matches!(
@@ -688,18 +799,14 @@ mod tests {
         );
 
         // And an exact snapshot must not restore into a fluid engine.
-        let (sim, rec) = exact_exp.build_sim(cavenet_net::NoopObserver).unwrap();
+        let (sim, rec) = exact_exp.build_sim(NoopObserver).unwrap();
         let exact_snap = exact_exp.snapshot_now(&sim, &rec).unwrap();
         let err = fluid_exp
-            .resume_fluid_from_snapshot(&exact_snap)
+            .build_fluid()
+            .unwrap()
+            .restore_snapshot(&fluid_exp, &exact_snap)
             .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CheckpointError::Snapshot(SnapshotError::MetaMismatch { .. })
-            ),
-            "{err:?}"
-        );
+        assert!(matches!(err, SnapshotError::MetaMismatch { .. }), "{err:?}");
     }
 
     #[test]

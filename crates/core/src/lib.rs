@@ -37,7 +37,9 @@ mod protocol;
 mod resilience;
 mod scenario;
 
-pub use checkpointing::{scenario_identity, Campaign, CheckpointError, CheckpointPlan, Lineage};
+pub use checkpointing::{
+    scenario_identity, Campaign, CheckpointError, CheckpointPlan, Engine, Lineage,
+};
 pub use digest::{digest_scenario, RunDigest};
 pub use experiment::{Experiment, ExperimentResult, SenderReport};
 pub use mobility_adapter::TraceMobility;

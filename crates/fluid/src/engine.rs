@@ -578,8 +578,8 @@ impl FluidEngine {
         Ok(())
     }
 
-    /// Current results. Callable mid-run; final once [`finished`]
-    /// (see [`FluidEngine::finished`]).
+    /// Current results. Callable mid-run; final once
+    /// [`finished`](Self::finished).
     pub fn report(&self) -> FluidReport {
         let flows = self
             .cfg

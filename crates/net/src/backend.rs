@@ -15,8 +15,8 @@
 //!   The exact engine plays the DCF out frame by frame; the fluid engine
 //!   evaluates the closed forms.
 //!
-//! [`ScenarioConfig`](crate::ScenarioConfig) implements both traits by
-//! delegating to the same [`PhyParams`](crate::PhyParams)/
+//! [`ScenarioConfig`] implements both traits by delegating to the same
+//! [`PhyParams`](crate::PhyParams)/
 //! [`MacParams`](crate::MacParams) functions the per-frame engine calls,
 //! so the exact backend is the existing engine
 //! *re-homed*, not re-implemented: routing the engine's call sites through

@@ -124,7 +124,8 @@ impl ProgressHandle {
     }
 
     /// The last published heartbeat: events dispatched by the probed run,
-    /// rounded down to the probe's stride.
+    /// rounded down to the probe's stride between
+    /// [`beat_at`](ProgressProbe::beat_at) calls and exact at them.
     pub fn beats(&self) -> u64 {
         self.shared.beats.load(Ordering::Relaxed)
     }
@@ -193,6 +194,22 @@ impl ProgressProbe {
         if self.shared.signal.load(Ordering::Relaxed) == CancelSignal::Stall as u8 {
             std::panic::panic_any(TrialCancelled);
         }
+    }
+
+    /// Take `events` and `now` as the progress so far, then
+    /// [`beat`](Self::beat). For a driver that advances a run in slices
+    /// and knows the exact count at each slice end, whatever the engine
+    /// (the fluid model dispatches no events to observe). Automatic beats
+    /// continue from `events`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`TrialCancelled`] when [`CancelSignal::Stall`] has
+    /// been raised on the handle.
+    pub fn beat_at(&mut self, now: SimTime, events: u64) {
+        self.local = events;
+        self.now_ns = now.as_nanos();
+        self.beat();
     }
 }
 
@@ -303,6 +320,22 @@ mod tests {
         assert_eq!(handle.beats(), 5);
         dispatch(&mut probe, 1);
         assert_eq!(handle.beats(), 10);
+    }
+
+    #[test]
+    fn beat_at_publishes_an_explicit_count_and_honours_stall() {
+        let handle = ProgressHandle::new();
+        let mut probe = handle.probe(1_000);
+        probe.beat_at(SimTime::from_secs(4), 17);
+        assert_eq!(handle.beats(), 17, "not stride-rounded");
+        assert_eq!(handle.sim_time(), SimTime::from_secs(4));
+        handle.cancel(CancelSignal::Stall);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            probe.beat_at(SimTime::from_secs(8), 30);
+        }));
+        let payload = caught.expect_err("stall cancel must unwind");
+        assert!(payload.is::<TrialCancelled>());
+        assert_eq!(handle.beats(), 30, "published before unwinding");
     }
 
     #[test]

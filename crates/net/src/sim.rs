@@ -1405,8 +1405,8 @@ impl<O: SimObserver> Simulator<O> {
         Ok(())
     }
 
-    /// Rebuild the engine section from a [`capture_engine`]
-    /// (`Simulator::capture_engine`) stream.
+    /// Rebuild the engine section from a
+    /// [`capture_engine`](Self::capture_engine) stream.
     ///
     /// # Errors
     ///

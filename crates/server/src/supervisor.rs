@@ -4,8 +4,10 @@
 //! trials from a bounded queue, plus one watchdog thread. Each attempt
 //! runs inside `catch_unwind` on its worker: the trial driver resumes
 //! from the newest readable checkpoint in the trial's store, then runs
-//! the simulation in checkpoint-interval slices, writing a snapshot at
-//! every slice boundary. Unwinds are classified into typed
+//! the simulation in checkpoint-interval slices, writing a snapshot and
+//! publishing a heartbeat at every slice boundary. One driver serves
+//! both fidelities through `cavenet-core`'s [`Engine`] trait; only the
+//! engine builder differs. Unwinds are classified into typed
 //! [`TrialFailure`]s and either retried (after a deterministic backoff
 //! delay, from the checkpoint the dead attempt left behind) or
 //! quarantined once the attempt budget is spent.
@@ -36,10 +38,11 @@ use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use cavenet_checkpoint::{store, Snapshot};
-use cavenet_core::{CheckpointError, Experiment, Fidelity, Lineage, Scenario};
+use cavenet_core::{
+    CheckpointError, Engine, Experiment, Fidelity, Lineage, Scenario, ScenarioError,
+};
 use cavenet_net::{
-    CancelSignal, EventKind, GoldenDigest, ProgressHandle, ProgressProbe, SimObserver, SimTime,
-    Tee, TrialCancelled,
+    CancelSignal, GoldenDigest, ProgressHandle, ProgressProbe, SimTime, Tee, TrialCancelled,
 };
 use cavenet_telemetry::{
     Counter, Gauge, HistogramId, MetricsRegistry, RunManifest, SnapshotBus, SnapshotPublisher,
@@ -267,7 +270,10 @@ pub struct TrialProgress {
     pub seed: u64,
     /// 1-based attempt currently running.
     pub attempt: u64,
-    /// Events dispatched as of the last heartbeat (stride-rounded).
+    /// Work done by this attempt as of the last heartbeat: events
+    /// dispatched (exact) or model steps (fluid). Mid-slice beats are
+    /// rounded down to the heartbeat stride; the beat at each slice end
+    /// is exact.
     pub beats: u64,
     /// Virtual time reached as of the last heartbeat.
     pub sim_time: SimTime,
@@ -364,7 +370,8 @@ fn refresh_gauges(st: &State, metrics: &ServerMetrics) {
     metrics.set(Gauge::MaxTrialSimTimeNs, frontier);
 }
 
-/// The supervised campaign executor. See the [module docs](self).
+/// The supervised campaign executor: a worker pool, a watchdog and one
+/// trial driver for both fidelities (see the crate docs).
 pub struct CampaignServer {
     shared: Arc<Shared>,
     prior: CampaignLedger,
@@ -968,22 +975,27 @@ fn write_bounded(dir: &Path, time_ns: u64, snap: &Snapshot) -> Result<(), String
     store::retain_newest(dir, KEPT_SNAPSHOTS).map_err(|e| e.to_string())
 }
 
-/// Run one attempt: resume from the newest readable checkpoint (falling
-/// back past corrupt files, cold when none applies), then drive the
-/// simulation in checkpoint-interval slices, honouring shutdown at slice
-/// boundaries, and finalize the golden digest exactly like an
-/// unsupervised digest run.
+/// Run one attempt on the trial's engine: the exact simulator under the
+/// trial observer stack, or the fluid model. The exact golden digest is
+/// finalized exactly like an unsupervised digest run; the fluid one is the
+/// model's step digest, and its `events` count model steps (chaos and
+/// stream observers do not apply to it).
 fn drive_trial(
     config: &ServerConfig,
     job: &Job,
     handle: &ProgressHandle,
 ) -> Result<AttemptResult, TrialFailure> {
-    if job.scenario.fidelity == Fidelity::Fluid {
-        return drive_fluid_trial(config, job, handle);
-    }
-    let checkpoint = |message: String| TrialFailure::Checkpoint { message };
     let exp = Experiment::new(job.scenario.clone());
-    let dir = config.checkpoint_root.join(job.key.dir_name());
+    if job.scenario.fidelity == Fidelity::Fluid {
+        return drive(
+            config,
+            job,
+            handle,
+            &exp,
+            || exp.build_fluid(),
+            |engine| (engine.digest(), engine.steps_done()),
+        );
+    }
     let chaos = ChaosObserver::armed(config.chaos.arm(job.key.seed, job.attempt), handle.clone());
     // Source name is the trial's identity (not the attempt), so a retry's
     // fresh snapshots supersede the dead attempt's in the aggregator.
@@ -998,150 +1010,81 @@ fn drive_trial(
         handle.probe(config.heartbeat_stride),
         Tee(chaos, Tee(stream, GoldenDigest::new())),
     );
-
-    let mut lineage = Lineage::default();
-    let mut restored = None;
-    let listing = store::list_newest_first(&dir).map_err(|e| checkpoint(e.to_string()))?;
-    for path in listing {
-        let Ok(bytes) = std::fs::read(&path) else {
-            continue;
-        };
-        let Ok(snap) = Snapshot::from_bytes(&bytes) else {
-            continue;
-        };
-        if let Ok((sim, recorder, meta)) = exp.resume_from_snapshot(observer.clone(), &snap) {
-            lineage = Lineage {
-                parent_snapshot_hash: snap.container_hash(),
-                resume_step: meta.step,
-            };
-            restored = Some((sim, recorder));
-            break;
+    let build = || exp.build_sim(observer.clone());
+    drive(config, job, handle, &exp, build, |(sim, _recorder)| {
+        // Finalize exactly like `cavenet_core::digest_scenario`: fold the
+        // final global and per-node statistics into the stream digest.
+        let global = sim.global_stats();
+        let per_node: Vec<_> = (0..job.scenario.nodes)
+            .map(|i| (sim.node_stats(i), sim.mac_stats(i)))
+            .collect();
+        let Tee(_probe, Tee(_chaos, Tee(mut stream, mut digest))) = sim.into_observer();
+        // Flush the final registry so the feed's tail equals the trial's
+        // completed totals.
+        stream.finish_and_publish();
+        digest.absorb_stats(&global);
+        for (i, (ns, ms)) in per_node.iter().enumerate() {
+            digest.absorb_node(i, ns, ms);
         }
-    }
-    let (mut sim, recorder) = match restored {
-        Some(pair) => pair,
-        None => exp
-            .build_sim(observer)
-            .map_err(|e| TrialFailure::Scenario {
-                message: e.to_string(),
-            })?,
-    };
+        (digest.value(), digest.events())
+    })
+}
 
+/// Drive one attempt on any [`Engine`]: resume from the newest checkpoint
+/// in the trial's store that applies (cold when none does), then run in
+/// checkpoint-interval slices. Each slice ends with a bounded checkpoint
+/// write and one heartbeat; a shutdown is honoured at a slice boundary by
+/// checkpointing out. `finish` turns the finished engine into its
+/// `(digest, events)`.
+fn drive<E: Engine>(
+    config: &ServerConfig,
+    job: &Job,
+    handle: &ProgressHandle,
+    exp: &Experiment,
+    build: impl FnMut() -> Result<E, ScenarioError>,
+    finish: impl FnOnce(E) -> (u64, u64),
+) -> Result<AttemptResult, TrialFailure> {
+    let checkpoint = |message: String| TrialFailure::Checkpoint { message };
+    let dir = config.checkpoint_root.join(job.key.dir_name());
+    let (mut engine, lineage) = exp.resume_newest(&dir, build).map_err(|e| match e {
+        CheckpointError::Scenario(e) => TrialFailure::Scenario {
+            message: e.to_string(),
+        },
+        e => checkpoint(e.to_string()),
+    })?;
+    // Beats count work done in this attempt, as the exact engine's
+    // in-stream probe does, so they stay monotone within the attempt.
+    let mut probe = handle.probe(config.heartbeat_stride);
     let every = config.checkpoint_every.as_nanos().min(u128::from(u64::MAX)) as u64;
-    let end = SimTime::from_secs_f64(job.scenario.sim_time.as_secs_f64()).as_nanos();
+    let end = engine.end_ns(exp);
     loop {
-        let now = sim.now().as_nanos();
+        let now = engine.now_ns();
         if now >= end {
             break;
         }
         if handle.signal() == CancelSignal::Shutdown {
-            let snap = exp
-                .snapshot_now(&sim, &recorder)
+            let snap = engine
+                .capture_snapshot(exp)
                 .map_err(|e| checkpoint(e.to_string()))?;
             write_bounded(&dir, now, &snap).map_err(checkpoint)?;
             return Ok(AttemptResult::Interrupted);
         }
         let target = now.saturating_add(every - now % every).min(end);
-        sim.run_until(SimTime::from_nanos(target));
-        let snap = exp
-            .snapshot_now(&sim, &recorder)
-            .map_err(|e| checkpoint(e.to_string()))?;
-        write_bounded(&dir, sim.now().as_nanos(), &snap).map_err(checkpoint)?;
-    }
-
-    // Finalize exactly like `cavenet_core::digest_scenario`: fold the
-    // final global and per-node statistics into the stream digest.
-    let global = sim.global_stats();
-    let per_node: Vec<_> = (0..job.scenario.nodes)
-        .map(|i| (sim.node_stats(i), sim.mac_stats(i)))
-        .collect();
-    let Tee(_probe, Tee(_chaos, Tee(mut stream, mut digest))) = sim.into_observer();
-    // Flush the final registry so the feed's tail equals the trial's
-    // completed totals.
-    stream.finish_and_publish();
-    digest.absorb_stats(&global);
-    for (i, (ns, ms)) in per_node.iter().enumerate() {
-        digest.absorb_node(i, ns, ms);
-    }
-    Ok(AttemptResult::Completed {
-        digest: digest.value(),
-        events: digest.events(),
-        lineage,
-    })
-}
-
-/// Fluid-fidelity analog of the exact drive loop: the same
-/// checkpoint-interval slicing, shutdown handling, corrupt-checkpoint
-/// fallback and lineage, but the golden digest is the fluid engine's
-/// deterministic step digest, `events` counts model steps, and heartbeats
-/// are published once per slice (there is no event stream to probe, and
-/// chaos/stream observers do not apply).
-fn drive_fluid_trial(
-    config: &ServerConfig,
-    job: &Job,
-    handle: &ProgressHandle,
-) -> Result<AttemptResult, TrialFailure> {
-    let checkpoint = |message: String| TrialFailure::Checkpoint { message };
-    let exp = Experiment::new(job.scenario.clone());
-    let dir = config.checkpoint_root.join(job.key.dir_name());
-    let mut probe = handle.probe(1);
-
-    let mut lineage = Lineage::default();
-    let mut restored = None;
-    let listing = store::list_newest_first(&dir).map_err(|e| checkpoint(e.to_string()))?;
-    for path in listing {
-        let Ok(bytes) = std::fs::read(&path) else {
-            continue;
-        };
-        let Ok(snap) = Snapshot::from_bytes(&bytes) else {
-            continue;
-        };
-        if let Ok((engine, meta)) = exp.resume_fluid_from_snapshot(&snap) {
-            lineage = Lineage {
-                parent_snapshot_hash: snap.container_hash(),
-                resume_step: meta.step,
-            };
-            restored = Some(engine);
-            break;
-        }
-    }
-    let mut engine = match restored {
-        Some(engine) => engine,
-        None => exp.build_fluid().map_err(|e| TrialFailure::Scenario {
-            message: e.to_string(),
-        })?,
-    };
-
-    let every = config.checkpoint_every.as_nanos().min(u128::from(u64::MAX)) as u64;
-    while !engine.finished() {
-        if handle.signal() == CancelSignal::Shutdown {
-            let snap = exp
-                .snapshot_fluid(&engine)
-                .map_err(|e| checkpoint(e.to_string()))?;
-            write_bounded(&dir, engine.now_ns(), &snap).map_err(checkpoint)?;
-            return Ok(AttemptResult::Interrupted);
-        }
-        let now = engine.now_ns();
-        let target = now.saturating_add(every - now % every);
         engine.run_until_ns(target);
-        // One heartbeat per slice, doubling as the stall-cancellation
-        // point (mirrors the probe's in-stream beats on the exact path).
-        probe.on_event_dispatched(
-            SimTime::from_nanos(engine.now_ns()),
-            engine.steps_done(),
-            0,
-            EventKind::MacTimer,
-        );
-        probe.beat();
-        let snap = exp
-            .snapshot_fluid(&engine)
+        let now = engine.now_ns();
+        let snap = engine
+            .capture_snapshot(exp)
             .map_err(|e| checkpoint(e.to_string()))?;
-        write_bounded(&dir, engine.now_ns(), &snap).map_err(checkpoint)?;
+        write_bounded(&dir, now, &snap).map_err(checkpoint)?;
+        probe.beat_at(
+            SimTime::from_nanos(now),
+            engine.steps().saturating_sub(lineage.resume_step),
+        );
     }
-
+    let (digest, events) = finish(engine);
     Ok(AttemptResult::Completed {
-        digest: engine.digest(),
-        events: engine.steps_done(),
+        digest,
+        events,
         lineage,
     })
 }
@@ -1253,7 +1196,7 @@ mod tests {
         let expected = engine.digest();
 
         let server = CampaignServer::start(quick_config(dir.clone())).unwrap();
-        server.submit(scenario).unwrap();
+        server.submit(scenario.clone()).unwrap();
         let report = server.finish().unwrap();
         assert_eq!(report.completed(), 1);
         let trial = &report.trials[0];
@@ -1278,6 +1221,41 @@ mod tests {
         let report = server.finish().unwrap();
         assert_eq!(report.trials[0].backend, "exact");
         let _ = std::fs::remove_dir_all(&dir);
+
+        // A warm start: a 6 s fluid snapshot already in the trial's store
+        // is resumed by the supervised driver and still reproduces the
+        // straight run.
+        let warm = scratch("fluid-warm");
+        let store_dir = warm.join(TrialKey::of(&scenario).dir_name());
+        let mut at_6s = exp.build_fluid().unwrap();
+        at_6s.run_until_ns(Duration::from_secs(6).as_nanos() as u64);
+        let snap = at_6s.capture_snapshot(&exp).unwrap();
+        store::write_snapshot(&store_dir, at_6s.now_ns(), &snap).unwrap();
+        let server = CampaignServer::start(quick_config(warm.clone())).unwrap();
+        server.submit(scenario).unwrap();
+        let report = server.finish().unwrap();
+        match &report.trials[0].outcome {
+            TrialOutcome::Completed {
+                digest,
+                events,
+                lineage,
+                replayed: false,
+            } => {
+                assert!(!lineage.is_cold(), "the 6 s snapshot must apply");
+                assert_eq!(lineage.resume_step, 6);
+                assert_eq!(*digest, expected, "resumed fluid digest diverged");
+                assert_eq!(*events, engine.steps_done());
+                assert_eq!(*events, 12);
+            }
+            other => panic!("expected a resumed completion, got {other:?}"),
+        }
+        let kept: Vec<u64> = store::list_newest_first(&store_dir)
+            .unwrap()
+            .iter()
+            .filter_map(|p| store::capture_time(p))
+            .collect();
+        assert_eq!(kept, vec![12_000_000_000, 8_000_000_000]);
+        let _ = std::fs::remove_dir_all(&warm);
     }
 
     #[test]

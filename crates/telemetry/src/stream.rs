@@ -13,10 +13,9 @@
 //! properties guarantee it, and the observability test suite proves the
 //! composition by golden-digest bit-identity:
 //!
-//! 1. **Read-only hooks.** [`StreamProbe`] is a
-//!    [`SimObserver`](cavenet_net::SimObserver) like any other: every hook
-//!    only reads its arguments, so the engine's event stream, RNG draws
-//!    and statistics are untouched.
+//! 1. **Read-only hooks.** [`StreamProbe`] is a [`SimObserver`] like any
+//!    other: every hook only reads its arguments, so the engine's event
+//!    stream, RNG draws and statistics are untouched.
 //! 2. **No hot-path branches in the engine.** Publication piggybacks on
 //!    the same stride discipline as the
 //!    [`ProgressProbe`](cavenet_net::ProgressProbe) heartbeat: the probe

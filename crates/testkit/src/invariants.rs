@@ -81,7 +81,7 @@ impl InvariantChecker {
         self.violation_count
     }
 
-    /// Recorded violation messages (first [`MAX_RECORDED`]).
+    /// Recorded violation messages (the first 64).
     pub fn violations(&self) -> &[String] {
         &self.violations
     }

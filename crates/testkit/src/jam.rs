@@ -45,7 +45,7 @@ fn jam_trace(nodes: usize) -> MobilityTrace {
     MobilityTrace::from_trajectories(trajectories)
 }
 
-/// The jam-ring scenario over [`jam_trace`]: node 1 sends exactly one CBR
+/// The jam-ring scenario over `jam_trace`: node 1 sends exactly one CBR
 /// packet towards node 0 and every station floods it. Seed 1.
 pub fn jam_ring_scenario(nodes: usize) -> Scenario {
     let mut s = Scenario::paper_table1(Protocol::Flooding);

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use cavenet_core::checkpoint::{section, Snapshot, SnapshotError};
 use cavenet_core::net::{SimTime, Simulator};
-use cavenet_core::{churn_plan, CheckpointError, Experiment, Fidelity, Protocol, Scenario};
+use cavenet_core::{churn_plan, CheckpointError, Engine, Experiment, Fidelity, Protocol, Scenario};
 use cavenet_testkit::{
     assert_identity_semantics, bisect_divergence, check_golden, digest_scenario, GoldenDigest,
 };
@@ -241,11 +241,12 @@ fn fluid_resumed_digest(s: &Scenario, at: Duration) -> (u64, u64) {
     let exp = Experiment::new(s.clone());
     let mut engine = exp.build_fluid().unwrap();
     engine.run_until_ns(at.as_nanos() as u64);
-    let bytes = exp.snapshot_fluid(&engine).unwrap().to_bytes();
+    let bytes = engine.capture_snapshot(&exp).unwrap().to_bytes();
     drop(engine); // nothing but `bytes` crosses the "process boundary"
 
     let snap = Snapshot::from_bytes(&bytes).unwrap();
-    let (mut engine, meta) = exp.resume_fluid_from_snapshot(&snap).unwrap();
+    let mut engine = exp.build_fluid().unwrap();
+    let meta = engine.restore_snapshot(&exp, &snap).unwrap();
     assert_eq!(meta.time_ns, at.as_nanos() as u64);
     engine.run_to_end();
     (engine.digest(), engine.steps_done())
@@ -284,18 +285,18 @@ fn fluid_snapshot_under_n_shards_resumes_under_m() {
     let exp = Experiment::new(capture);
     let mut engine = exp.build_fluid().unwrap();
     engine.run_until_ns(Duration::from_secs(7).as_nanos() as u64);
-    let bytes = exp.snapshot_fluid(&engine).unwrap().to_bytes();
+    let bytes = engine.capture_snapshot(&exp).unwrap().to_bytes();
     drop(engine);
 
     for resume_shards in [1usize, 2, 5] {
         let mut r = s.clone();
         r.shards = resume_shards;
         let snap = Snapshot::from_bytes(&bytes).unwrap();
-        let (mut engine, meta) = Experiment::new(r)
-            .resume_fluid_from_snapshot(&snap)
-            .unwrap_or_else(|e| {
-                panic!("3-shard fluid snapshot must restore under {resume_shards}: {e}")
-            });
+        let rexp = Experiment::new(r);
+        let mut engine = rexp.build_fluid().unwrap();
+        let meta = engine.restore_snapshot(&rexp, &snap).unwrap_or_else(|e| {
+            panic!("3-shard fluid snapshot must restore under {resume_shards}: {e}")
+        });
         assert_eq!(meta.time_ns, Duration::from_secs(7).as_nanos() as u64);
         engine.run_to_end();
         assert_eq!(
@@ -323,13 +324,17 @@ fn snapshots_refuse_to_cross_the_fidelity_boundary() {
     let fexp = Experiment::new(fluid.clone());
     let mut engine = fexp.build_fluid().unwrap();
     engine.run_until_ns(Duration::from_secs(7).as_nanos() as u64);
-    let fluid_bytes = fexp.snapshot_fluid(&engine).unwrap().to_bytes();
+    let fluid_bytes = engine.capture_snapshot(&fexp).unwrap().to_bytes();
     drop(engine);
 
     let exact_snap = Snapshot::from_bytes(&exact_bytes).unwrap();
-    let err = fexp.resume_fluid_from_snapshot(&exact_snap).unwrap_err();
+    let err = fexp
+        .build_fluid()
+        .unwrap()
+        .restore_snapshot(&fexp, &exact_snap)
+        .unwrap_err();
     assert!(
-        matches!(err, CheckpointError::Snapshot(_)),
+        matches!(err, SnapshotError::MetaMismatch { .. }),
         "fluid engine accepted an exact snapshot: {err:?}"
     );
 
