@@ -12,9 +12,10 @@
 //! into a real engine proves that a snapshot applies.
 //!
 //! A snapshot is written to `ckpt_<time_ns:020>.bin.tmp` and renamed into
-//! place, so a writer that dies mid-write leaves a `.tmp` file that no
-//! scan matches, never a torn `ckpt_*.bin`. Stores that only need a
-//! restart point bound themselves with [`retain_newest`].
+//! place ([`write_atomic`], which the campaign ledger shares), so a writer
+//! that dies mid-write leaves a `.tmp` file that no scan matches, never a
+//! torn `ckpt_*.bin`. Stores that only need a restart point bound
+//! themselves with [`retain_newest`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -66,10 +67,28 @@ pub fn list_newest_first(dir: &Path) -> Result<Vec<PathBuf>, std::io::Error> {
     Ok(found.into_iter().map(|(_, p)| p).collect())
 }
 
+/// Write `bytes` to `path` (parent directories created on demand)
+/// through a `<path>.tmp` sibling renamed into place, so `path` only ever
+/// holds a complete file: a writer that dies mid-write leaves the `.tmp`
+/// behind, never a torn `path`.
+///
+/// # Errors
+///
+/// Any failure creating the directory, writing the file or renaming it.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), std::io::Error> {
+    if let Some(parent) = path.parent() {
+        fs::create_dir_all(parent)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, path)
+}
+
 /// Serialize `snap` into `dir` (created if needed) under the standard
-/// name for capture time `time_ns`, returning the path written. The bytes
-/// go to a `.tmp` sibling first and are renamed into place, so the
-/// standard name only ever holds a complete snapshot.
+/// name for capture time `time_ns`, returning the path written. The
+/// write is [atomic](write_atomic): the standard name only ever holds a
+/// complete snapshot.
 ///
 /// # Errors
 ///
@@ -79,11 +98,8 @@ pub fn write_snapshot(
     time_ns: u64,
     snap: &Snapshot,
 ) -> Result<PathBuf, std::io::Error> {
-    fs::create_dir_all(dir)?;
     let path = file_path(dir, time_ns);
-    let tmp = path.with_extension("bin.tmp");
-    fs::write(&tmp, snap.to_bytes())?;
-    fs::rename(&tmp, &path)?;
+    write_atomic(&path, &snap.to_bytes())?;
     Ok(path)
 }
 

@@ -20,8 +20,8 @@ pub struct RunDigest {
     pub result: ExperimentResult,
 }
 
-/// Run `scenario` with a [`GoldenDigest`] attached and fold the final
-/// global and per-node statistics into it.
+/// Run `scenario` with a [`GoldenDigest`] attached and
+/// [`finalize`](GoldenDigest::finalize) it.
 ///
 /// # Panics
 ///
@@ -30,18 +30,10 @@ pub fn digest_scenario(scenario: &Scenario) -> RunDigest {
     let (result, sim) = Experiment::new(scenario.clone())
         .run_with_observer(GoldenDigest::new())
         .expect("scenario must run");
-    let global = sim.global_stats();
-    let per_node: Vec<_> = (0..scenario.nodes)
-        .map(|i| (sim.node_stats(i), sim.mac_stats(i)))
-        .collect();
-    let mut digest = sim.into_observer();
-    digest.absorb_stats(&global);
-    for (i, (ns, ms)) in per_node.iter().enumerate() {
-        digest.absorb_node(i, ns, ms);
-    }
+    let (digest, events) = sim.observer().finalize(&sim);
     RunDigest {
-        digest: digest.value(),
-        events: digest.events(),
+        digest,
+        events,
         result,
     }
 }

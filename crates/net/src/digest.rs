@@ -8,6 +8,7 @@ use crate::mac::{MacState, MacStats};
 use crate::node::NodeStats;
 use crate::observer::{DropReason, EventKind, FrameDropReason, SimObserver};
 use crate::packet::Frame;
+use crate::sim::Simulator;
 use crate::stats::GlobalStats;
 use crate::{NodeId, SimTime};
 
@@ -33,10 +34,8 @@ mod tag {
 ///
 /// Two runs produce the same digest iff they observed byte-identical event
 /// streams — which is the engine-level definition of "the same simulation".
-/// The digest additionally absorbs final statistics via
-/// [`absorb_stats`](Self::absorb_stats) and
-/// [`absorb_node`](Self::absorb_node), so even a hypothetical counter-only
-/// divergence is caught.
+/// [`finalize`](Self::finalize) additionally folds in the run's final
+/// statistics, so even a hypothetical counter-only divergence is caught.
 ///
 /// The encoding (tags, field order, enum discriminants) is part of the
 /// golden-fixture contract in `tests/golden/` and must not change without
@@ -89,6 +88,19 @@ impl GoldenDigest {
         self.events
     }
 
+    /// The finished run's `(digest, events)`: this event-stream digest
+    /// with `sim`'s final global and per-node statistics folded in. Every
+    /// golden digest closes this way, whether the run went straight
+    /// through, resumed from a checkpoint or completed under supervision.
+    pub fn finalize<O: SimObserver>(&self, sim: &Simulator<O>) -> (u64, u64) {
+        let mut digest = self.clone();
+        digest.absorb_stats(&sim.global_stats());
+        for i in 0..sim.node_count() {
+            digest.absorb_node(i, &sim.node_stats(i), &sim.mac_stats(i));
+        }
+        (digest.value(), digest.events())
+    }
+
     /// Fold a single byte.
     pub fn absorb_u8(&mut self, b: u8) {
         self.hash.write_u8(b);
@@ -127,7 +139,7 @@ impl GoldenDigest {
     }
 
     /// Fold the engine's final global counters.
-    pub fn absorb_stats(&mut self, g: &GlobalStats) {
+    fn absorb_stats(&mut self, g: &GlobalStats) {
         self.absorb_u8(tag::GLOBAL_STATS);
         self.absorb_u64(g.transmissions);
         self.absorb_u64(g.decoded);
@@ -137,7 +149,7 @@ impl GoldenDigest {
     }
 
     /// Fold one node's final network-layer and MAC counters.
-    pub fn absorb_node(&mut self, i: usize, ns: &NodeStats, ms: &MacStats) {
+    fn absorb_node(&mut self, i: usize, ns: &NodeStats, ms: &MacStats) {
         self.absorb_u8(tag::NODE_STATS);
         self.absorb_u64(i as u64);
         self.absorb_u64(ns.control_sent);

@@ -82,7 +82,7 @@ pub use observer::{
 pub use packet::{ControlBlob, DataPayload, Frame, FrameKind, Packet, PacketBody};
 pub use phy::{PhyParams, Propagation};
 pub use pool::VecPool;
-pub use progress::{CancelSignal, ProgressHandle, ProgressProbe, TrialCancelled};
+pub use progress::{CancelSignal, ProgressHandle, TrialCancelled};
 pub use sim::{ScenarioConfig, Simulator, SimulatorBuilder};
 pub use snapshot::{ControlCodec, DataOnlyCodec, WireError, WireReader, WireWriter};
 pub use stats::{DropCounts, GlobalStats};

@@ -29,8 +29,8 @@ pub enum AdmissionError {
         budget: u64,
     },
     /// The scenario failed validation — it would be quarantined after
-    /// `max_attempts` deterministic failures, so it is cheaper to refuse
-    /// it outright.
+    /// three deterministic failures, so it is cheaper to refuse it
+    /// outright.
     Invalid(ScenarioError),
     /// The server is shutting down and accepts no new work.
     ShuttingDown,

@@ -15,6 +15,7 @@
 
 use std::path::Path;
 
+use cavenet_checkpoint::store;
 use cavenet_telemetry::json::parse;
 use cavenet_telemetry::Json;
 
@@ -213,16 +214,16 @@ impl CampaignLedger {
         CampaignLedger::from_text(&text).map(Some)
     }
 
-    /// Write the ledger to `path` (parent directories created on demand).
+    /// Write the ledger to `path` (parent directories created on demand)
+    /// [atomically](store::write_atomic): a process killed mid-save
+    /// leaves the previous ledger, never a torn one that would refuse the
+    /// next start.
     ///
     /// # Errors
     ///
     /// Any filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), std::io::Error> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json().render_pretty())
+        store::write_atomic(path, self.to_json().render_pretty().as_bytes())
     }
 }
 
@@ -350,6 +351,15 @@ mod tests {
         ledger.record(key(9), TrialState::Pending);
         ledger.save(&path).unwrap();
         assert_eq!(CampaignLedger::load(&path).unwrap(), Some(ledger));
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(
+            names,
+            ["ledger.json"],
+            "the save renamed its .tmp into place"
+        );
 
         std::fs::write(&path, "{ not json").unwrap();
         assert!(CampaignLedger::load(&path).is_err());

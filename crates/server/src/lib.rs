@@ -11,12 +11,15 @@
 //!   [`BackoffPolicy`] delay that is a pure function of the campaign seed,
 //!   the trial key and the attempt number; retries resume from the
 //!   trial's newest on-disk checkpoint, not from zero.
-//! * **Watchdogs** — every trial carries a
-//!   [`ProgressProbe`](cavenet_net::ProgressProbe) heartbeat; a heartbeat
-//!   that stops advancing past the stall timeout gets the trial cancelled
-//!   and retried, and one that ignores cancellation past a grace period is
-//!   abandoned as [`TrialFailure::Lost`].
-//! * **Poison quarantine** — a trial that fails `max_attempts` times is
+//! * **Watchdogs** — every trial beats a
+//!   [`ProgressHandle`](cavenet_net::ProgressHandle): an exact trial from
+//!   its [`StreamProbe`](cavenet_telemetry::StreamProbe) every
+//!   [`ServerConfig::snapshot_stride`] events, and every trial at each
+//!   checkpoint slice end. A heartbeat that stops advancing past the
+//!   stall timeout gets the trial cancelled and retried, and one that
+//!   ignores cancellation past a grace period is abandoned as
+//!   [`TrialFailure::Lost`].
+//! * **Poison quarantine** — a trial that fails three times is
 //!   quarantined with its full failure history rather than retried
 //!   forever.
 //! * **Admission control and graceful shutdown** — a bounded queue and a

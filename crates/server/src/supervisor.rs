@@ -41,9 +41,7 @@ use cavenet_checkpoint::{store, Snapshot};
 use cavenet_core::{
     CheckpointError, Engine, Experiment, Fidelity, Lineage, Scenario, ScenarioError,
 };
-use cavenet_net::{
-    CancelSignal, GoldenDigest, ProgressHandle, ProgressProbe, SimTime, Tee, TrialCancelled,
-};
+use cavenet_net::{CancelSignal, GoldenDigest, ProgressHandle, SimTime, Tee, TrialCancelled};
 use cavenet_telemetry::{
     Counter, Gauge, HistogramId, MetricsRegistry, RunManifest, SnapshotBus, SnapshotPublisher,
     StreamProbe,
@@ -60,6 +58,13 @@ use crate::metrics::ServerMetrics;
 /// but the newest two are deleted.
 const KEPT_SNAPSHOTS: usize = 2;
 
+/// Attempts before a trial is quarantined as poison.
+const MAX_ATTEMPTS: u64 = 3;
+
+/// Wall time a cancelled trial gets to unwind before it is abandoned as
+/// lost and its worker written off.
+const LOST_GRACE: Duration = Duration::from_secs(30);
+
 /// Handle of one admitted trial, unique within a server instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TrialId(pub u64);
@@ -75,20 +80,13 @@ pub struct ServerConfig {
     /// Maximum total node count across queued and running trials before
     /// submission is shed with [`AdmissionError::OverBudget`].
     pub node_budget: u64,
-    /// Attempts before a trial is quarantined as poison.
-    pub max_attempts: u64,
     /// Retry delay policy, seeded from [`seed`](Self::seed).
     pub backoff: BackoffPolicy,
     /// Wall time a heartbeat may sit still before the watchdog cancels
     /// the trial as stalled.
     pub stall_timeout: Duration,
-    /// Wall time a cancelled trial gets to unwind before it is abandoned
-    /// as lost and its worker written off.
-    pub lost_grace: Duration,
     /// Watchdog poll interval.
     pub poll: Duration,
-    /// Heartbeat stride: events dispatched between probe beats.
-    pub heartbeat_stride: u64,
     /// Virtual-time interval between checkpoints (also the shutdown and
     /// resume granularity).
     pub checkpoint_every: Duration,
@@ -100,14 +98,16 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Execution-fault injection plan (empty in production).
     pub chaos: ChaosPlan,
-    /// Live observability bus: when set, every trial streams registry
-    /// snapshots onto it (via an armed [`StreamProbe`] in the observer
-    /// stack) and the watchdog publishes supervisor metrics each poll.
-    /// `None` (the default) attaches a disarmed probe — the golden
-    /// digests are bit-identical either way.
+    /// Live observability bus: when set, every exact trial streams
+    /// registry snapshots onto it (its [`StreamProbe`] is armed with a
+    /// publisher) and the watchdog publishes supervisor metrics each
+    /// poll. `None` (the default) leaves the probe with its heartbeat
+    /// alone — the golden digests are bit-identical either way.
     pub bus: Option<SnapshotBus>,
-    /// Events dispatched between trial snapshot publications (clamped to
-    /// ≥ 1). Only meaningful with [`bus`](Self::bus) set.
+    /// Events an exact trial dispatches between two heartbeats and, with
+    /// [`bus`](Self::bus) set, between two of its registry snapshots
+    /// (clamped to ≥ 1). Keep a stride's wall time well below
+    /// [`stall_timeout`](Self::stall_timeout).
     pub snapshot_stride: u64,
 }
 
@@ -118,12 +118,9 @@ impl ServerConfig {
             workers: 2,
             queue_capacity: 64,
             node_budget: 4096,
-            max_attempts: 3,
             backoff: BackoffPolicy::default(),
             stall_timeout: Duration::from_secs(5),
-            lost_grace: Duration::from_secs(30),
             poll: Duration::from_millis(20),
-            heartbeat_stride: 256,
             checkpoint_every: Duration::from_secs(4),
             checkpoint_root: checkpoint_root.into(),
             seed: 0,
@@ -272,8 +269,8 @@ pub struct TrialProgress {
     pub attempt: u64,
     /// Work done by this attempt as of the last heartbeat: events
     /// dispatched (exact) or model steps (fluid). Mid-slice beats are
-    /// rounded down to the heartbeat stride; the beat at each slice end
-    /// is exact.
+    /// rounded down to [`ServerConfig::snapshot_stride`]; the beat at
+    /// each slice end is exact.
     pub beats: u64,
     /// Virtual time reached as of the last heartbeat.
     pub sim_time: SimTime,
@@ -351,6 +348,23 @@ struct Shared {
     /// Publisher for the supervisor's own snapshots, when a bus is
     /// configured.
     publisher: Option<SnapshotPublisher>,
+}
+
+impl State {
+    /// Conclude `job`: give its nodes back to the admission budget and
+    /// report it with its failure history and `outcome`.
+    fn conclude(&mut self, job: Job, outcome: TrialOutcome) {
+        self.admitted_nodes = self
+            .admitted_nodes
+            .saturating_sub(job.scenario.nodes as u64);
+        self.reports.push(TrialReport {
+            id: job.id,
+            key: job.key,
+            backend: job.scenario.fidelity.name(),
+            attempts: job.history,
+            outcome,
+        });
+    }
 }
 
 /// Refresh the point-in-time supervisor gauges from the locked state.
@@ -563,14 +577,7 @@ impl CampaignServer {
             let mut parked: Vec<Job> = st.queue.drain(..).collect();
             parked.extend(st.delayed.drain(..).map(|d| d.job));
             for job in parked {
-                st.admitted_nodes = st.admitted_nodes.saturating_sub(job.scenario.nodes as u64);
-                st.reports.push(TrialReport {
-                    id: job.id,
-                    key: job.key,
-                    backend: job.scenario.fidelity.name(),
-                    attempts: job.history,
-                    outcome: TrialOutcome::Pending,
-                });
+                st.conclude(job, TrialOutcome::Pending);
             }
             while !st.running.is_empty() {
                 st = self
@@ -723,31 +730,18 @@ fn worker_loop(shared: &Arc<Shared>) {
                 events,
                 lineage,
             } => {
-                st.admitted_nodes = st.admitted_nodes.saturating_sub(job.scenario.nodes as u64);
-                st.reports.push(TrialReport {
-                    id: job.id,
-                    key: job.key,
-                    backend: job.scenario.fidelity.name(),
-                    attempts: job.history,
-                    outcome: TrialOutcome::Completed {
+                st.conclude(
+                    job,
+                    TrialOutcome::Completed {
                         digest,
                         events,
                         lineage,
                         replayed: false,
                     },
-                });
+                );
                 shared.metrics.inc(Counter::TrialsCompleted);
             }
-            AttemptResult::Interrupted => {
-                st.admitted_nodes = st.admitted_nodes.saturating_sub(job.scenario.nodes as u64);
-                st.reports.push(TrialReport {
-                    id: job.id,
-                    key: job.key,
-                    backend: job.scenario.fidelity.name(),
-                    attempts: job.history,
-                    outcome: TrialOutcome::Interrupted,
-                });
-            }
+            AttemptResult::Interrupted => st.conclude(job, TrialOutcome::Interrupted),
             AttemptResult::Failed(failure) => {
                 record_failure(&mut st, &shared.config, &shared.metrics, job, failure);
             }
@@ -765,34 +759,19 @@ fn record_failure(
     st: &mut State,
     config: &ServerConfig,
     metrics: &ServerMetrics,
-    job: Job,
+    mut job: Job,
     failure: TrialFailure,
 ) {
-    let mut history = job.history;
-    history.push(TrialAttempt {
+    job.history.push(TrialAttempt {
         attempt: job.attempt,
         failure,
     });
     if st.shutting_down {
-        st.admitted_nodes = st.admitted_nodes.saturating_sub(job.scenario.nodes as u64);
-        st.reports.push(TrialReport {
-            id: job.id,
-            key: job.key,
-            backend: job.scenario.fidelity.name(),
-            attempts: history,
-            outcome: TrialOutcome::Interrupted,
-        });
+        st.conclude(job, TrialOutcome::Interrupted);
         return;
     }
-    if history.len() as u64 >= config.max_attempts {
-        st.admitted_nodes = st.admitted_nodes.saturating_sub(job.scenario.nodes as u64);
-        st.reports.push(TrialReport {
-            id: job.id,
-            key: job.key,
-            backend: job.scenario.fidelity.name(),
-            attempts: history,
-            outcome: TrialOutcome::Quarantined,
-        });
+    if job.history.len() as u64 >= MAX_ATTEMPTS {
+        st.conclude(job, TrialOutcome::Quarantined);
         metrics.inc(Counter::TrialsQuarantined);
         return;
     }
@@ -802,13 +781,10 @@ fn record_failure(
         HistogramId::BackoffDelayNs,
         delay.as_nanos().min(u128::from(u64::MAX)) as u64,
     );
+    job.attempt += 1;
     st.delayed.push(Delayed {
         ready_at: Instant::now() + delay,
-        job: Job {
-            attempt: job.attempt + 1,
-            history,
-            ..job
-        },
+        job,
     });
 }
 
@@ -852,7 +828,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                         }
                     }
                     Some(cancelled) => {
-                        if now.duration_since(cancelled) >= shared.config.lost_grace {
+                        if now.duration_since(cancelled) >= LOST_GRACE {
                             lost.push(r.job.id);
                         }
                     }
@@ -899,13 +875,13 @@ enum AttemptResult {
     Failed(TrialFailure),
 }
 
-/// The trial's observer stack: heartbeat probe, chaos injector, stream
-/// probe (armed only when a bus is configured), golden digest. Only the
-/// digest carries checkpointable state — the stream probe deliberately
-/// keeps the default empty capture/restore — so the OBSERVER snapshot
-/// section is exactly the digest's `(value, events)` pair, unchanged from
-/// the pre-streaming format.
-type TrialObserver = Tee<ProgressProbe, Tee<ChaosObserver, Tee<StreamProbe, GoldenDigest>>>;
+/// The trial's observer stack: the stream probe (heartbeat, plus the
+/// registry feed when a bus is configured), chaos injector, golden
+/// digest. Only the digest carries checkpointable state — the stream
+/// probe deliberately keeps the default empty capture/restore — so the
+/// OBSERVER snapshot section is exactly the digest's `(value, events)`
+/// pair, unchanged from the pre-streaming format.
+type TrialObserver = Tee<StreamProbe, Tee<ChaosObserver, GoldenDigest>>;
 
 thread_local! {
     /// True while this thread is executing a supervised attempt — its
@@ -979,7 +955,8 @@ fn write_bounded(dir: &Path, time_ns: u64, snap: &Snapshot) -> Result<(), String
 /// trial observer stack, or the fluid model. The exact golden digest is
 /// finalized exactly like an unsupervised digest run; the fluid one is the
 /// model's step digest, and its `events` count model steps (chaos and
-/// stream observers do not apply to it).
+/// stream observers do not apply to it, so its heartbeat is the drive
+/// loop's slice-end beat).
 fn drive_trial(
     config: &ServerConfig,
     job: &Job,
@@ -996,37 +973,26 @@ fn drive_trial(
             |engine| (engine.digest(), engine.steps_done()),
         );
     }
-    let chaos = ChaosObserver::armed(config.chaos.arm(job.key.seed, job.attempt), handle.clone());
     // Source name is the trial's identity (not the attempt), so a retry's
     // fresh snapshots supersede the dead attempt's in the aggregator.
-    let stream = match &config.bus {
-        Some(bus) => StreamProbe::armed(
-            bus.publisher(format!("trial-{}", job.key.dir_name())),
-            config.snapshot_stride,
-        ),
-        None => StreamProbe::disarmed(),
-    };
+    let source = format!("trial-{}", job.key.dir_name());
+    let publisher = config.bus.as_ref().map(|bus| bus.publisher(source));
     let observer: TrialObserver = Tee(
-        handle.probe(config.heartbeat_stride),
-        Tee(chaos, Tee(stream, GoldenDigest::new())),
+        StreamProbe::new(handle.clone(), config.snapshot_stride, publisher),
+        Tee(
+            ChaosObserver::armed(config.chaos.arm(job.key.seed, job.attempt), handle.clone()),
+            GoldenDigest::new(),
+        ),
     );
     let build = || exp.build_sim(observer.clone());
     drive(config, job, handle, &exp, build, |(sim, _recorder)| {
-        // Finalize exactly like `cavenet_core::digest_scenario`: fold the
-        // final global and per-node statistics into the stream digest.
-        let global = sim.global_stats();
-        let per_node: Vec<_> = (0..job.scenario.nodes)
-            .map(|i| (sim.node_stats(i), sim.mac_stats(i)))
-            .collect();
-        let Tee(_probe, Tee(_chaos, Tee(mut stream, mut digest))) = sim.into_observer();
+        let Tee(_, Tee(_, digest)) = sim.observer();
+        let finished = digest.finalize(&sim);
         // Flush the final registry so the feed's tail equals the trial's
         // completed totals.
+        let Tee(mut stream, _) = sim.into_observer();
         stream.finish_and_publish();
-        digest.absorb_stats(&global);
-        for (i, (ns, ms)) in per_node.iter().enumerate() {
-            digest.absorb_node(i, ns, ms);
-        }
-        (digest.value(), digest.events())
+        finished
     })
 }
 
@@ -1052,9 +1018,6 @@ fn drive<E: Engine>(
         },
         e => checkpoint(e.to_string()),
     })?;
-    // Beats count work done in this attempt, as the exact engine's
-    // in-stream probe does, so they stay monotone within the attempt.
-    let mut probe = handle.probe(config.heartbeat_stride);
     let every = config.checkpoint_every.as_nanos().min(u128::from(u64::MAX)) as u64;
     let end = engine.end_ns(exp);
     loop {
@@ -1076,7 +1039,9 @@ fn drive<E: Engine>(
             .capture_snapshot(exp)
             .map_err(|e| checkpoint(e.to_string()))?;
         write_bounded(&dir, now, &snap).map_err(checkpoint)?;
-        probe.beat_at(
+        // Beats count work done in this attempt, as the exact engine's
+        // in-stream probe does, so they stay monotone within the attempt.
+        handle.beat(
             SimTime::from_nanos(now),
             engine.steps().saturating_sub(lineage.resume_step),
         );

@@ -5,7 +5,8 @@
 //! [`SnapshotBus`] that in-flight trials publish deterministic registry
 //! snapshots onto, a [`CampaignAggregator`] that folds per-trial snapshots
 //! into one campaign-level registry mid-flight, and a [`StreamProbe`]
-//! observer that drives publication from inside a running simulation.
+//! observer that drives publication, and the trial's heartbeat, from
+//! inside a running simulation.
 //!
 //! # Digest invisibility
 //!
@@ -16,12 +17,11 @@
 //! 1. **Read-only hooks.** [`StreamProbe`] is a [`SimObserver`] like any
 //!    other: every hook only reads its arguments, so the engine's event
 //!    stream, RNG draws and statistics are untouched.
-//! 2. **No hot-path branches in the engine.** Publication piggybacks on
-//!    the same stride discipline as the
-//!    [`ProgressProbe`](cavenet_net::ProgressProbe) heartbeat: the probe
-//!    counts dispatches locally and publishes every `stride` events, so
-//!    the engine itself gains no new conditional — the cost lives inside
-//!    the (already monomorphized) observer hook.
+//! 2. **No hot-path branches in the engine.** Publication rides the
+//!    trial's heartbeat: the probe counts dispatches down locally and,
+//!    every `stride` events, beats the trial's [`ProgressHandle`] and
+//!    publishes, so the engine itself gains no new conditional — the
+//!    cost lives inside the (already monomorphized) observer hook.
 //! 3. **Out-of-band transport.** The bus is a bounded queue behind a
 //!    mutex taken only once per `stride` events; when it fills, the
 //!    *oldest* snapshot is shed (the aggregator only ever needs the
@@ -43,8 +43,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cavenet_net::{
-    DropReason, EventKind, FaultKind, Frame, FrameDropReason, MacState, NodeId, RouteEventKind,
-    SimObserver, SimTime,
+    DropReason, EventKind, FaultKind, Frame, FrameDropReason, MacState, NodeId, ProgressHandle,
+    RouteEventKind, SimObserver, SimTime,
 };
 
 use crate::json::{parse, Json};
@@ -315,150 +315,157 @@ impl CampaignAggregator {
     }
 }
 
-/// The per-trial streaming observer: a full [`TelemetryObserver`] whose
-/// registry is additionally published onto a [`SnapshotBus`] every
-/// `stride` dispatched events.
+/// The per-trial observer of a supervised exact trial: it carries the
+/// trial's heartbeat and, when armed, its live registry feed.
 ///
-/// The disarmed form ([`StreamProbe::disarmed`], also `Default`) holds no
-/// core at all — each hook is one `Option` test on a thin pointer — so a
-/// supervisor can keep one observer type for its trials whether or not a
-/// bus is configured. Armed or disarmed, the probe stays digest-invisible
-/// (see the module docs); it also deliberately keeps the default empty
-/// checkpoint `capture_state`/`restore_state`, so a resumed attempt
-/// restarts streaming from a fresh registry segment rather than dragging
-/// pre-crash samples into the new attempt's feed.
-#[derive(Debug, Clone, Default)]
+/// One countdown drives both. Every `stride` dispatched events the probe
+/// [beats](ProgressHandle::beat) the trial's [`ProgressHandle`] with the
+/// events it has seen and the virtual time reached, which unwinds the
+/// trial if the watchdog has raised a stall. An armed probe then
+/// publishes the registry of the [`TelemetryObserver`] it wraps onto a
+/// [`SnapshotBus`]; without a publisher there is no telemetry to feed,
+/// and every other hook is one `Option` test on a thin pointer. Either
+/// way the probe stays digest-invisible (see the module docs). It
+/// deliberately keeps the default empty checkpoint
+/// `capture_state`/`restore_state`, so a resumed attempt restarts its
+/// count and its stream from a fresh registry segment rather than
+/// dragging pre-crash samples into the new attempt's feed.
+#[derive(Debug, Clone)]
 pub struct StreamProbe {
-    core: Option<Box<ProbeCore>>,
+    handle: ProgressHandle,
+    stride: u64,
+    /// Dispatches until the next beat: counting down fires at exactly the
+    /// multiples of `stride`, without a division per event.
+    until_beat: u64,
+    events: u64,
+    now: SimTime,
+    feed: Option<Box<Feed>>,
 }
 
+/// What an armed probe adds: the registry it fills and where it goes.
 #[derive(Debug, Clone)]
-struct ProbeCore {
+struct Feed {
     telemetry: TelemetryObserver,
     publisher: SnapshotPublisher,
-    stride: u64,
-    /// Dispatches until the next publication: counting down fires at
-    /// exactly the multiples of `stride`, without a division per event.
-    until_publish: u64,
-    local: u64,
-    now_ns: u64,
 }
 
 impl StreamProbe {
-    /// A probe that observes and publishes nothing.
-    pub fn disarmed() -> StreamProbe {
-        StreamProbe::default()
-    }
-
-    /// A probe publishing its registry every `stride` dispatched events
-    /// (clamped to ≥ 1). Tracing is off — the feed is the output channel.
-    pub fn armed(publisher: SnapshotPublisher, stride: u64) -> StreamProbe {
+    /// A probe beating `handle` every `stride` dispatched events (clamped
+    /// to ≥ 1) and, with a `publisher`, publishing its registry at each
+    /// beat. Tracing is off — the feed is the output channel.
+    pub fn new(
+        handle: ProgressHandle,
+        stride: u64,
+        publisher: Option<SnapshotPublisher>,
+    ) -> StreamProbe {
         StreamProbe {
-            core: Some(Box::new(ProbeCore {
-                telemetry: TelemetryObserver::with_config(TraceConfig::off()),
-                publisher,
-                stride: stride.max(1),
-                until_publish: stride.max(1),
-                local: 0,
-                now_ns: 0,
-            })),
+            handle,
+            stride: stride.max(1),
+            until_beat: stride.max(1),
+            events: 0,
+            now: SimTime::ZERO,
+            feed: publisher.map(|publisher| {
+                Box::new(Feed {
+                    telemetry: TelemetryObserver::with_config(TraceConfig::off()),
+                    publisher,
+                })
+            }),
         }
     }
 
-    /// Whether this probe publishes.
-    pub fn is_armed(&self) -> bool {
-        self.core.is_some()
-    }
-
-    /// The inner telemetry observer, when armed.
-    pub fn telemetry(&self) -> Option<&TelemetryObserver> {
-        self.core.as_deref().map(|c| &c.telemetry)
+    /// A probe publishing onto `publisher` every `stride` dispatched
+    /// events, beating a handle of its own.
+    pub fn armed(publisher: SnapshotPublisher, stride: u64) -> StreamProbe {
+        StreamProbe::new(ProgressHandle::new(), stride, Some(publisher))
     }
 
     /// Close the observer (deriving final gauges) and publish one last
     /// snapshot so the feed's tail equals the trial's final registry.
     /// Returns that registry when armed.
     pub fn finish_and_publish(&mut self) -> Option<MetricsRegistry> {
-        let core = self.core.as_deref_mut()?;
-        core.telemetry.finish();
-        core.publisher
-            .publish(core.now_ns, core.local, core.telemetry.registry());
-        Some(core.telemetry.registry().clone())
+        let feed = self.feed.as_deref_mut()?;
+        feed.telemetry.finish();
+        feed.publisher
+            .publish(self.now.as_nanos(), self.events, feed.telemetry.registry());
+        Some(feed.telemetry.registry().clone())
     }
 }
 
 impl SimObserver for StreamProbe {
     fn on_event_scheduled(&mut self, at: SimTime, seq: u64, node: usize, kind: EventKind) {
-        if let Some(core) = self.core.as_deref_mut() {
-            core.telemetry.on_event_scheduled(at, seq, node, kind);
+        if let Some(feed) = self.feed.as_deref_mut() {
+            feed.telemetry.on_event_scheduled(at, seq, node, kind);
         }
     }
 
     fn on_event_dispatched(&mut self, now: SimTime, seq: u64, node: usize, kind: EventKind) {
-        if let Some(core) = self.core.as_deref_mut() {
-            core.telemetry.on_event_dispatched(now, seq, node, kind);
-            core.local += 1;
-            core.now_ns = now.as_nanos();
-            core.until_publish -= 1;
-            if core.until_publish == 0 {
-                core.until_publish = core.stride;
-                core.publisher
-                    .publish(core.now_ns, core.local, core.telemetry.registry());
+        if let Some(feed) = self.feed.as_deref_mut() {
+            feed.telemetry.on_event_dispatched(now, seq, node, kind);
+        }
+        self.events += 1;
+        self.now = now;
+        self.until_beat -= 1;
+        if self.until_beat == 0 {
+            self.until_beat = self.stride;
+            self.handle.beat(now, self.events);
+            if let Some(feed) = self.feed.as_deref() {
+                feed.publisher
+                    .publish(now.as_nanos(), self.events, feed.telemetry.registry());
             }
         }
     }
 
     fn on_frame_tx(&mut self, now: SimTime, node: usize, frame: &Frame) {
-        if let Some(core) = self.core.as_deref_mut() {
-            core.telemetry.on_frame_tx(now, node, frame);
+        if let Some(feed) = self.feed.as_deref_mut() {
+            feed.telemetry.on_frame_tx(now, node, frame);
         }
     }
 
     fn on_frame_rx(&mut self, now: SimTime, node: usize, frame: &Frame) {
-        if let Some(core) = self.core.as_deref_mut() {
-            core.telemetry.on_frame_rx(now, node, frame);
+        if let Some(feed) = self.feed.as_deref_mut() {
+            feed.telemetry.on_frame_rx(now, node, frame);
         }
     }
 
     fn on_frame_drop(&mut self, now: SimTime, node: usize, reason: FrameDropReason) {
-        if let Some(core) = self.core.as_deref_mut() {
-            core.telemetry.on_frame_drop(now, node, reason);
+        if let Some(feed) = self.feed.as_deref_mut() {
+            feed.telemetry.on_frame_drop(now, node, reason);
         }
     }
 
     fn on_mac_transition(&mut self, now: SimTime, node: NodeId, from: MacState, to: MacState) {
-        if let Some(core) = self.core.as_deref_mut() {
-            core.telemetry.on_mac_transition(now, node, from, to);
+        if let Some(feed) = self.feed.as_deref_mut() {
+            feed.telemetry.on_mac_transition(now, node, from, to);
         }
     }
 
     fn on_packet_originated(&mut self, now: SimTime, node: NodeId, uid: u64) {
-        if let Some(core) = self.core.as_deref_mut() {
-            core.telemetry.on_packet_originated(now, node, uid);
+        if let Some(feed) = self.feed.as_deref_mut() {
+            feed.telemetry.on_packet_originated(now, node, uid);
         }
     }
 
     fn on_packet_delivered(&mut self, now: SimTime, node: NodeId, uid: u64) {
-        if let Some(core) = self.core.as_deref_mut() {
-            core.telemetry.on_packet_delivered(now, node, uid);
+        if let Some(feed) = self.feed.as_deref_mut() {
+            feed.telemetry.on_packet_delivered(now, node, uid);
         }
     }
 
     fn on_packet_dropped(&mut self, now: SimTime, node: NodeId, uid: u64, reason: DropReason) {
-        if let Some(core) = self.core.as_deref_mut() {
-            core.telemetry.on_packet_dropped(now, node, uid, reason);
+        if let Some(feed) = self.feed.as_deref_mut() {
+            feed.telemetry.on_packet_dropped(now, node, uid, reason);
         }
     }
 
     fn on_fault(&mut self, now: SimTime, node: NodeId, kind: FaultKind) {
-        if let Some(core) = self.core.as_deref_mut() {
-            core.telemetry.on_fault(now, node, kind);
+        if let Some(feed) = self.feed.as_deref_mut() {
+            feed.telemetry.on_fault(now, node, kind);
         }
     }
 
     fn on_route_event(&mut self, now: SimTime, node: NodeId, dst: NodeId, kind: RouteEventKind) {
-        if let Some(core) = self.core.as_deref_mut() {
-            core.telemetry.on_route_event(now, node, dst, kind);
+        if let Some(feed) = self.feed.as_deref_mut() {
+            feed.telemetry.on_route_event(now, node, dst, kind);
         }
     }
 }
@@ -467,6 +474,7 @@ impl SimObserver for StreamProbe {
 mod tests {
     use super::*;
     use crate::metrics::Counter;
+    use cavenet_net::{CancelSignal, TrialCancelled};
 
     fn registry_with(c: Counter, n: u64) -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
@@ -539,12 +547,128 @@ mod tests {
         assert!(SnapshotEnvelope::parse_line("{}").is_err());
     }
 
+    /// A probe with no publisher, beating `handle` every `stride` events.
+    fn heartbeat(handle: &ProgressHandle, stride: u64) -> StreamProbe {
+        StreamProbe::new(handle.clone(), stride, None)
+    }
+
+    fn dispatch(probe: &mut StreamProbe, n: u64) {
+        for i in 0..n {
+            probe.on_event_dispatched(SimTime::from_nanos(i), i, 0, EventKind::MacTimer);
+        }
+    }
+
+    /// A probe without a publisher feeds nothing; only its heartbeat runs.
     #[test]
     fn disarmed_probe_is_inert() {
-        let mut probe = StreamProbe::disarmed();
+        let handle = ProgressHandle::new();
+        let mut probe = heartbeat(&handle, 1);
         probe.on_event_dispatched(SimTime::from_nanos(1), 0, 0, EventKind::MacTimer);
-        assert!(!probe.is_armed());
         assert!(probe.finish_and_publish().is_none());
+        assert_eq!(handle.beats(), 1);
+    }
+
+    #[test]
+    fn heartbeat_publishes_every_stride() {
+        let handle = ProgressHandle::new();
+        let mut probe = heartbeat(&handle, 8);
+        dispatch(&mut probe, 7);
+        assert_eq!(handle.beats(), 0, "below stride: nothing published");
+        dispatch(&mut probe, 1);
+        assert_eq!(handle.beats(), 8);
+        dispatch(&mut probe, 20);
+        assert_eq!(handle.beats(), 24, "stride-rounded");
+    }
+
+    #[test]
+    fn heartbeat_carries_sim_time() {
+        let handle = ProgressHandle::new();
+        let mut probe = heartbeat(&handle, 4);
+        for t in [10u64, 20, 30] {
+            probe.on_event_dispatched(SimTime::from_nanos(t), t, 0, EventKind::MacTimer);
+        }
+        assert_eq!(
+            handle.sim_time(),
+            SimTime::ZERO,
+            "below stride: nothing published"
+        );
+        probe.on_event_dispatched(SimTime::from_nanos(40), 3, 0, EventKind::MacTimer);
+        assert_eq!(
+            handle.sim_time(),
+            SimTime::from_nanos(40),
+            "published with the beat"
+        );
+        assert_eq!(handle.beats(), 4);
+    }
+
+    #[test]
+    fn stall_cancel_unwinds_with_typed_payload() {
+        let handle = ProgressHandle::new();
+        let mut probe = heartbeat(&handle, 4);
+        handle.cancel(CancelSignal::Stall);
+        dispatch(&mut probe, 3);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dispatch(&mut probe, 1);
+        }));
+        let payload = caught.expect_err("stall cancel must unwind at the beat");
+        assert!(payload.is::<TrialCancelled>());
+    }
+
+    #[test]
+    fn shutdown_signal_does_not_unwind() {
+        let handle = ProgressHandle::new();
+        let mut probe = heartbeat(&handle, 2);
+        handle.cancel(CancelSignal::Shutdown);
+        dispatch(&mut probe, 10);
+        assert_eq!(handle.beats(), 10);
+        assert_eq!(handle.signal(), CancelSignal::Shutdown);
+    }
+
+    #[test]
+    fn zero_stride_is_clamped() {
+        let handle = ProgressHandle::new();
+        let mut probe = heartbeat(&handle, 0);
+        dispatch(&mut probe, 2);
+        assert_eq!(handle.beats(), 2);
+    }
+
+    /// The drive loop's slice-end beat goes straight to the handle and leaves
+    /// the probe's countdown where it was.
+    #[test]
+    fn direct_beats_do_not_shift_the_stride_schedule() {
+        let handle = ProgressHandle::new();
+        let mut probe = heartbeat(&handle, 5);
+        dispatch(&mut probe, 3);
+        handle.beat(SimTime::from_nanos(2), 3);
+        assert_eq!(handle.beats(), 3, "a direct beat publishes the exact count");
+        dispatch(&mut probe, 2);
+        assert_eq!(handle.beats(), 5, "the automatic beat still lands on 5");
+        dispatch(&mut probe, 4);
+        assert_eq!(handle.beats(), 5);
+        dispatch(&mut probe, 1);
+        assert_eq!(handle.beats(), 10);
+    }
+
+    /// An armed probe publishes at exactly its beats, and a stall unwinds
+    /// before the snapshot of the stalled stride goes out.
+    #[test]
+    fn one_countdown_beats_then_publishes() {
+        let bus = SnapshotBus::new(64);
+        let handle = ProgressHandle::new();
+        let mut probe = StreamProbe::new(handle.clone(), 4, Some(bus.publisher("t")));
+        dispatch(&mut probe, 9);
+        assert_eq!(handle.beats(), 8);
+        let events: Vec<u64> = bus.drain().iter().map(|e| e.events).collect();
+        assert_eq!(events, vec![4, 8]);
+        handle.cancel(CancelSignal::Stall);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dispatch(&mut probe, 3);
+        }));
+        assert!(caught
+            .expect_err("stall must unwind")
+            .is::<TrialCancelled>());
+        assert_eq!(handle.beats(), 12);
+        assert!(bus.is_empty(), "the stalled stride publishes nothing");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use cavenet_core::checkpoint::{section, Snapshot, SnapshotError};
-use cavenet_core::net::{SimTime, Simulator};
+use cavenet_core::net::SimTime;
 use cavenet_core::{churn_plan, CheckpointError, Engine, Experiment, Fidelity, Protocol, Scenario};
 use cavenet_testkit::{
     assert_identity_semantics, bisect_divergence, check_golden, digest_scenario, GoldenDigest,
@@ -43,21 +43,6 @@ fn short_scenario(protocol: Protocol, seed: u64) -> Scenario {
     s
 }
 
-/// Fold final statistics into the observer, exactly as
-/// [`digest_scenario`] does, and return `(digest, events)`.
-fn finish(sim: Simulator<GoldenDigest>, nodes: usize) -> (u64, u64) {
-    let global = sim.global_stats();
-    let per_node: Vec<_> = (0..nodes)
-        .map(|i| (sim.node_stats(i), sim.mac_stats(i)))
-        .collect();
-    let mut digest = sim.into_observer();
-    digest.absorb_stats(&global);
-    for (i, (ns, ms)) in per_node.iter().enumerate() {
-        digest.absorb_node(i, ns, ms);
-    }
-    (digest.value(), digest.events())
-}
-
 /// Run `0 → at`, snapshot, keep only the bytes, restore into a fresh
 /// simulator and run `at → T`. Returns the finalized `(digest, events)`.
 fn resumed_digest(s: &Scenario, at: Duration) -> (u64, u64) {
@@ -76,7 +61,7 @@ fn resumed_digest(s: &Scenario, at: Duration) -> (u64, u64) {
         SimTime::from_secs_f64(at.as_secs_f64()).as_nanos()
     );
     sim.run_until(SimTime::from_secs_f64(s.sim_time.as_secs_f64()));
-    finish(sim, s.nodes)
+    sim.observer().finalize(&sim)
 }
 
 #[test]
@@ -182,7 +167,10 @@ fn double_resume_is_still_bit_identical() {
         .unwrap();
     assert_eq!(meta.time_ns, SimTime::from_secs(10).as_nanos());
     sim.run_until(end);
-    assert_eq!(finish(sim, s.nodes), (straight.digest, straight.events));
+    assert_eq!(
+        sim.observer().finalize(&sim),
+        (straight.digest, straight.events)
+    );
 }
 
 #[test]
@@ -213,7 +201,7 @@ fn snapshot_under_n_shards_resumes_under_m() {
         assert_eq!(meta.time_ns, SimTime::from_secs(7).as_nanos());
         sim.run_until(SimTime::from_secs_f64(s.sim_time.as_secs_f64()));
         assert_eq!(
-            finish(sim, s.nodes),
+            sim.observer().finalize(&sim),
             (straight.digest, straight.events),
             "resume under {resume_shards} shards diverged from the serial run"
         );
@@ -514,7 +502,7 @@ fn golden_snapshot_fixture_still_restores() {
         .resume_from_snapshot(GoldenDigest::new(), &snap)
         .expect("v1 fixture must still restore");
     sim.run_until(SimTime::from_secs_f64(s.sim_time.as_secs_f64()));
-    let (digest, events) = finish(sim, s.nodes);
+    let (digest, events) = sim.observer().finalize(&sim);
 
     // The resumed tail must equal today's straight run *and* the digest
     // committed alongside the fixture.

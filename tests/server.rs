@@ -14,8 +14,8 @@ use cavenet_core::checkpoint::store;
 use cavenet_core::{digest_scenario, Experiment, Protocol, Scenario};
 use cavenet_net::{GoldenDigest, SimTime};
 use cavenet_server::{
-    AdmissionError, BackoffPolicy, CampaignServer, ChaosEntry, ChaosKind, ChaosPlan, ServerConfig,
-    TrialKey, TrialOutcome, TrialState,
+    AdmissionError, BackoffPolicy, CampaignLedger, CampaignServer, ChaosEntry, ChaosKind,
+    ChaosPlan, ServerConfig, TrialKey, TrialOutcome, TrialState,
 };
 use cavenet_telemetry::{
     render_prometheus, CampaignAggregator, Counter, Gauge, HistogramId, SnapshotBus,
@@ -52,7 +52,7 @@ fn quick_config(dir: PathBuf) -> ServerConfig {
     };
     config.poll = Duration::from_millis(5);
     config.stall_timeout = Duration::from_millis(150);
-    config.heartbeat_stride = 64;
+    config.snapshot_stride = 64;
     config.seed = 0xCA7;
     config
 }
@@ -65,7 +65,6 @@ fn quick_config(dir: PathBuf) -> ServerConfig {
 fn chaos_campaign_recovers_everything_but_poison() {
     let dir = scratch("campaign");
     let mut config = quick_config(dir.clone());
-    config.max_attempts = 3;
     const PANIC_SEED: u64 = 11;
     const STALL_SEED: u64 = 12;
     const POISON_SEED: u64 = 13;
@@ -523,6 +522,122 @@ fn full_queue_sheds_load_with_typed_rejection() {
     let report = server.shutdown().unwrap();
     // Nothing was lost silently: every admitted trial is accounted for.
     assert_eq!(report.trials.len(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Wait until the campaign has nothing queued, parked or running.
+fn settle(server: &CampaignServer) {
+    loop {
+        let status = server.status();
+        if status.queued == 0 && status.delayed == 0 && status.running.is_empty() {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A concluded trial gives its nodes back to the admission budget. With
+/// the budget one trial wide, the next submission is admitted once a
+/// trial has completed, and again once a poison trial is quarantined.
+#[test]
+fn concluded_trials_release_their_node_budget() {
+    let dir = scratch("release");
+    let mut config = quick_config(dir.clone());
+    config.workers = 1;
+    config.node_budget = tiny_scenario(0).nodes as u64;
+    config.chaos = ChaosPlan {
+        entries: vec![ChaosEntry {
+            seed: 72,
+            at: SimTime::from_secs(1),
+            kind: ChaosKind::Panic,
+            attempts: u64::MAX,
+        }],
+    };
+    let server = CampaignServer::start(config).unwrap();
+    server.submit(tiny_scenario(71)).unwrap();
+    settle(&server);
+    server
+        .submit(tiny_scenario(72))
+        .expect("a completed trial released its nodes");
+    settle(&server);
+    server
+        .submit(tiny_scenario(73))
+        .expect("a quarantined trial released its nodes");
+    let report = server.finish().unwrap();
+    assert_eq!(report.completed(), 2);
+    assert_eq!(report.quarantined(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Why the stream probe beats mid-slice: a trial run as one checkpoint
+/// slice, which outlasts the stall timeout many times over, must not be
+/// mistaken for a wedge. The 100 s Table-1 AODV slice takes about 2 s in
+/// a debug build and 0.2 s in release, against the 150 ms timeout; with
+/// beats only at slice ends the watchdog would cancel it.
+#[test]
+fn long_slice_lives_on_mid_slice_heartbeats() {
+    let dir = scratch("long-slice");
+    let mut scenario = Scenario::paper_table1(Protocol::Aodv);
+    scenario.seed = 91;
+    let mut config = quick_config(dir.clone());
+    config.workers = 1;
+    config.checkpoint_every = scenario.sim_time;
+    let server = CampaignServer::start(config).unwrap();
+    server.submit(scenario).unwrap();
+    let report = server.finish().unwrap();
+    let trial = &report.trials[0];
+    assert!(
+        trial.attempts.is_empty(),
+        "the long slice failed: {:?}",
+        trial.attempts
+    );
+    assert!(matches!(
+        trial.outcome,
+        TrialOutcome::Completed {
+            replayed: false,
+            ..
+        }
+    ));
+    assert_eq!(report.metrics.counter(Counter::WatchdogStalls), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A campaign root whose last ledger save died mid-write still starts.
+/// The save goes through a `.tmp` renamed into place, so a torn file can
+/// only be that `.tmp`, which `start` never reads, and completed trials
+/// still replay from `ledger.json`.
+#[test]
+fn torn_ledger_tmp_does_not_block_restart() {
+    let dir = scratch("torn-ledger");
+    let config = quick_config(dir.clone());
+    let scenario = tiny_scenario(81);
+    let mut ledger = CampaignLedger::new(config.seed);
+    ledger.record(
+        TrialKey::of(&scenario),
+        TrialState::Completed {
+            digest: 0xfeed,
+            events: 7,
+            attempts: 1,
+        },
+    );
+    ledger.save(&config.ledger_path()).unwrap();
+    let torn = dir.join("ledger.json.tmp");
+    std::fs::write(&torn, "{\"ledger_version\": 1, \"trials\": [").unwrap();
+
+    let server = CampaignServer::start(config).expect("a torn .tmp must not stop start");
+    server.submit(scenario).unwrap();
+    let report = server.finish().unwrap();
+    assert!(matches!(
+        report.trials[0].outcome,
+        TrialOutcome::Completed {
+            digest: 0xfeed,
+            events: 7,
+            replayed: true,
+            ..
+        }
+    ));
+    assert!(!torn.exists(), "the final save renamed its .tmp into place");
+    assert!(CampaignLedger::load(&report.ledger_path).unwrap().is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
