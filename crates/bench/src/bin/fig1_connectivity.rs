@@ -74,8 +74,8 @@ fn main() {
     let busy = lane_trace(BUSY, 11, g1);
 
     // Merged trace: sparse-lane nodes keep ids 0..SPARSE, relays follow.
-    let mut all: Vec<_> = sparse.iter().map(|(_, tr)| tr.clone()).collect();
-    all.extend(busy.iter().map(|(_, tr)| tr.clone()));
+    let mut all: Vec<_> = sparse.iter().map(|(_, tr)| tr).collect();
+    all.extend(busy.iter().map(|(_, tr)| tr));
     let full = MobilityTrace::from_trajectories(all);
 
     let without = pair_reachability(&sparse, SPARSE);

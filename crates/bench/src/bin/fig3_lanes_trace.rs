@@ -59,8 +59,8 @@ fn main() {
     let t1 = TraceGenerator::new(g1).steps(3).generate(mk_lane(1));
     let t2 = TraceGenerator::new(g2).steps(3).generate(mk_lane(2));
     // Merge into one node-id space, lane 1 first.
-    let mut all: Vec<_> = t1.iter().map(|(_, tr)| tr.clone()).collect();
-    all.extend(t2.iter().map(|(_, tr)| tr.clone()));
+    let mut all: Vec<_> = t1.iter().map(|(_, tr)| tr).collect();
+    all.extend(t2.iter().map(|(_, tr)| tr));
     let trace = MobilityTrace::from_trajectories(all);
 
     let tcl = ns2::export(&trace, &ns2::ExportOptions::default());

@@ -15,8 +15,9 @@
 //!
 //! The crate also provides:
 //!
-//! * [`MobilityTrace`] — a sampled trajectory per node with interpolated
-//!   position queries and explicit teleport (wrap) handling;
+//! * [`MobilityTrace`] — a sampled trajectory per node, stored as
+//!   time-major frames when every node shares the sample times, with
+//!   interpolated position queries and explicit teleport (wrap) handling;
 //! * [`ns2`] import/export of node-movement TCL (`setdest` format, Fig. 3-b),
 //!   including the `Δ` offset the paper applies to dodge an ns-2 bug with
 //!   absolute position 0 (footnote 3);

@@ -342,11 +342,10 @@ mod tests {
         let p = RwParams::new(100.0, 100.0, 5.0, 5.0, 10.0, 5).unwrap();
         let mut rw = RandomWaypoint::new(p, 9);
         let (trace, _) = rw.simulate(200.0, 1.0).unwrap();
-        let zero_speed = trace
+        let zero_speed: usize = trace
             .iter()
-            .flat_map(|(_, tr)| tr.samples())
-            .filter(|s| s.speed == 0.0)
-            .count();
+            .map(|(_, tr)| tr.samples().iter().filter(|s| s.speed == 0.0).count())
+            .sum();
         assert!(zero_speed > 0, "pausing nodes should show zero speed");
     }
 

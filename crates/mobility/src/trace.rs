@@ -1,10 +1,16 @@
 //! Mobility traces: sampled node trajectories with interpolation.
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use cavenet_ca::{Lane, MultiLaneRoad};
+use cavenet_rng::fnv::Fnv64;
 
 use crate::{LaneGeometry, MobilityError, Point2};
+
+mod frames;
+
+use frames::Frames;
 
 /// One sample of a node's trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,35 +86,6 @@ impl NodeTrajectory {
     ///
     /// Returns `None` for an empty trajectory or a NaN `t`.
     pub fn position_at(&self, t: f64) -> Option<Point2> {
-        self.interpolate(t, |samples| segment_of(samples, t))
-    }
-
-    /// [`position_at`](Self::position_at), trying segment `*hint` (the
-    /// index of the segment's first sample) before the binary search; on
-    /// return `*hint` holds the segment used, or is unchanged when `t`
-    /// clamps. The hint is tested in the search's own `total_cmp` order,
-    /// so any hint, even out of range, gives bit-identical results.
-    pub(crate) fn position_at_hinted(&self, t: f64, hint: &mut usize) -> Option<Point2> {
-        self.interpolate(t, |samples| {
-            let i = *hint;
-            let inside = i < samples.len() - 1
-                && samples[i].time.total_cmp(&t).is_le()
-                && samples[i + 1].time.total_cmp(&t).is_gt();
-            if !inside {
-                *hint = segment_of(samples, t)?;
-            }
-            Some(*hint)
-        })
-    }
-
-    /// Clamp `t` to the sampled span, or interpolate on the segment that
-    /// `segment` finds for it (called only on a non-empty trajectory).
-    #[inline]
-    fn interpolate(
-        &self,
-        t: f64,
-        segment: impl FnOnce(&[TraceSample]) -> Option<usize>,
-    ) -> Option<Point2> {
         let samples = &self.samples;
         let (first, last) = (samples.first()?, samples.last()?);
         if t <= first.time {
@@ -117,17 +94,14 @@ impl NodeTrajectory {
         if t >= last.time {
             return Some(last.position);
         }
-        let i = segment(samples)?;
+        let i = segment_of(samples, t, |s| s.time)?;
         let a = &samples[i];
         let b = &samples[i + 1];
         if b.teleport {
             return Some(a.position);
         }
         let w = (t - a.time) / (b.time - a.time);
-        Some(Point2::new(
-            a.position.x + w * (b.position.x - a.position.x),
-            a.position.y + w * (b.position.y - a.position.y),
-        ))
+        Some(lerp(a.position, b.position, w))
     }
 
     /// Time-averaged speed over the whole trajectory (mean of samples).
@@ -160,16 +134,22 @@ impl NodeTrajectory {
     }
 }
 
-/// The segment of `samples` that holds `t`: the index of the last sample at
-/// or before `t` in `total_cmp` order, when a later sample follows it.
-/// `None` when `t` sorts outside the samples, which past the clamps in
-/// `NodeTrajectory::interpolate` only a NaN of either sign does.
-fn segment_of(samples: &[TraceSample], t: f64) -> Option<usize> {
-    let i = match samples.binary_search_by(|s| s.time.total_cmp(&t)) {
+/// The segment of `samples` (timed by `time`) that holds `t`: the index of
+/// the last sample at or before `t` in `total_cmp` order, when a later
+/// sample follows it. `None` when `t` sorts outside the samples, which past
+/// the clamps at the first and last time only a NaN of either sign does.
+fn segment_of<S>(samples: &[S], t: f64, time: impl Fn(&S) -> f64) -> Option<usize> {
+    let i = match samples.binary_search_by(|s| time(s).total_cmp(&t)) {
         Ok(i) => i,
         Err(i) => i.checked_sub(1)?,
     };
     (i + 1 < samples.len()).then_some(i)
+}
+
+/// `a + w·(b − a)` per axis: the one interpolation every sampler uses.
+#[inline]
+fn lerp(a: Point2, b: Point2, w: f64) -> Point2 {
+    Point2::new(a.x + w * (b.x - a.x), a.y + w * (b.y - a.y))
 }
 
 /// Why a known node has no position at `t`: a NaN time, or no samples.
@@ -186,41 +166,136 @@ fn unresolved(id: usize, t: f64) -> MobilityError {
 /// A full mobility trace: one trajectory per node, identified by a dense
 /// node id `0..node_count`.
 ///
-/// A built trace is never mutated, so the trajectories sit behind an
-/// [`Arc`]: cloning a trace (with the scenario that holds it, or into a
-/// fluid engine) shares them rather than copying every node's samples.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// The input picks the layout. When every node holds the same number of
+/// samples at bit-identical times, as every generated trace and both jam
+/// rings do, the trace is stored as frames: one shared time vector and,
+/// per frame, every node's position in node order. Sampling all nodes at
+/// one time is then one segment search and a contiguous pass over two
+/// frames. Nodes sampled at times of their own, such as an ns-2 import or
+/// an open road, keep one trajectory each. Both layouts answer every
+/// query bit for bit as [`NodeTrajectory::position_at`] would.
+///
+/// A built trace is never mutated, so its storage sits behind an [`Arc`]:
+/// cloning a trace (with the scenario that holds it, or into a fluid
+/// engine) shares it rather than copying every sample.
+///
+/// `Debug` prints the node count, the sample count and a fingerprint of
+/// the samples, not the samples: checkpoint and campaign identities hash a
+/// scenario's `Debug` rendering.
+#[derive(Clone, Default)]
 pub struct MobilityTrace {
-    nodes: Arc<[NodeTrajectory]>,
+    shared: Arc<Shared>,
+}
+
+#[derive(Default)]
+struct Shared {
+    layout: Layout,
+    /// [`MobilityTrace::fingerprint`], computed on first use.
+    fingerprint: OnceLock<u64>,
+}
+
+#[derive(PartialEq)]
+enum Layout {
+    /// Every node sampled at the same times.
+    Frames(Frames),
+    /// Nodes sampled at times of their own.
+    Nodes(Box<[NodeTrajectory]>),
+}
+
+impl Default for Layout {
+    fn default() -> Self {
+        Layout::Frames(Frames::default())
+    }
+}
+
+impl PartialEq for MobilityTrace {
+    /// Equal samples, node by node; the cached fingerprint plays no part.
+    fn eq(&self, other: &Self) -> bool {
+        self.shared.layout == other.shared.layout
+    }
+}
+
+impl fmt::Debug for MobilityTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MobilityTrace")
+            .field("nodes", &self.node_count())
+            .field("samples", &self.sample_count())
+            .field("fingerprint", &format_args!("{:#018x}", self.fingerprint()))
+            .finish()
+    }
 }
 
 impl MobilityTrace {
-    /// Build from per-node trajectories.
+    /// Build from per-node trajectories: as frames when every node holds
+    /// the same number of samples at bit-identical times, else as given.
     pub fn from_trajectories(nodes: Vec<NodeTrajectory>) -> Self {
+        let layout = match Frames::transpose(nodes) {
+            Ok(frames) => Layout::Frames(frames),
+            Err(nodes) => Layout::Nodes(nodes.into()),
+        };
+        MobilityTrace::with_layout(layout)
+    }
+
+    fn with_layout(layout: Layout) -> Self {
         MobilityTrace {
-            nodes: nodes.into(),
+            shared: Arc::new(Shared {
+                layout,
+                fingerprint: OnceLock::new(),
+            }),
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        match &self.shared.layout {
+            Layout::Frames(f) => f.nodes(),
+            Layout::Nodes(nodes) => nodes.len(),
+        }
     }
 
-    /// The trajectory of node `id`.
+    /// Total number of samples over all nodes.
+    fn sample_count(&self) -> usize {
+        match &self.shared.layout {
+            Layout::Frames(f) => f.nodes() * f.len(),
+            Layout::Nodes(nodes) => nodes.iter().map(NodeTrajectory::len).sum(),
+        }
+    }
+
+    /// FNV-1a over every node's sample count and samples (time, x, y and
+    /// speed bits, teleport flag), node by node, whatever the layout.
+    fn fingerprint(&self) -> u64 {
+        *self.shared.fingerprint.get_or_init(|| {
+            let mut h = Fnv64::new();
+            for (_, tr) in self.iter() {
+                h.write(&(tr.len() as u64).to_le_bytes());
+                for s in tr.samples() {
+                    for v in [s.time, s.position.x, s.position.y, s.speed] {
+                        h.write(&v.to_bits().to_le_bytes());
+                    }
+                    h.write(&[u8::from(s.teleport)]);
+                }
+            }
+            h.finish()
+        })
+    }
+
+    /// The trajectory of node `id`, built from the trace's storage.
     ///
     /// # Errors
     ///
     /// Returns [`MobilityError::UnknownNode`] for an out-of-range id.
-    pub fn node(&self, id: usize) -> Result<&NodeTrajectory, MobilityError> {
-        self.nodes
-            .get(id)
-            .ok_or(MobilityError::UnknownNode { node: id })
+    pub fn node(&self, id: usize) -> Result<NodeTrajectory, MobilityError> {
+        match &self.shared.layout {
+            Layout::Frames(f) if id < f.nodes() => Ok(f.node(id)),
+            Layout::Nodes(nodes) if id < nodes.len() => Ok(nodes[id].clone()),
+            _ => Err(MobilityError::UnknownNode { node: id }),
+        }
     }
 
-    /// Iterate over `(node_id, trajectory)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &NodeTrajectory)> {
-        self.nodes.iter().enumerate()
+    /// Iterate over `(node_id, trajectory)`, each trajectory built as
+    /// [`node`](Self::node) builds it.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, NodeTrajectory)> + '_ {
+        (0..self.node_count()).filter_map(|id| self.node(id).ok().map(|tr| (id, tr)))
     }
 
     /// Position of node `id` at time `t` (interpolated).
@@ -231,16 +306,18 @@ impl MobilityTrace {
     /// node with no samples, and [`MobilityError::InvalidParameter`] for a
     /// NaN `t`.
     pub fn position_at(&self, id: usize, t: f64) -> Result<Point2, MobilityError> {
-        self.node(id)?
-            .position_at(t)
-            .ok_or_else(|| unresolved(id, t))
+        let p = match &self.shared.layout {
+            Layout::Frames(f) if id < f.nodes() => f.locate(t).map(|at| f.point(at, id)),
+            Layout::Nodes(nodes) if id < nodes.len() => nodes[id].position_at(t),
+            _ => return Err(MobilityError::UnknownNode { node: id }),
+        };
+        p.ok_or_else(|| unresolved(id, t))
     }
 
     /// Positions of nodes `0..n` at time `t`, written into `out` (cleared
     /// first): the per-node [`position_at`](Self::position_at) in one pass,
-    /// bit for bit. Each node first tries the segment the previous node
-    /// used, so a trace sampled on a common time grid, as every generated
-    /// one is, skips the binary search.
+    /// bit for bit. On frames that is one segment search and a contiguous
+    /// pass over the two frames around `t`.
     ///
     /// # Errors
     ///
@@ -254,42 +331,60 @@ impl MobilityTrace {
     ) -> Result<(), MobilityError> {
         out.clear();
         out.reserve(n);
-        let mut hint = 0;
-        for id in 0..n {
-            let p = self
-                .node(id)?
-                .position_at_hinted(t, &mut hint)
-                .ok_or_else(|| unresolved(id, t))?;
-            out.push(p);
+        match &self.shared.layout {
+            Layout::Frames(f) => {
+                // Every node of a frame trace resolves `t` alike, so the
+                // lowest id without a position is node 0 or the first id
+                // past the trace.
+                if n == 0 {
+                    return Ok(());
+                }
+                if f.nodes() == 0 {
+                    return Err(MobilityError::UnknownNode { node: 0 });
+                }
+                let at = f.locate(t).ok_or_else(|| unresolved(0, t))?;
+                f.points_into(at, n.min(f.nodes()), out);
+                if n > f.nodes() {
+                    return Err(MobilityError::UnknownNode { node: f.nodes() });
+                }
+            }
+            Layout::Nodes(_) => {
+                for id in 0..n {
+                    out.push(self.position_at(id, t)?);
+                }
+            }
         }
         Ok(())
     }
 
     /// Largest sample time across all nodes (0 if the trace is empty).
     pub fn duration(&self) -> f64 {
-        self.nodes
-            .iter()
-            .filter_map(|n| n.samples().last())
-            .map(|s| s.time)
-            .fold(0.0, f64::max)
+        match &self.shared.layout {
+            Layout::Frames(f) => f.duration(),
+            Layout::Nodes(nodes) => nodes
+                .iter()
+                .filter_map(|n| n.samples().last())
+                .map(|s| s.time)
+                .fold(0.0, f64::max),
+        }
     }
 
     /// Upper bound on any node's displacement rate in metres per second
     /// (see [`NodeTrajectory::max_speed`]); `None` if any trajectory
     /// teleports. An empty trace is vacuously stationary (`Some(0.0)`).
     pub fn max_speed(&self) -> Option<f64> {
-        self.nodes
-            .iter()
-            .try_fold(0.0f64, |acc, n| n.max_speed().map(|v| acc.max(v)))
+        match &self.shared.layout {
+            Layout::Frames(f) => f.max_speed(),
+            Layout::Nodes(nodes) => nodes
+                .iter()
+                .try_fold(0.0f64, |acc, n| n.max_speed().map(|v| acc.max(v))),
+        }
     }
 
     /// All node positions at time `t` (nodes with no samples are skipped).
     pub fn positions_at(&self, t: f64) -> Vec<(usize, Point2)> {
-        let mut hint = 0;
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.position_at_hinted(t, &mut hint).map(|p| (i, p)))
+        (0..self.node_count())
+            .filter_map(|id| self.position_at(id, t).ok().map(|p| (id, p)))
             .collect()
     }
 }
@@ -353,34 +448,38 @@ impl TraceGenerator {
         let cell_m = lane.params().cell_length_m();
         let dt = lane.params().dt_s();
         let t0 = if self.rebase_time { lane.time() } else { 0 };
-        // Upper bound on node ids: closed/recycling lanes keep their ids;
-        // open lanes mint fresh ones while stepping.
-        let mut nodes: Vec<NodeTrajectory> = Vec::new();
-        let record = |lane: &Lane, nodes: &mut Vec<NodeTrajectory>| {
+        // Closed and recycling lanes keep their vehicles and ids; open
+        // lanes mint fresh ones while stepping.
+        let mut rec = Recorder::new(
+            lane.vehicles().iter().map(|v| v.id().0 as usize),
+            lane.boundary().conserves_vehicles(),
+            self.samples(),
+        );
+        let record = |lane: &Lane, rec: &mut Recorder| {
             let t = (lane.time() - t0) as f64 * dt;
+            rec.start(t);
             for v in lane.vehicles() {
-                let id = v.id().0 as usize;
-                if id >= nodes.len() {
-                    nodes.resize(id + 1, NodeTrajectory::default());
-                }
                 let s_m = v.position() as f64 * cell_m;
                 let teleport = v.wrapped_last_step() && !self.geometry.is_closed();
-                nodes[id].push(TraceSample {
-                    time: t,
-                    position: self.geometry.embed(s_m),
-                    speed: lane.params().velocity_to_mps(v.velocity()),
-                    teleport,
-                });
+                rec.record(
+                    v.id().0 as usize,
+                    TraceSample {
+                        time: t,
+                        position: self.geometry.embed(s_m),
+                        speed: lane.params().velocity_to_mps(v.velocity()),
+                        teleport,
+                    },
+                );
             }
         };
-        record(&lane, &mut nodes);
+        record(&lane, &mut rec);
         for step in 1..=self.steps {
             lane.step();
             if step % self.sample_every == 0 {
-                record(&lane, &mut nodes);
+                record(&lane, &mut rec);
             }
         }
-        MobilityTrace::from_trajectories(nodes)
+        rec.finish()
     }
 
     /// Run a multi-lane road, embedding lane `k` through `geometries[k]`
@@ -396,30 +495,92 @@ impl TraceGenerator {
         let dt = road.params().nas.dt_s();
         let t0 = if self.rebase_time { road.time() } else { 0 };
         let geo = |k: usize| geometries.get(k).copied().unwrap_or(self.geometry);
-        let mut nodes: Vec<NodeTrajectory> = Vec::new();
-        let record = |road: &MultiLaneRoad, nodes: &mut Vec<NodeTrajectory>| {
+        // A multi-lane ring keeps its vehicles and ids.
+        let mut rec = Recorder::new(
+            road.snapshot().iter().map(|&(.., id)| id.0 as usize),
+            true,
+            self.samples(),
+        );
+        let record = |road: &MultiLaneRoad, rec: &mut Recorder| {
             let t = (road.time() - t0) as f64 * dt;
+            rec.start(t);
             for (lane, pos, vel, id) in road.snapshot() {
-                let idx = id.0 as usize;
-                if idx >= nodes.len() {
-                    nodes.resize(idx + 1, NodeTrajectory::default());
-                }
-                nodes[idx].push(TraceSample {
-                    time: t,
-                    position: geo(lane).embed(pos as f64 * cell_m),
-                    speed: vel as f64 * cell_m / dt,
-                    teleport: false,
-                });
+                rec.record(
+                    id.0 as usize,
+                    TraceSample {
+                        time: t,
+                        position: geo(lane).embed(pos as f64 * cell_m),
+                        speed: vel as f64 * cell_m / dt,
+                        teleport: false,
+                    },
+                );
             }
         };
-        record(&road, &mut nodes);
+        record(&road, &mut rec);
         for step in 1..=self.steps {
             road.step();
             if step % self.sample_every == 0 {
-                record(&road, &mut nodes);
+                record(&road, &mut rec);
             }
         }
-        MobilityTrace::from_trajectories(nodes)
+        rec.finish()
+    }
+
+    /// Samples per vehicle: the first, then one every `sample_every` steps.
+    fn samples(&self) -> usize {
+        1 + self.steps / self.sample_every
+    }
+}
+
+/// Where a generator writes its samples: straight into frames when the
+/// same vehicles, numbered `0..n`, are present at every sample, else into
+/// one trajectory per vehicle id. Either way the trace equals
+/// [`MobilityTrace::from_trajectories`] over the per-vehicle samples.
+enum Recorder {
+    Frames(Frames),
+    Nodes(Vec<NodeTrajectory>),
+}
+
+impl Recorder {
+    /// A recorder for the vehicles of ids `ids`, present now; `conserved`
+    /// when the same vehicles stay for the whole run, each sampled
+    /// `samples` times.
+    fn new(mut ids: impl ExactSizeIterator<Item = usize>, conserved: bool, samples: usize) -> Self {
+        let n = ids.len();
+        let mut seen = vec![false; n];
+        let dense = ids.all(|id| id < n && !std::mem::replace(&mut seen[id], true));
+        if conserved && dense && n > 0 {
+            Recorder::Frames(Frames::zeroed(n, samples))
+        } else {
+            Recorder::Nodes(Vec::new())
+        }
+    }
+
+    /// Start the sample at `time`.
+    fn start(&mut self, time: f64) {
+        if let Recorder::Frames(f) = self {
+            f.start(time);
+        }
+    }
+
+    /// Record vehicle `id`'s sample at the started time.
+    fn record(&mut self, id: usize, s: TraceSample) {
+        match self {
+            Recorder::Frames(f) => f.set(f.len() - 1, id, &s),
+            Recorder::Nodes(nodes) => {
+                if id >= nodes.len() {
+                    nodes.resize(id + 1, NodeTrajectory::default());
+                }
+                nodes[id].push(s);
+            }
+        }
+    }
+
+    fn finish(self) -> MobilityTrace {
+        match self {
+            Recorder::Frames(f) => MobilityTrace::with_layout(Layout::Frames(f)),
+            Recorder::Nodes(nodes) => MobilityTrace::from_trajectories(nodes),
+        }
     }
 }
 
@@ -436,6 +597,10 @@ mod tests {
             speed: 0.0,
             teleport: false,
         }
+    }
+
+    fn is_frames(trace: &MobilityTrace) -> bool {
+        matches!(trace.shared.layout, Layout::Frames(_))
     }
 
     #[test]
@@ -615,39 +780,58 @@ mod tests {
         // index out of bounds for either.
         let one = NodeTrajectory::new(vec![sample(0.0, 1.0, 1.0)]).unwrap();
         let two = NodeTrajectory::new(vec![sample(0.0, 0.0, 0.0), sample(1.0, 1.0, 0.0)]).unwrap();
-        let trace = MobilityTrace::from_trajectories(vec![two.clone(), one.clone()]);
+        let nodes = MobilityTrace::from_trajectories(vec![two.clone(), one.clone()]);
+        let frames = MobilityTrace::from_trajectories(vec![two.clone(), two.clone()]);
+        assert!(is_frames(&frames) && !is_frames(&nodes));
         for t in [f64::NAN, -f64::NAN] {
             assert_eq!(one.position_at(t), None);
             assert_eq!(two.position_at(t), None);
-            assert_eq!(two.position_at_hinted(t, &mut 0), None);
-            for id in 0..2 {
+            for trace in [&nodes, &frames] {
+                for id in 0..2 {
+                    assert!(matches!(
+                        trace.position_at(id, t),
+                        Err(MobilityError::InvalidParameter { .. })
+                    ));
+                }
                 assert!(matches!(
-                    trace.position_at(id, t),
+                    trace.positions_into(2, t, &mut Vec::new()),
                     Err(MobilityError::InvalidParameter { .. })
                 ));
+                assert!(trace.positions_at(t).is_empty());
             }
-            assert!(matches!(
-                trace.positions_into(2, t, &mut Vec::new()),
-                Err(MobilityError::InvalidParameter { .. })
-            ));
-            assert!(trace.positions_at(t).is_empty());
         }
     }
 
     #[test]
-    fn hint_is_tested_in_total_cmp_order() {
+    fn negative_zero_sorts_before_a_positive_zero_sample() {
         // Under `total_cmp`, -0 sorts before the +0 sample, so it belongs to
-        // the segment before the jump, where the node has not moved yet.
+        // the segment before the jump, where the node has not moved yet:
+        // per node and on the shared times of frames alike.
         let mut jump = sample(0.0, 100.0, 0.0);
         jump.teleport = true;
         let tr = NodeTrajectory::new(vec![sample(-1.0, 0.0, 0.0), jump, sample(1.0, 200.0, 0.0)])
             .unwrap();
-        let before = Some(Point2::new(0.0, 0.0));
-        assert_eq!(tr.position_at(-0.0), before);
-        for mut hint in [0, 1, 2, usize::MAX] {
-            assert_eq!(tr.position_at_hinted(-0.0, &mut hint), before);
-            assert_eq!(hint, 0);
-        }
+        let before = Point2::new(0.0, 0.0);
+        assert_eq!(tr.position_at(-0.0), Some(before));
+        assert_eq!(tr.position_at(0.0), Some(Point2::new(100.0, 0.0)));
+        let frames = MobilityTrace::from_trajectories(vec![tr.clone(), tr]);
+        assert!(is_frames(&frames));
+        assert_eq!(frames.position_at(1, -0.0), Ok(before));
+        let mut out = Vec::new();
+        frames.positions_into(2, -0.0, &mut out).unwrap();
+        assert_eq!(out, vec![before; 2]);
+    }
+
+    #[test]
+    fn equal_counts_at_other_times_stay_per_node() {
+        let a = NodeTrajectory::new(vec![sample(0.0, 0.0, 0.0), sample(1.0, 10.0, 0.0)]).unwrap();
+        let b = NodeTrajectory::new(vec![sample(0.0, 0.0, 0.0), sample(2.0, 10.0, 0.0)]).unwrap();
+        let trace = MobilityTrace::from_trajectories(vec![a, b.clone()]);
+        assert!(!is_frames(&trace));
+        assert_eq!(trace.position_at(1, 1.0), Ok(Point2::new(5.0, 0.0)));
+        // Alignment is bit for bit: -0 and +0 are different times.
+        let c = NodeTrajectory::new(vec![sample(-0.0, 0.0, 0.0), sample(2.0, 10.0, 0.0)]).unwrap();
+        assert!(!is_frames(&MobilityTrace::from_trajectories(vec![b, c])));
     }
 
     #[test]
@@ -663,10 +847,26 @@ mod tests {
                 Err(MobilityError::UnknownNode { node: 1 })
             );
         }
-        let short = MobilityTrace::from_trajectories(vec![trace.node(0).unwrap().clone()]);
+        let short = MobilityTrace::from_trajectories(vec![trace.node(0).unwrap()]);
+        assert!(is_frames(&short));
         assert_eq!(
             short.positions_into(2, 0.0, &mut out),
             Err(MobilityError::UnknownNode { node: 1 })
+        );
+        // Nodes without samples align too; each is unplaceable.
+        let empty = MobilityTrace::from_trajectories(vec![NodeTrajectory::default(); 2]);
+        assert!(is_frames(&empty));
+        assert_eq!(
+            empty.positions_into(2, 0.0, &mut out),
+            Err(MobilityError::UnknownNode { node: 0 })
+        );
+        assert!(matches!(
+            empty.positions_into(2, f64::NAN, &mut out),
+            Err(MobilityError::InvalidParameter { .. })
+        ));
+        assert_eq!(
+            MobilityTrace::default().positions_into(1, f64::NAN, &mut out),
+            Err(MobilityError::UnknownNode { node: 0 })
         );
     }
 
@@ -682,7 +882,7 @@ mod tests {
             .steps(10)
             .generate(lane);
         let copy = trace.clone();
-        assert!(std::ptr::eq(trace.node(0).unwrap(), copy.node(0).unwrap()));
+        assert!(Arc::ptr_eq(&trace.shared, &copy.shared));
         assert_eq!(copy, trace);
     }
 
@@ -728,6 +928,186 @@ mod tests {
             .generate(lane);
         let snap = trace.positions_at(5.0);
         assert_eq!(snap.len(), 5);
+    }
+
+    #[test]
+    fn debug_prints_a_fingerprint_of_the_samples() {
+        let n = 100_000;
+        let nodes: Vec<NodeTrajectory> = (0..n)
+            .map(|i| {
+                let x = i as f64;
+                NodeTrajectory::new(vec![sample(0.0, x, 0.0), sample(1.0, x, 1.0)]).unwrap()
+            })
+            .collect();
+        let trace = MobilityTrace::from_trajectories(nodes.clone());
+        assert!(is_frames(&trace));
+        let text = format!("{trace:?}");
+        assert!(text.len() < 256, "{text}");
+        assert!(text.contains("nodes: 100000, samples: 200000"), "{text}");
+        // The fingerprint is of the samples alone, whatever the layout.
+        let per_node = MobilityTrace::with_layout(Layout::Nodes(nodes.into()));
+        assert_eq!(format!("{per_node:?}"), text);
+        // One ULP or flag of one sample moves it; equality ignores the cache.
+        fn ulp(v: &mut f64) {
+            *v = f64::from_bits(v.to_bits() + 1);
+        }
+        let nudges: [fn(&mut TraceSample); 4] = [
+            |s| ulp(&mut s.position.x),
+            |s| ulp(&mut s.position.y),
+            |s| ulp(&mut s.speed),
+            |s| s.teleport = !s.teleport,
+        ];
+        let small: Vec<NodeTrajectory> = trace.iter().take(100).map(|(_, tr)| tr).collect();
+        let base = MobilityTrace::from_trajectories(small.clone());
+        let text = format!("{base:?}");
+        for nudge in nudges {
+            let mut nodes = small.clone();
+            nudge(&mut nodes[7].samples[1]);
+            let nudged = MobilityTrace::from_trajectories(nodes);
+            assert_ne!(nudged, base);
+            assert_ne!(format!("{nudged:?}"), text);
+        }
+        let fresh = MobilityTrace::from_trajectories(small);
+        assert_eq!(
+            fresh, base,
+            "one side cached its fingerprint, the other did not"
+        );
+    }
+
+    /// The generator's recording loop as it was before frames: one
+    /// trajectory per vehicle id, grown sample by sample.
+    fn per_vehicle_samples(g: &TraceGenerator, mut lane: Lane) -> Vec<NodeTrajectory> {
+        let cell_m = lane.params().cell_length_m();
+        let dt = lane.params().dt_s();
+        let t0 = if g.rebase_time { lane.time() } else { 0 };
+        let mut nodes: Vec<NodeTrajectory> = Vec::new();
+        let record = |lane: &Lane, nodes: &mut Vec<NodeTrajectory>| {
+            let t = (lane.time() - t0) as f64 * dt;
+            for v in lane.vehicles() {
+                let id = v.id().0 as usize;
+                if id >= nodes.len() {
+                    nodes.resize(id + 1, NodeTrajectory::default());
+                }
+                let s_m = v.position() as f64 * cell_m;
+                let teleport = v.wrapped_last_step() && !g.geometry.is_closed();
+                nodes[id].push(TraceSample {
+                    time: t,
+                    position: g.geometry.embed(s_m),
+                    speed: lane.params().velocity_to_mps(v.velocity()),
+                    teleport,
+                });
+            }
+        };
+        record(&lane, &mut nodes);
+        for step in 1..=g.steps {
+            lane.step();
+            if step % g.sample_every == 0 {
+                record(&lane, &mut nodes);
+            }
+        }
+        nodes
+    }
+
+    /// [`per_vehicle_samples`] for a multi-lane road.
+    fn per_vehicle_road_samples(
+        g: &TraceGenerator,
+        mut road: MultiLaneRoad,
+        geometries: &[LaneGeometry],
+    ) -> Vec<NodeTrajectory> {
+        let cell_m = road.params().nas.cell_length_m();
+        let dt = road.params().nas.dt_s();
+        let t0 = if g.rebase_time { road.time() } else { 0 };
+        let geo = |k: usize| geometries.get(k).copied().unwrap_or(g.geometry);
+        let mut nodes: Vec<NodeTrajectory> = Vec::new();
+        let record = |road: &MultiLaneRoad, nodes: &mut Vec<NodeTrajectory>| {
+            let t = (road.time() - t0) as f64 * dt;
+            for (lane, pos, vel, id) in road.snapshot() {
+                let idx = id.0 as usize;
+                if idx >= nodes.len() {
+                    nodes.resize(idx + 1, NodeTrajectory::default());
+                }
+                nodes[idx].push(TraceSample {
+                    time: t,
+                    position: geo(lane).embed(pos as f64 * cell_m),
+                    speed: vel as f64 * cell_m / dt,
+                    teleport: false,
+                });
+            }
+        };
+        record(&road, &mut nodes);
+        for step in 1..=g.steps {
+            road.step();
+            if step % g.sample_every == 0 {
+                record(&road, &mut nodes);
+            }
+        }
+        nodes
+    }
+
+    fn nas(length: usize, density: f64) -> NasParams {
+        NasParams::builder()
+            .length(length)
+            .density(density)
+            .slowdown_probability(0.3)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn generated_frames_equal_the_transposed_samples() {
+        // A warmed-up closed ring, sampled every third step on the lane's
+        // own clock, and a recycling straight lane, which teleports.
+        let mut ring = Lane::with_random_placement(nas(400, 0.075), Boundary::Closed, 5).unwrap();
+        for _ in 0..20 {
+            ring.step();
+        }
+        let on_ring = TraceGenerator::new(LaneGeometry::ring_circle(400.0 * 7.5))
+            .steps(40)
+            .sample_every(3)
+            .rebase_time(false);
+        let line = Lane::with_uniform_placement(nas(60, 0.1), Boundary::Recycling, 1).unwrap();
+        let on_line = TraceGenerator::new(LaneGeometry::straight_x()).steps(200);
+        for (g, lane) in [(on_ring, ring), (on_line, line)] {
+            let trace = g.generate(lane.clone());
+            assert!(is_frames(&trace));
+            let reference = MobilityTrace::from_trajectories(per_vehicle_samples(&g, lane));
+            assert_eq!(trace, reference);
+            assert_eq!(format!("{trace:?}"), format!("{reference:?}"));
+            // Only the straight lane teleports, and its frames keep the jumps.
+            assert_eq!(trace.max_speed().is_none(), !g.geometry.is_closed());
+        }
+
+        // A two-lane road with lane changes.
+        use cavenet_ca::MultiLaneParams;
+        let road =
+            MultiLaneRoad::new(MultiLaneParams::new(nas(100, 0.1), 2, 0.5).unwrap(), 4).unwrap();
+        let geometries = [
+            LaneGeometry::ring_circle(750.0),
+            LaneGeometry::ring_circle(760.0),
+        ];
+        let g = TraceGenerator::new(geometries[0]).steps(30);
+        let trace = g.generate_multilane(road.clone(), &geometries);
+        assert!(is_frames(&trace));
+        assert_eq!(
+            trace,
+            MobilityTrace::from_trajectories(per_vehicle_road_samples(&g, road, &geometries))
+        );
+    }
+
+    #[test]
+    fn open_road_keeps_one_trajectory_per_vehicle() {
+        let open = Boundary::Open {
+            injection_rate: 0.5,
+        };
+        let lane = Lane::with_uniform_placement(nas(100, 0.1), open, 2).unwrap();
+        let g = TraceGenerator::new(LaneGeometry::straight_x()).steps(100);
+        let trace = g.generate(lane.clone());
+        assert!(!is_frames(&trace));
+        assert!(trace.node_count() > 10, "vehicles enter the open road");
+        assert_eq!(
+            trace,
+            MobilityTrace::from_trajectories(per_vehicle_samples(&g, lane))
+        );
     }
 
     /// A trajectory of 1–23 samples, sample `zero_at` at time zero (of the
@@ -776,6 +1156,39 @@ mod tests {
             })
     }
 
+    /// 1–69 nodes (so the teleport bits of a frame span one or two words)
+    /// sampled on the time grid of one [`trajectory_strategy`] draw, with
+    /// random positions and speeds. Teleports fall nowhere (`jumps` 0), on
+    /// first samples only (1), or anywhere at one sample in four (2).
+    fn aligned_strategy() -> impl Strategy<Value = Vec<NodeTrajectory>> {
+        let raw = (-1e3f64..1e3, -1e3f64..1e3, 0.0f64..40.0, 0u8..4);
+        (
+            trajectory_strategy(),
+            prop::collection::vec(prop::collection::vec(raw, 23), 1..70),
+            0u8..3,
+        )
+            .prop_map(|(grid, nodes, jumps)| {
+                nodes
+                    .into_iter()
+                    .map(|raw| {
+                        let samples = grid
+                            .samples()
+                            .iter()
+                            .zip(raw)
+                            .enumerate()
+                            .map(|(j, (g, (x, y, speed, dice)))| TraceSample {
+                                time: g.time,
+                                position: Point2::new(x, y),
+                                speed,
+                                teleport: dice == 0 && (jumps == 2 || jumps == 1 && j == 0),
+                            })
+                            .collect();
+                        NodeTrajectory::new(samples).expect("the grid's times increase")
+                    })
+                    .collect()
+            })
+    }
+
     /// A query time for `tr`, and the sample it was drawn near: on sample
     /// `i` (`kind` 0), on the zero sample with its sign flipped (1), inside
     /// segment `i` (2), anywhere from 10 s before to 10 s after the samples
@@ -807,32 +1220,6 @@ mod tests {
         // At least 512 cases; `PROPTEST_CASES` raises it (CI runs 4096).
         #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(512)))]
         #[test]
-        fn hinted_lookup_equals_reference(
-            tr in trajectory_strategy(),
-            kind in 0u8..7,
-            pick in any::<usize>(),
-            u in 0.0f64..1.0,
-            mode in 0u8..4,
-            raw in any::<usize>(),
-        ) {
-            let (t, near) = query(&tr, kind, pick, u);
-            // Any hint at all, a small one, or one within a segment of the
-            // query, where an off-by-one would show.
-            let hint = match mode {
-                0 => raw,
-                1 => raw % 32,
-                _ => (near + raw % 3).wrapping_sub(1),
-            };
-            let expected = bits(tr.position_at(t));
-            let mut left = hint;
-            prop_assert_eq!(bits(tr.position_at_hinted(t, &mut left)), expected);
-            // The hint left behind is good for the same query again.
-            let mut again = left;
-            prop_assert_eq!(bits(tr.position_at_hinted(t, &mut again)), expected);
-            prop_assert_eq!(again, left);
-        }
-
-        #[test]
         fn bulk_sampling_equals_reference(
             nodes in prop::collection::vec(trajectory_strategy(), 1..12),
             kind in 0u8..7,
@@ -859,6 +1246,52 @@ mod tests {
                 .filter_map(|id| trace.position_at(id, t).ok().map(|p| (id, bits(Some(p)))))
                 .collect();
             prop_assert_eq!(all, each);
+        }
+
+        #[test]
+        fn frames_sampling_equals_reference(
+            nodes in aligned_strategy(),
+            kind in 0u8..7,
+            pick in any::<usize>(),
+            u in 0.0f64..1.0,
+            count in any::<usize>(),
+        ) {
+            let (t, _) = query(&nodes[0], kind, pick, u);
+            let n = nodes.len();
+            let trace = MobilityTrace::from_trajectories(nodes.clone());
+            prop_assert!(is_frames(&trace));
+            let reference = |id: usize| match nodes.get(id) {
+                Some(tr) => tr.position_at(t).ok_or_else(|| unresolved(id, t)),
+                None => Err(MobilityError::UnknownNode { node: id }),
+            };
+            let point = |p: Point2| (p.x.to_bits(), p.y.to_bits());
+            for id in 0..n + 2 {
+                prop_assert_eq!(trace.position_at(id, t).map(point), reference(id).map(point));
+            }
+            // Any prefix of the nodes, up to two past the last.
+            let count = count % (n + 3);
+            let mut out = vec![Point2::new(1.0, 1.0)];
+            let bulk = trace
+                .positions_into(count, t, &mut out)
+                .map(|()| out.into_iter().map(point).collect::<Vec<_>>());
+            let each: Result<Vec<_>, _> = (0..count).map(|id| reference(id).map(point)).collect();
+            prop_assert_eq!(bulk, each);
+            let all: Vec<_> = trace.positions_at(t).into_iter().map(|(id, p)| (id, point(p))).collect();
+            let every: Vec<_> = (0..n)
+                .filter_map(|id| reference(id).ok().map(|p| (id, point(p))))
+                .collect();
+            prop_assert_eq!(all, every);
+            let max_speed = nodes
+                .iter()
+                .try_fold(0.0f64, |acc, tr| tr.max_speed().map(|v| acc.max(v)));
+            prop_assert_eq!(trace.max_speed().map(f64::to_bits), max_speed.map(f64::to_bits));
+            let duration = nodes
+                .iter()
+                .filter_map(|tr| tr.samples().last())
+                .map(|s| s.time)
+                .fold(0.0, f64::max);
+            prop_assert_eq!(trace.duration().to_bits(), duration.to_bits());
+            prop_assert_eq!(trace.iter().map(|(_, tr)| tr).collect::<Vec<_>>(), nodes);
         }
     }
 }

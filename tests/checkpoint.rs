@@ -17,8 +17,12 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use cavenet_core::checkpoint::{section, Snapshot, SnapshotError};
+use cavenet_core::mobility::{MobilityTrace, NodeTrajectory};
 use cavenet_core::net::SimTime;
-use cavenet_core::{churn_plan, CheckpointError, Engine, Experiment, Fidelity, Protocol, Scenario};
+use cavenet_core::{
+    churn_plan, scenario_identity, CheckpointError, Engine, Experiment, Fidelity, MobilitySource,
+    Protocol, Scenario,
+};
 use cavenet_testkit::{
     assert_identity_semantics, bisect_divergence, check_golden, digest_scenario, GoldenDigest,
 };
@@ -215,6 +219,33 @@ fn identity_keeps_fidelity_but_normalizes_shards() {
     // snapshots must never cross-resume), while `shards` is pure execution
     // layout (identity-neutral — N-shard snapshots resume under M).
     assert_identity_semantics(&short_scenario(Protocol::Aodv, 11), &[1, 2, 4, 7]);
+}
+
+#[test]
+fn a_trace_scenario_identity_fingerprints_its_samples() {
+    // A trace-driven scenario's identity hashes the trace's sample
+    // fingerprint, not a rendering of every sample: the same samples give
+    // the same identity however the trace was built, and one ULP in one
+    // sample moves it.
+    let table1 = short_scenario(Protocol::Aodv, 5);
+    let with = |trace: MobilityTrace| {
+        let mut s = table1.clone();
+        s.mobility = MobilitySource::Trace(trace);
+        s
+    };
+    let generated = table1.build_trace().unwrap();
+    let mut nodes: Vec<NodeTrajectory> = generated.iter().map(|(_, tr)| tr).collect();
+    let identity = scenario_identity(&with(generated.clone()));
+    let rebuilt = MobilityTrace::from_trajectories(nodes.clone());
+    assert_eq!(scenario_identity(&with(rebuilt)), identity);
+    let mut samples = nodes[3].samples().to_vec();
+    let x = &mut samples[11].position.x;
+    *x = f64::from_bits(x.to_bits() + 1);
+    nodes[3] = NodeTrajectory::new(samples).unwrap();
+    let nudged = scenario_identity(&with(MobilityTrace::from_trajectories(nodes)));
+    assert_ne!(nudged.scenario_hash, identity.scenario_hash);
+    let rendered = format!("{:?}", MobilitySource::Trace(generated));
+    assert!(rendered.len() < 256, "{rendered}");
 }
 
 fn fluid_scenario(protocol: Protocol, seed: u64) -> Scenario {
