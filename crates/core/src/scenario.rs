@@ -111,8 +111,11 @@ pub struct Scenario {
     /// default empty plan leaves the simulation untouched — results are
     /// bit-identical to a scenario without the field.
     pub fault_plan: FaultPlan,
-    /// Worker threads for the fluid backend's utilization field
-    /// (default: 1). The exact engine is serial and ignores it.
+    /// Does nothing (default: 1): both engines are serial. It once set the
+    /// worker count of the sharded exact engine and of the fluid backend's
+    /// utilization integral, neither of which beat one worker, and remains
+    /// only because the repository benchmark package (`benchmarks/benchmark`)
+    /// still sets it.
     ///
     /// An *execution* knob, not a behaviour knob: any value produces
     /// bit-identical results, which is why it is excluded from

@@ -352,11 +352,12 @@ impl FluidEngine {
             }
         }
 
-        // 6. Utilization field (the only fanned-out computation).
-        field.integrate(self.cfg.shards);
+        // 6. Utilization field.
+        field.integrate(1);
 
         // 7. Close each flow analytically.
         let mut step_digest: Vec<(u64, u64, u64)> = Vec::with_capacity(self.flows.len());
+        let mut link_counts: Option<Vec<u32>> = None;
         for (i, f) in self.cfg.flows.iter().enumerate() {
             let n_emit = emissions[i];
             let (delivered, delay_s) = match &routes[i] {
@@ -368,12 +369,25 @@ impl FluidEngine {
                     // competing, so only other traffic degrades delivery
                     // (the closure that keeps a lone flooded packet at the
                     // exact engine's PDR ≈ 1 in a saturated jam).
-                    let foreign: Vec<f64> = cells
-                        .iter()
-                        .map(|&c| {
-                            (field.util[c as usize] - field.util_from(&deposits[i], c)).max(0.0)
-                        })
-                        .collect();
+                    let foreign: Vec<f64> = match self.cfg.discipline {
+                        // A path's deposits run dst to src, not in cell
+                        // order, and are few: scan them per cell.
+                        RouteDiscipline::Unicast => cells
+                            .iter()
+                            .map(|&c| {
+                                (field.util[c as usize] - field.util_from(&deposits[i], c)).max(0.0)
+                            })
+                            .collect(),
+                        // A flood deposits on every reached cell, in
+                        // ascending id: one sweep gives them all.
+                        RouteDiscipline::Flood => {
+                            let own = field.deposit_util(&deposits[i]);
+                            cells
+                                .iter()
+                                .map(|&c| (field.util[c as usize] - own[c as usize]).max(0.0))
+                                .collect()
+                        }
+                    };
                     let mean_u = foreign.iter().sum::<f64>() / cells.len() as f64;
                     let max_u = foreign.iter().copied().fold(0.0f64, f64::max);
                     // Overloaded neighborhoods drain at their capacity.
@@ -392,13 +406,10 @@ impl FluidEngine {
                             // range — own cell plus adjacent cells — so a
                             // packet gets that many independent chances per
                             // hop.
+                            let near = link_counts.get_or_insert_with(|| field.link_counts());
                             let cover: f64 = cells
                                 .iter()
-                                .map(|&c| {
-                                    let near: u32 =
-                                        field.neighbors(c).map(|nb| field.count[nb as usize]).sum();
-                                    f64::from(field.count[c as usize] + near)
-                                })
+                                .map(|&c| f64::from(near[c as usize]))
                                 .sum::<f64>();
                             let redundancy = (cover / cells.len() as f64).clamp(1.0, 4.0);
                             let per_hop = 1.0 - p.powf(redundancy);
@@ -462,7 +473,7 @@ impl FluidEngine {
     }
 
     /// A fingerprint of everything that shapes results (not `shards`,
-    /// which is an execution knob); captured into snapshots so a fluid
+    /// which does nothing); captured into snapshots so a fluid
     /// state never restores into a different model.
     pub fn config_fingerprint(&self) -> u64 {
         let c = &self.cfg;
@@ -763,6 +774,40 @@ mod tests {
             "own flood storm choked delivery: pdr={}",
             r.flows[0].pdr()
         );
+    }
+
+    #[test]
+    fn far_coordinates_run_a_step() {
+        // ±1e12 m lies beyond the i32 cell range: each pair of nodes shares
+        // a saturated extreme column, and the two pairs stay apart.
+        let pts = [(1e12, 0.0), (1e12, 130.0), (-1e12, 0.0), (-1e12, 130.0)];
+        let mut cfg = FluidConfig::ns2_default(4, Duration::from_secs(10));
+        cfg.flows = vec![
+            FluidFlow {
+                src: 0,
+                dst: 1,
+                cbr: cbr(5000),
+            },
+            FluidFlow {
+                src: 2,
+                dst: 0,
+                cbr: cbr(5001),
+            },
+        ];
+        for discipline in [RouteDiscipline::Unicast, RouteDiscipline::Flood] {
+            cfg.discipline = discipline;
+            let mut e = FluidEngine::new(cfg.clone(), static_trace(&pts)).expect("valid");
+            e.run_until_ns(2_000_000_000);
+            assert_eq!(e.steps_done(), 2);
+            e.run_to_end();
+            let r = e.report();
+            assert!(
+                r.flows[0].pdr() > 0.95,
+                "{discipline:?}: {}",
+                r.flows[0].pdr()
+            );
+            assert_eq!(r.flows[1].received, 0, "{discipline:?}");
+        }
     }
 
     #[test]

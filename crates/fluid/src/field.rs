@@ -3,10 +3,9 @@
 //! The fluid model never touches node pairs. Nodes are binned into square
 //! cells of half the reception range; everything downstream — contention,
 //! connectivity, routing — happens at cell granularity. Past one pass over
-//! the nodes (sample, bin) a step costs O(cells) hash lookups: 0.4–0.5 ms
-//! at 10k nodes and 5–9 ms at 100k on a 2-core x86-64 host (DESIGN.md
-//! §17), where the exact engine spends seconds per simulated second on
-//! its per-frame event cascade.
+//! the nodes (sample, bin) a step costs a few forward sweeps over the
+//! occupied cells (DESIGN.md §17), where the exact engine spends seconds
+//! per simulated second on its per-frame event cascade.
 //!
 //! Two relations between cells, both fixed by geometry at construction:
 //!
@@ -17,41 +16,210 @@
 //!   range; the utilization of a cell integrates offered load over this
 //!   neighborhood.
 //!
-//! Determinism: cells are indexed in sorted coordinate order, BFS expands
-//! neighbors in a fixed offset order, and the utilization sum runs in a
-//! fixed sequence per cell regardless of how many worker shards computed
-//! it — so shard count never changes a bit of output. The coordinate →
-//! cell map is a hash map, but it is never iterated: ids come from the
-//! sorted renumbering, not from hash order.
+//! Both are disks of integer offsets, and a disk is a run of columns: at
+//! each `dx`, the offsets `|dy| ≤ h`. The field's one index is its cell
+//! coordinates in sorted `(x, y)` order, so each column of a cell's disk is
+//! a contiguous range of cell ids, and the ranges of consecutive cells
+//! only move forward. A `Sweep` walks every cell's disk with one such
+//! pointer per column: the utilization integral, link adjacency and a
+//! flood's own-load exclusion are each one sweep, O(cells × columns) plus
+//! the neighbours they visit.
+//!
+//! Determinism: cell ids come from sorting the distinct occupied
+//! coordinates, and a sweep visits a disk's cells in ascending id, which
+//! is `(dx, dy)` order: dx-major, dy ascending. Each cell's utilization is
+//! therefore the same sum, added in the same order, as one lookup per
+//! disk offset would give, and BFS expands neighbors in that fixed order.
+//! Cell arithmetic runs in `i64` or saturates, so a position beyond the
+//! `i32` cell range cannot overflow it.
+
+use std::ops::Range;
 
 use cavenet_mobility::Point2;
 use cavenet_net::FastMap;
 
-/// Offsets with `dx² + dy² ≤ 4`: centers within `2·cell = rx_range`.
-/// Fixed order (row-major) keeps BFS expansion deterministic.
-const LINK_OFFSETS: [(i32, i32); 12] = [
-    (-2, 0),
-    (-1, -1),
-    (-1, 0),
-    (-1, 1),
-    (0, -2),
-    (0, -1),
-    (0, 1),
-    (0, 2),
-    (1, -1),
-    (1, 0),
-    (1, 1),
-    (2, 0),
-];
+/// The link disk `dx² + dy² ≤ 4` (centers within `2·cell = rx_range`) as
+/// columns `(dx, h)`: the offsets `(dx, dy)` with `|dy| ≤ h`. A sweep
+/// visits them dx-major, dy ascending, so BFS expands in that fixed order.
+const LINK_COLUMNS: [(i32, i32); 5] = [(-2, 0), (-1, 1), (0, 2), (1, 1), (2, 0)];
+
+/// A cell key, at least this close to an integer relative to its size,
+/// is recomputed with the division: the reciprocal's product is within a
+/// few ulps of the quotient, so past this margin both floor alike.
+const KEY_EDGE: f64 = 1e-12;
+
+/// `2^31`: cell keys of this magnitude or more take the division, whose
+/// cast saturates.
+const KEY_RANGE: f64 = 2_147_483_648.0;
+
+/// Cell coordinates of positions along one axis: `(v / cell).floor() as
+/// i32` for every `f64` `v`, computed from the product `v · (1 / cell)`
+/// without a division or a floor (the x86-64 baseline has no floor
+/// instruction), unless that product is within [`KEY_EDGE`] of a cell
+/// edge, non-normal, or beyond the `i32` range.
+#[derive(Debug, Clone, Copy)]
+struct CellKey {
+    cell: f64,
+    /// `1 / cell`, or NaN when the reciprocal is not a normal number and
+    /// every key takes the division.
+    inv: f64,
+}
+
+/// The products `q = v · (1 / cell)` strictly inside `(lo, hi)`: a cell's
+/// span of products, shrunk by the edge margin, so all of them have the
+/// cell's key. Empty when the key came from the division.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    lo: f64,
+    hi: f64,
+}
+
+impl Span {
+    const EMPTY: Span = Span {
+        lo: f64::INFINITY,
+        hi: f64::NEG_INFINITY,
+    };
+
+    /// The span of key `k`.
+    fn of(k: i32) -> Span {
+        let (k, k1) = (f64::from(k), f64::from(k) + 1.0);
+        let margin = KEY_EDGE * k.abs().max(k1.abs());
+        Span {
+            lo: k + margin,
+            hi: k1 - margin,
+        }
+    }
+
+    #[inline]
+    fn holds(self, q: f64) -> bool {
+        q > self.lo && q < self.hi
+    }
+}
+
+impl CellKey {
+    fn new(cell: f64) -> CellKey {
+        let inv = 1.0 / cell;
+        let inv = if cell.is_normal() && inv.is_normal() {
+            inv
+        } else {
+            f64::NAN
+        };
+        CellKey { cell, inv }
+    }
+
+    /// The product `v · (1 / cell)`.
+    #[inline]
+    fn product(self, v: f64) -> f64 {
+        v * self.inv
+    }
+
+    /// The key of `v`, whose product is `q`, and the span of products
+    /// that share it.
+    #[inline]
+    fn of(self, v: f64, q: f64) -> (i32, Span) {
+        let size = q.abs();
+        // NaN and ±∞ fall outside the range.
+        if (f64::MIN_POSITIVE..KEY_RANGE).contains(&size) {
+            let t = q as i32;
+            // Exact: `q` and its truncation differ by less than one.
+            let frac = q - f64::from(t);
+            let edge = frac.abs().min(1.0 - frac.abs());
+            if edge > KEY_EDGE * size {
+                let k = t - i32::from(frac < 0.0);
+                return (k, Span::of(k));
+            }
+        }
+        ((v / self.cell).floor() as i32, Span::EMPTY)
+    }
+}
+
+/// Packs cell coordinates into one key whose unsigned order is the
+/// `(x, y)` lexicographic order.
+#[inline]
+fn pack(x: i32, y: i32) -> u64 {
+    (u64::from(x as u32 ^ 0x8000_0000) << 32) | u64::from(y as u32 ^ 0x8000_0000)
+}
+
+#[inline]
+fn unpack(k: u64) -> (i32, i32) {
+    (
+        ((k >> 32) as u32 ^ 0x8000_0000) as i32,
+        (k as u32 ^ 0x8000_0000) as i32,
+    )
+}
+
+/// The key range of column `(dx, h)` of the disk around cell `(x, y)`,
+/// or `None` when the column lies beyond the `i32` cell range. The `dy`
+/// bounds saturate: no cell lies beyond them.
+#[inline]
+fn column_keys(x: i32, y: i32, (dx, h): (i32, i32)) -> Option<(u64, u64)> {
+    let cx = x.checked_add(dx)?;
+    Some((pack(cx, y.saturating_sub(h)), pack(cx, y.saturating_add(h))))
+}
+
+/// The columns `(dx, h)` of the disk `dx² + dy² ≤ reach2` of integer
+/// offsets, `|dx| ≤ r`: per `dx` that holds any offset, in ascending
+/// order, the largest `h` with `(dx, h)` inside.
+fn disk_columns(reach2: f64, r: i32) -> Vec<(i32, i32)> {
+    (-r..=r)
+        .filter_map(|dx| {
+            let inside = |dy: i32| {
+                (i64::from(dx) * i64::from(dx) + i64::from(dy) * i64::from(dy)) as f64 <= reach2
+            };
+            (0..=r).take_while(|&dy| inside(dy)).last().map(|h| (dx, h))
+        })
+        .collect()
+}
+
+/// Walks the disks of cells in ascending id with one forward-only pointer
+/// per column: the first cell not below that column's window for the
+/// last cell visited.
+struct Sweep<'a> {
+    keys: &'a [u64],
+    columns: &'a [(i32, i32)],
+    next: Vec<usize>,
+}
+
+impl<'a> Sweep<'a> {
+    fn new(keys: &'a [u64], columns: &'a [(i32, i32)]) -> Sweep<'a> {
+        Sweep {
+            keys,
+            columns,
+            next: vec![0; columns.len()],
+        }
+    }
+
+    /// Calls `visit` with every occupied cell of cell `c`'s disk, in
+    /// ascending id (the disk's `(dx, dy)` order). `c` must not decrease
+    /// from one call to the next.
+    #[inline]
+    fn disk(&mut self, c: usize, mut visit: impl FnMut(usize)) {
+        let keys = self.keys;
+        let (x, y) = unpack(keys[c]);
+        for (&column, next) in self.columns.iter().zip(self.next.iter_mut()) {
+            let Some((lo, hi)) = column_keys(x, y, column) else {
+                continue;
+            };
+            let mut p = *next;
+            while p < keys.len() && keys[p] < lo {
+                p += 1;
+            }
+            *next = p;
+            while p < keys.len() && keys[p] <= hi {
+                visit(p);
+                p += 1;
+            }
+        }
+    }
+}
 
 /// One step's occupied-cell field.
 #[derive(Debug, Clone)]
 pub struct Field {
     cell: f64,
-    coords: Vec<(i32, i32)>,
-    /// Cell id by coordinate. Only ever accessed by key, so hash order
-    /// never reaches an output.
-    index: FastMap<(i32, i32), u32>,
+    /// The cell index: occupied cell coordinates, packed by `pack`, in
+    /// ascending order. Cell `c` is `keys[c]`.
+    keys: Vec<u64>,
     /// Nodes binned into each cell.
     pub count: Vec<u32>,
     /// Offered airtime load per cell (seconds of airtime per second).
@@ -61,9 +229,9 @@ pub struct Field {
     pub util: Vec<f64>,
     /// Cell index of each node.
     pub node_cell: Vec<u32>,
-    contention_offsets: Vec<(i32, i32)>,
-    /// Squared contention reach in cell units — the disk
-    /// `contention_offsets` enumerates.
+    /// The contention disk, as `disk_columns` gives it.
+    columns: Vec<(i32, i32)>,
+    /// Squared contention reach in cell units — the disk `columns` spans.
     reach2: f64,
 }
 
@@ -71,83 +239,82 @@ impl Field {
     /// Bin `positions` (one per node, id order) into cells of size `cell`
     /// metres; `cs_range` bounds the contention neighborhood.
     pub fn bin(positions: &[Point2], cell: f64, cs_range: f64) -> Field {
-        let key = |p: &Point2| ((p.x / cell).floor() as i32, (p.y / cell).floor() as i32);
-        // Number cells in first-seen order. Consecutive ids mostly share a
-        // cell (vehicles are numbered along the road), so the previous
-        // node's key is tried before the map.
-        let mut index: FastMap<(i32, i32), u32> = FastMap::default();
-        let mut seen: Vec<(i32, i32)> = Vec::new();
-        let mut node_cell = Vec::with_capacity(positions.len());
-        let mut last = None;
-        for p in positions {
-            let k = key(p);
-            let c = match last {
-                Some((lk, lc)) if lk == k => lc,
-                _ => {
-                    let c = *index.entry(k).or_insert_with(|| {
-                        seen.push(k);
-                        seen.len() as u32 - 1
-                    });
-                    last = Some((k, c));
-                    c
-                }
-            };
-            node_cell.push(c);
+        let key = CellKey::new(cell);
+        // Split the nodes into runs that share a cell, numbering cells in
+        // first-seen order. Consecutive ids mostly share a cell (vehicles
+        // are numbered along the road), so a node whose products lie in
+        // the spans of the run's cell joins the run without a key or a
+        // map lookup.
+        let mut index: FastMap<u64, u32> = FastMap::default();
+        let mut seen: Vec<u64> = Vec::new();
+        // Each run's end (one past its last node) and its cell's
+        // first-seen id.
+        let mut runs: Vec<(usize, u32)> = Vec::new();
+        let (mut span_x, mut span_y) = (Span::EMPTY, Span::EMPTY);
+        for (i, p) in positions.iter().enumerate() {
+            let (qx, qy) = (key.product(p.x), key.product(p.y));
+            if span_x.holds(qx) && span_y.holds(qy) {
+                continue;
+            }
+            let (kx, sx) = key.of(p.x, qx);
+            let (ky, sy) = key.of(p.y, qy);
+            (span_x, span_y) = (sx, sy);
+            let k = pack(kx, ky);
+            let c = *index.entry(k).or_insert_with(|| {
+                seen.push(k);
+                seen.len() as u32 - 1
+            });
+            if let Some(run) = runs.last_mut() {
+                run.0 = i;
+            }
+            runs.push((positions.len(), c));
         }
         // Re-number in sorted coordinate order so cell ids are a pure
         // function of the occupied set, not of node or hash order.
-        let mut sorted: Vec<((i32, i32), u32)> = seen.into_iter().zip(0..).collect();
+        let mut sorted: Vec<(u64, u32)> = seen.into_iter().zip(0..).collect();
         sorted.sort_unstable();
         let mut rank = vec![0u32; sorted.len()];
-        for (new, &(k, first_seen)) in sorted.iter().enumerate() {
+        for (new, &(_, first_seen)) in sorted.iter().enumerate() {
             rank[first_seen as usize] = new as u32;
-            index.insert(k, new as u32);
         }
-        let coords: Vec<(i32, i32)> = sorted.into_iter().map(|(k, _)| k).collect();
-        let mut count = vec![0u32; coords.len()];
-        for c in &mut node_cell {
-            *c = rank[*c as usize];
-            count[*c as usize] += 1;
+        let keys: Vec<u64> = sorted.into_iter().map(|(k, _)| k).collect();
+        let mut count = vec![0u32; keys.len()];
+        let mut node_cell = Vec::with_capacity(positions.len());
+        for &(end, c) in &runs {
+            let c = rank[c as usize];
+            count[c as usize] += (end - node_cell.len()) as u32;
+            node_cell.resize(end, c);
         }
         let reach = (cs_range / cell).max(0.0);
-        let r = reach.ceil() as i32;
         let reach2 = reach * reach;
-        let mut contention_offsets = Vec::new();
-        for dx in -r..=r {
-            for dy in -r..=r {
-                if (dx * dx + dy * dy) as f64 <= reach2 {
-                    contention_offsets.push((dx, dy));
-                }
-            }
-        }
-        let load = vec![0.0; coords.len()];
-        let util = vec![0.0; coords.len()];
+        let columns = disk_columns(reach2, reach.ceil() as i32);
+        let load = vec![0.0; keys.len()];
+        let util = vec![0.0; keys.len()];
         Field {
             cell,
-            coords,
-            index,
+            keys,
             count,
             load,
             util,
             node_cell,
-            contention_offsets,
+            columns,
             reach2,
         }
     }
 
     /// Number of occupied cells.
     pub fn len(&self) -> usize {
-        self.coords.len()
+        self.keys.len()
     }
 
     /// Whether the field has no occupied cells.
     pub fn is_empty(&self) -> bool {
-        self.coords.is_empty()
+        self.keys.is_empty()
     }
 
     /// Geometric center of cell `c`.
     pub fn center(&self, c: u32) -> Point2 {
-        let (ix, iy) = self.coords[c as usize];
+        let (ix, iy) = unpack(self.keys[c as usize]);
         Point2::new(
             (f64::from(ix) + 0.5) * self.cell,
             (f64::from(iy) + 0.5) * self.cell,
@@ -159,61 +326,50 @@ impl Field {
         self.center(a).distance(&self.center(b))
     }
 
-    /// Occupied link-adjacent neighbors of `c`, in fixed offset order.
-    pub fn neighbors<'a>(&'a self, c: u32) -> impl Iterator<Item = u32> + 'a {
-        let (ix, iy) = self.coords[c as usize];
-        LINK_OFFSETS
+    /// The cells of column `column` of `c`'s disk: a range of ids.
+    fn window(&self, c: u32, column: (i32, i32)) -> Range<usize> {
+        let (x, y) = unpack(self.keys[c as usize]);
+        match column_keys(x, y, column) {
+            Some((lo, hi)) => {
+                self.keys.partition_point(|&k| k < lo)..self.keys.partition_point(|&k| k <= hi)
+            }
+            None => 0..0,
+        }
+    }
+
+    /// Occupied link-adjacent neighbors of `c`, in fixed `(dx, dy)` order.
+    pub fn neighbors(&self, c: u32) -> impl Iterator<Item = u32> + '_ {
+        LINK_COLUMNS
             .iter()
-            .filter_map(move |&(dx, dy)| self.index.get(&(ix + dx, iy + dy)).copied())
+            .flat_map(move |&column| self.window(c, column))
+            .map(|n| n as u32)
+            .filter(move |&n| n != c)
     }
 
-    /// Utilization of the range `[lo, hi)` of cell indices: for each cell,
-    /// the sum of `load` over its contention neighborhood. Pure — writes
-    /// only into `out` (same length as the range), reads only `load`.
-    fn integrate_range(&self, lo: usize, hi: usize, out: &mut [f64]) {
-        for (slot, c) in (lo..hi).enumerate() {
-            let (ix, iy) = self.coords[c];
+    /// For every cell, the sum of `values` over its contention disk,
+    /// added from 0.0 in the disk's `(dx, dy)` order.
+    fn disk_sums(&self, values: &[f64], out: &mut [f64]) {
+        assert_eq!(values.len(), self.len());
+        let mut sweep = Sweep::new(&self.keys, &self.columns);
+        for (c, sum) in out.iter_mut().enumerate() {
             let mut u = 0.0;
-            for &(dx, dy) in &self.contention_offsets {
-                if let Some(&n) = self.index.get(&(ix + dx, iy + dy)) {
-                    u += self.load[n as usize];
-                }
-            }
-            out[slot] = u;
+            sweep.disk(c, |n| u += values[n]);
+            *sum = u;
         }
     }
 
-    /// Fill [`Field::util`] from [`Field::load`], fanning the pure per-cell
-    /// integral over `shards` workers. The per-cell arithmetic is identical
-    /// for every shard count — this is an execution knob.
-    pub fn integrate(&mut self, shards: u32) {
-        let n = self.len();
-        let shards = (shards.max(1) as usize).min(n.max(1));
-        if shards <= 1 || n < 64 {
-            let mut out = vec![0.0; n];
-            self.integrate_range(0, n, &mut out);
-            self.util = out;
-            return;
-        }
-        let chunk = n.div_ceil(shards);
-        let mut out = vec![0.0; n];
-        std::thread::scope(|scope| {
-            let field = &*self;
-            let mut rest = out.as_mut_slice();
-            let mut lo = 0;
-            let mut handles = Vec::with_capacity(shards);
-            while lo < n {
-                let hi = (lo + chunk).min(n);
-                let (mine, tail) = rest.split_at_mut(hi - lo);
-                rest = tail;
-                handles.push(scope.spawn(move || field.integrate_range(lo, hi, mine)));
-                lo = hi;
-            }
-            for h in handles {
-                h.join().expect("fluid shard worker panicked");
-            }
-        });
-        self.util = out;
+    /// Fill [`Field::util`] from [`Field::load`]: each cell's load summed
+    /// over its contention disk, in one serial sweep.
+    ///
+    /// `shards` does nothing. It once fanned the integral over worker
+    /// threads, which never beat one (DESIGN.md §17), and remains only
+    /// because the repository benchmark package (`benchmarks/benchmark`)
+    /// still passes it.
+    pub fn integrate(&mut self, _shards: u32) {
+        let mut util = std::mem::take(&mut self.util);
+        util.resize(self.len(), 0.0);
+        self.disk_sums(&self.load, &mut util);
+        self.util = util;
     }
 
     /// Sum of `deposits` (`(cell, offered-airtime)` pairs) whose cell lies
@@ -224,13 +380,15 @@ impl Field {
     /// from its delivery closure: a flow's frames are serialized by its
     /// own MAC queue and never collide with themselves.
     pub fn util_from(&self, deposits: &[(u32, f64)], at: u32) -> f64 {
-        let (ax, ay) = self.coords[at as usize];
+        let (ax, ay) = unpack(self.keys[at as usize]);
         deposits
             .iter()
             .map(|&(c, amount)| {
-                let (cx, cy) = self.coords[c as usize];
-                let (dx, dy) = (cx - ax, cy - ay);
-                if f64::from(dx * dx + dy * dy) <= self.reach2 {
+                let (cx, cy) = unpack(self.keys[c as usize]);
+                // Exact below 2^26 cells apart, where the disk lies.
+                let dx = (i64::from(cx) - i64::from(ax)) as f64;
+                let dy = (i64::from(cy) - i64::from(ay)) as f64;
+                if dx * dx + dy * dy <= self.reach2 {
                     amount
                 } else {
                     0.0
@@ -239,11 +397,62 @@ impl Field {
             .sum()
     }
 
+    /// [`util_from`](Self::util_from) at every cell at once, in one sweep
+    /// instead of one scan of `deposits` per cell.
+    ///
+    /// Bit for bit equal to it when there are deposits, at distinct cells
+    /// in ascending id, with non-negative amounts, as a flood's are: a sweep
+    /// adds a disk's cells in ascending id, which is then the deposits'
+    /// own order, and the +0.0 it adds for a cell without a deposit, like
+    /// the 0.0 `util_from` adds for a deposit out of reach, never changes
+    /// a non-negative sum.
+    pub(crate) fn deposit_util(&self, deposits: &[(u32, f64)]) -> Vec<f64> {
+        let mut own = vec![0.0; self.len()];
+        for &(c, amount) in deposits {
+            own[c as usize] = amount;
+        }
+        let mut out = vec![0.0; self.len()];
+        self.disk_sums(&own, &mut out);
+        out
+    }
+
+    /// Each cell's node count plus those of its link-adjacent cells.
+    pub(crate) fn link_counts(&self) -> Vec<u32> {
+        let mut sweep = Sweep::new(&self.keys, &LINK_COLUMNS);
+        (0..self.len())
+            .map(|c| {
+                let mut near = 0;
+                sweep.disk(c, |n| near += self.count[n]);
+                near
+            })
+            .collect()
+    }
+
+    /// Link adjacency in compressed rows: the neighbors of `c` are
+    /// `adj[start[c]..start[c + 1]]`, in [`neighbors`](Self::neighbors)
+    /// order.
+    fn adjacency(&self) -> (Vec<u32>, Vec<u32>) {
+        let mut sweep = Sweep::new(&self.keys, &LINK_COLUMNS);
+        let mut start = Vec::with_capacity(self.len() + 1);
+        let mut adj = Vec::new();
+        start.push(0);
+        for c in 0..self.len() {
+            sweep.disk(c, |n| {
+                if n != c {
+                    adj.push(n as u32);
+                }
+            });
+            start.push(adj.len() as u32);
+        }
+        (start, adj)
+    }
+
     /// Deterministic BFS from `src` over occupied link-adjacent cells.
     /// Returns `(parent, dist_m)` arrays: `parent[c] == u32::MAX` marks an
     /// unreached cell (the source is its own parent), `dist_m` accumulates
     /// center-to-center path length in metres.
     pub fn bfs(&self, src: u32) -> (Vec<u32>, Vec<f64>) {
+        let (start, adj) = self.adjacency();
         let n = self.len();
         let mut parent = vec![u32::MAX; n];
         let mut dist = vec![f64::INFINITY; n];
@@ -252,10 +461,11 @@ impl Field {
         dist[src as usize] = 0.0;
         queue.push_back(src);
         while let Some(c) = queue.pop_front() {
-            for nb in self.neighbors(c) {
+            let c_ = c as usize;
+            for &nb in &adj[start[c_] as usize..start[c_ + 1] as usize] {
                 if parent[nb as usize] == u32::MAX {
                     parent[nb as usize] = c;
-                    dist[nb as usize] = dist[c as usize] + self.center_distance(c, nb);
+                    dist[nb as usize] = dist[c_] + self.center_distance(c, nb);
                     queue.push_back(nb);
                 }
             }
@@ -318,8 +528,35 @@ mod tests {
         assert!(a.util.iter().any(|&u| u > 0.0));
     }
 
-    /// The `BTreeMap`-indexed binning the hashed index replaced, kept as the
-    /// reference it must reproduce bit for bit.
+    #[test]
+    fn far_coordinates_stay_apart() {
+        // ±1e12 m puts x beyond the i32 cell range: both clusters saturate
+        // to the extreme columns, where a cell offset would overflow.
+        let pts = [
+            Point2::new(1e12, 0.0),
+            Point2::new(1e12, 130.0),
+            Point2::new(-1e12, 0.0),
+            Point2::new(-1e12, 130.0),
+        ];
+        let mut f = Field::bin(&pts, 125.0, 550.0);
+        assert_eq!(f.len(), 4);
+        let cells: Vec<u32> = f.node_cell.clone();
+        assert_eq!(cells, vec![2, 3, 0, 1]);
+        f.load = vec![1.0, 2.0, 4.0, 8.0];
+        f.integrate(1);
+        assert_eq!(f.util, vec![3.0, 3.0, 12.0, 12.0]);
+        assert_eq!(f.neighbors(2).collect::<Vec<_>>(), vec![3]);
+        let (parent, dist) = f.bfs(2);
+        assert_eq!(parent, vec![u32::MAX, u32::MAX, 2, 2]);
+        assert_eq!(dist[3], 125.0);
+        let deposits = [(0, 1.0), (1, 2.0)];
+        assert_eq!(f.util_from(&deposits, 2), 0.0);
+        assert_eq!(f.util_from(&deposits, 1), 3.0);
+    }
+
+    /// The `BTreeMap`-indexed binning that preceded the sorted sweep, kept
+    /// as the reference it must reproduce bit for bit: one lookup per disk
+    /// offset, an offset beyond the `i32` cell range finding no cell.
     struct Reference {
         coords: Vec<(i32, i32)>,
         index: BTreeMap<(i32, i32), u32>,
@@ -327,6 +564,22 @@ mod tests {
         node_cell: Vec<u32>,
         contention_offsets: Vec<(i32, i32)>,
     }
+
+    /// Offsets with `dx² + dy² ≤ 4`, dx-major, dy ascending.
+    const LINK_OFFSETS: [(i32, i32); 12] = [
+        (-2, 0),
+        (-1, -1),
+        (-1, 0),
+        (-1, 1),
+        (0, -2),
+        (0, -1),
+        (0, 1),
+        (0, 2),
+        (1, -1),
+        (1, 0),
+        (1, 1),
+        (2, 0),
+    ];
 
     impl Reference {
         fn bin(positions: &[Point2], cell: f64, cs_range: f64) -> Reference {
@@ -366,21 +619,22 @@ mod tests {
             }
         }
 
-        fn neighbors(&self, c: u32) -> Vec<u32> {
+        fn at(&self, c: u32, (dx, dy): (i32, i32)) -> Option<u32> {
             let (ix, iy) = self.coords[c as usize];
-            LINK_OFFSETS
-                .iter()
-                .filter_map(|&(dx, dy)| self.index.get(&(ix + dx, iy + dy)).copied())
-                .collect()
+            let key = (ix.checked_add(dx)?, iy.checked_add(dy)?);
+            self.index.get(&key).copied()
+        }
+
+        fn neighbors(&self, c: u32) -> Vec<u32> {
+            LINK_OFFSETS.iter().filter_map(|&o| self.at(c, o)).collect()
         }
 
         fn util(&self, load: &[f64]) -> Vec<f64> {
-            self.coords
-                .iter()
-                .map(|&(ix, iy)| {
+            (0..self.coords.len() as u32)
+                .map(|c| {
                     let mut u = 0.0;
-                    for &(dx, dy) in &self.contention_offsets {
-                        if let Some(&n) = self.index.get(&(ix + dx, iy + dy)) {
+                    for &o in &self.contention_offsets {
+                        if let Some(n) = self.at(c, o) {
                             u += load[n as usize];
                         }
                     }
@@ -416,20 +670,31 @@ mod tests {
 
     /// One point of a mixed set, in units of the cell size: anywhere in
     /// ±40 cells (`kind` 0), on a cell edge or corner (1), inside one fixed
-    /// cell (2), or in one of two clusters ±10⁵ cells out (3).
+    /// cell (2), in one of two clusters ±10⁵ cells out (3), in one of two
+    /// clusters beyond the `i32` cell range (4), or straddling its ends
+    /// (5).
     fn point_strategy() -> impl Strategy<Value = (u8, i32, i32, f64, f64)> {
-        (0u8..4, -40i32..40, -40i32..40, 0.0f64..1.0, 0.0f64..1.0)
+        (0u8..6, -40i32..40, -40i32..40, 0.0f64..1.0, 0.0f64..1.0)
     }
 
     fn place(cell: f64, (kind, i, j, u, v): (u8, i32, i32, f64, f64)) -> Point2 {
         let at = |a: f64, b: f64| Point2::new(a * cell, b * cell);
+        let side = |k: i32, far: f64| if k < 0 { -far } else { far };
         match kind {
             0 => at(f64::from(i) + u, f64::from(j) + v),
             1 => at(f64::from(i), f64::from(j) + if u < 0.5 { 0.0 } else { v }),
             2 => at(3.0 + u, -7.0 + v),
-            _ => {
-                let far = if i < 0 { -1e5 } else { 1e5 };
+            3 => {
+                let far = side(i, 1e5);
                 at(far + u * 6.0, -far + v * 6.0)
+            }
+            4 => {
+                let far = side(i, 8e9);
+                at(far * (1.0 + u), f64::from(j) + v)
+            }
+            _ => {
+                let end = side(i, 2_147_483_648.0);
+                at(end + f64::from(i % 4) + u, -end + f64::from(j % 4) + v)
             }
         }
     }
@@ -438,34 +703,91 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
+    fn coords(field: &Field) -> Vec<(i32, i32)> {
+        field.keys.iter().map(|&k| unpack(k)).collect()
+    }
+
+    fn offsets(columns: &[(i32, i32)]) -> Vec<(i32, i32)> {
+        columns
+            .iter()
+            .flat_map(|&(dx, h)| (-h..=h).map(move |dy| (dx, dy)))
+            .collect()
+    }
+
+    /// Values that probe a cell key: multiples of `cell` and their
+    /// neighbouring floats, signed zeros, subnormals, infinities, both
+    /// NaNs, and values whose key lies beyond the `i32` range.
+    fn key_probes(cell: f64, k: i64, x: f64) -> Vec<f64> {
+        let on = k as f64 * cell;
+        vec![
+            on,
+            on.next_up(),
+            on.next_down(),
+            -on,
+            (-on).next_up(),
+            (-on).next_down(),
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE.next_down(),
+            -f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MAX,
+            f64::MIN,
+            2_147_483_648.0 * cell,
+            (2_147_483_648.0 * cell).next_down(),
+            -2_147_483_648.0 * cell,
+            (-2_147_483_648.0 * cell).next_down(),
+            (-2_147_483_648.0 * cell).next_up(),
+            1e12,
+            -1e12,
+            x,
+            x * cell,
+        ]
+    }
+
     proptest! {
         // At least 512 cases; `PROPTEST_CASES` raises it (CI runs 4096).
         #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(512)))]
         #[test]
-        fn hashed_field_equals_reference(
+        fn swept_field_equals_reference(
             points in prop::collection::vec(point_strategy(), 1..400),
-            only in 0u8..5,
+            only in 0u8..8,
             cell in prop_oneof![Just(125.0f64), Just(50.0), Just(1.0), 0.1f64..300.0],
             reach in 0.0f64..6.0,
             loads in prop::collection::vec(0.0f64..0.5, 1..16),
+            deposited in prop::collection::vec(any::<bool>(), 1..16),
         ) {
-            // `only` < 4 restricts the set to one kind: a single cell, just
-            // edges, or just the two far clusters. The carrier-sense reach
-            // spans 0–6 cells.
+            // `only` < 6 restricts the set to one kind: a single cell, just
+            // edges, or just far clusters. The carrier-sense reach spans
+            // 0–6 cells.
             let cs_range = reach * cell;
             let positions: Vec<Point2> = points
                 .into_iter()
-                .map(|(kind, i, j, u, v)| (if only < 4 { only } else { kind }, i, j, u, v))
+                .map(|(kind, i, j, u, v)| (if only < 6 { only } else { kind }, i, j, u, v))
                 .map(|p| place(cell, p))
                 .collect();
             let field = Field::bin(&positions, cell, cs_range);
             let reference = Reference::bin(&positions, cell, cs_range);
-            prop_assert_eq!(&field.coords, &reference.coords);
+            prop_assert_eq!(coords(&field), reference.coords.clone());
             prop_assert_eq!(&field.count, &reference.count);
             prop_assert_eq!(&field.node_cell, &reference.node_cell);
-            prop_assert_eq!(&field.contention_offsets, &reference.contention_offsets);
+            prop_assert_eq!(offsets(&field.columns), reference.contention_offsets.clone());
+            prop_assert_eq!(offsets(&LINK_COLUMNS), {
+                let mut link = LINK_OFFSETS.to_vec();
+                link.insert(6, (0, 0));
+                link
+            });
+            let link_counts = field.link_counts();
             for c in 0..field.len() as u32 {
-                prop_assert_eq!(field.neighbors(c).collect::<Vec<_>>(), reference.neighbors(c));
+                let neighbors = reference.neighbors(c);
+                prop_assert_eq!(field.neighbors(c).collect::<Vec<_>>(), neighbors.clone());
+                let near: u32 = neighbors.iter().map(|&n| reference.count[n as usize]).sum();
+                prop_assert_eq!(link_counts[c as usize], reference.count[c as usize] + near);
             }
             let load: Vec<f64> = (0..field.len()).map(|c| loads[c % loads.len()]).collect();
             let expected = f64_bits(&reference.util(&load));
@@ -475,11 +797,55 @@ mod tests {
                 f.integrate(shards);
                 prop_assert_eq!(f64_bits(&f.util), expected.clone());
             }
+            // A flood's own deposits: distinct cells in ascending id, its
+            // source's among them.
+            let deposits: Vec<(u32, f64)> = (0..field.len() as u32)
+                .filter(|&c| c == field.node_cell[0] || deposited[c as usize % deposited.len()])
+                .map(|c| (c, load[c as usize]))
+                .collect();
+            let own = field.deposit_util(&deposits);
+            for c in 0..field.len() as u32 {
+                prop_assert_eq!(
+                    own[c as usize].to_bits(),
+                    field.util_from(&deposits, c).to_bits(),
+                    "cell {}", c
+                );
+            }
             for src in [field.node_cell[0], (field.len() - 1) as u32] {
                 let (parent, dist) = field.bfs(src);
                 let (ref_parent, ref_dist) = reference.bfs(src, cell);
                 prop_assert_eq!(parent, ref_parent);
                 prop_assert_eq!(f64_bits(&dist), f64_bits(&ref_dist));
+            }
+        }
+
+        #[test]
+        fn cell_key_equals_reference(
+            cell in prop_oneof![
+                Just(0.1f64),
+                Just(1.0),
+                Just(125.0),
+                1e-3f64..1e4,
+                any::<u64>().prop_map(f64::from_bits),
+            ],
+            k in prop_oneof![-50i64..50, any::<i32>().prop_map(i64::from), any::<i64>()],
+            x in prop_oneof![-1e4f64..1e4, any::<u64>().prop_map(f64::from_bits)],
+        ) {
+            let key = CellKey::new(cell);
+            let probes = key_probes(cell, k, x);
+            let floored = |v: f64| (v / cell).floor() as i32;
+            for &v in &probes {
+                let (kv, span) = key.of(v, key.product(v));
+                prop_assert_eq!(kv, floored(v), "v = {:e}, cell = {:e}", v, cell);
+                // Every probe whose product the span holds shares the key,
+                // as do values at the span's ends.
+                let ends = [span.lo * cell, span.hi * cell, (span.lo + span.hi) / 2.0 * cell];
+                let near = ends.iter().flat_map(|&e| [e, e.next_up(), e.next_down()]);
+                for w in probes.iter().copied().chain(near) {
+                    if span.holds(key.product(w)) {
+                        prop_assert_eq!(floored(w), kv, "v = {:e}, w = {:e}, cell = {:e}", v, w, cell);
+                    }
+                }
             }
         }
     }

@@ -112,8 +112,10 @@ pub struct FluidConfig {
     pub control_payload_bytes: u32,
     /// The CBR flows.
     pub flows: Vec<FluidFlow>,
-    /// Worker shards for the utilization field (execution knob only —
-    /// results are bit-identical for every value; see [`Field::integrate`]).
+    /// Does nothing: the utilization integral is one serial sweep. This
+    /// once set its worker count, and remains only because the repository
+    /// benchmark package (`benchmarks/benchmark`) still sets it; see
+    /// [`Field::integrate`].
     pub shards: u32,
 }
 

@@ -50,6 +50,9 @@ use crate::time::SimTime;
 /// of MAC timers and in-flight frames spans a handful of days.
 const DAY_SHIFT: u32 = 20;
 
+/// A new queue's bucket window: 16 days ≈ 17 ms.
+const MIN_BUCKETS: usize = 16;
+
 /// Buckets never grow beyond this (2^20 days ≈ 18 min of window).
 const MAX_BUCKETS: usize = 1 << 20;
 
@@ -133,21 +136,23 @@ impl<T> CalendarQueue<T> {
         Self::with_capacity(0)
     }
 
-    /// An empty queue pre-sized for about `n` concurrently pending events:
-    /// the run arena, the active heap and the bucket window are allocated up
-    /// front so the steady state does not grow them.
+    /// An empty queue whose run arena and active heap are pre-sized for
+    /// about `n` concurrently pending events, so the steady state does not
+    /// grow them. The bucket window is sized from the runs the queue holds,
+    /// not from `n`: it starts at the minimum and doubles whenever more than
+    /// 4 runs per bucket are pending, so no bucket is allocated before a
+    /// run needs it.
     pub fn with_capacity(n: usize) -> Self {
-        let nb = (n / 2).next_power_of_two().clamp(16, MAX_BUCKETS);
         CalendarQueue {
             runs: Vec::with_capacity(n),
             free: Vec::new(),
             spare: VecPool::new(),
             active: BinaryHeap::with_capacity(64.min(n.max(16))),
-            buckets: (0..nb).map(|_| Vec::new()).collect(),
+            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
             in_buckets: 0,
             overflow: BinaryHeap::new(),
             cursor: 0,
-            mask: (nb - 1) as u64,
+            mask: (MIN_BUCKETS - 1) as u64,
             len: 0,
         }
     }

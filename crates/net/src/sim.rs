@@ -487,8 +487,8 @@ impl<O: SimObserver> SimulatorBuilder<O> {
                 now: SimTime::ZERO,
                 // Pre-sized from the node count: the pending-event population
                 // scales with nodes (per-node MAC timers plus in-flight
-                // frames × receivers), so the arena and bucket window reach
-                // steady state without growing.
+                // frames × receivers), so the run arena reaches steady state
+                // without growing. The bucket window grows with the runs.
                 queue: CalendarQueue::with_capacity(self.nodes * 8),
                 seq: 0,
                 rng: SimRng::seed_from_u64(self.seed),
