@@ -33,8 +33,6 @@
 //! Cell arithmetic runs in `i64` or saturates, so a position beyond the
 //! `i32` cell range cannot overflow it.
 
-use std::ops::Range;
-
 use cavenet_mobility::Point2;
 use cavenet_net::FastMap;
 
@@ -43,31 +41,27 @@ use cavenet_net::FastMap;
 /// visits them dx-major, dy ascending, so BFS expands in that fixed order.
 const LINK_COLUMNS: [(i32, i32); 5] = [(-2, 0), (-1, 1), (0, 2), (1, 1), (2, 0)];
 
-/// A cell key, at least this close to an integer relative to its size,
-/// is recomputed with the division: the reciprocal's product is within a
-/// few ulps of the quotient, so past this margin both floor alike.
+/// A relative margin inside each cell edge. The product `v · (1 / cell)`
+/// is within a few ulps of the quotient `v / cell`, so a product farther
+/// than this from every integer floors as the quotient does.
 const KEY_EDGE: f64 = 1e-12;
 
-/// `2^31`: cell keys of this magnitude or more take the division, whose
-/// cast saturates.
-const KEY_RANGE: f64 = 2_147_483_648.0;
-
-/// Cell coordinates of positions along one axis: `(v / cell).floor() as
-/// i32` for every `f64` `v`, computed from the product `v · (1 / cell)`
-/// without a division or a floor (the x86-64 baseline has no floor
-/// instruction), unless that product is within [`KEY_EDGE`] of a cell
-/// edge, non-normal, or beyond the `i32` range.
+/// Cell coordinates of positions along one axis, `(v / cell).floor() as
+/// i32`, and the span of products `v · (1 / cell)` that share a key: a
+/// node whose product lies inside the previous key's span needs no
+/// division and no floor (the x86-64 baseline has no floor instruction).
 #[derive(Debug, Clone, Copy)]
 struct CellKey {
     cell: f64,
-    /// `1 / cell`, or NaN when the reciprocal is not a normal number and
-    /// every key takes the division.
+    /// `1 / cell`, for any `cell`: an infinite reciprocal gives products
+    /// no span holds, and a subnormal one, from a cell above 4.5e307,
+    /// still has a precision far finer than [`KEY_EDGE`].
     inv: f64,
 }
 
 /// The products `q = v · (1 / cell)` strictly inside `(lo, hi)`: a cell's
-/// span of products, shrunk by the edge margin, so all of them have the
-/// cell's key. Empty when the key came from the division.
+/// span of products, shrunk by [`KEY_EDGE`], so the quotient of every one
+/// of them floors to the cell's key.
 #[derive(Debug, Clone, Copy)]
 struct Span {
     lo: f64,
@@ -80,7 +74,9 @@ impl Span {
         hi: f64::NEG_INFINITY,
     };
 
-    /// The span of key `k`.
+    /// The span of key `k`. Valid for every key the division gives,
+    /// including the saturated `i32::MIN` and `i32::MAX` and the 0 of a
+    /// NaN, since a quotient strictly inside `(k, k + 1)` floors to `k`.
     fn of(k: i32) -> Span {
         let (k, k1) = (f64::from(k), f64::from(k) + 1.0);
         let margin = KEY_EDGE * k.abs().max(k1.abs());
@@ -90,21 +86,22 @@ impl Span {
         }
     }
 
+    /// Whether the span holds `q`. Both comparisons are evaluated, so a
+    /// caller can test two spans with one branch: with node order unrelated
+    /// to position, a short-circuit branch on `q > lo` alone goes either way
+    /// at random.
     #[inline]
     fn holds(self, q: f64) -> bool {
-        q > self.lo && q < self.hi
+        (q > self.lo) & (q < self.hi)
     }
 }
 
 impl CellKey {
     fn new(cell: f64) -> CellKey {
-        let inv = 1.0 / cell;
-        let inv = if cell.is_normal() && inv.is_normal() {
-            inv
-        } else {
-            f64::NAN
-        };
-        CellKey { cell, inv }
+        CellKey {
+            cell,
+            inv: 1.0 / cell,
+        }
     }
 
     /// The product `v · (1 / cell)`.
@@ -113,23 +110,11 @@ impl CellKey {
         v * self.inv
     }
 
-    /// The key of `v`, whose product is `q`, and the span of products
-    /// that share it.
+    /// The key of `v` and the span of products that share it.
     #[inline]
-    fn of(self, v: f64, q: f64) -> (i32, Span) {
-        let size = q.abs();
-        // NaN and ±∞ fall outside the range.
-        if (f64::MIN_POSITIVE..KEY_RANGE).contains(&size) {
-            let t = q as i32;
-            // Exact: `q` and its truncation differ by less than one.
-            let frac = q - f64::from(t);
-            let edge = frac.abs().min(1.0 - frac.abs());
-            if edge > KEY_EDGE * size {
-                let k = t - i32::from(frac < 0.0);
-                return (k, Span::of(k));
-            }
-        }
-        ((v / self.cell).floor() as i32, Span::EMPTY)
+    fn of(self, v: f64) -> (i32, Span) {
+        let k = (v / self.cell).floor() as i32;
+        (k, Span::of(k))
     }
 }
 
@@ -244,8 +229,10 @@ impl Field {
         // first-seen order. Consecutive ids mostly share a cell (vehicles
         // are numbered along the road), so a node whose products lie in
         // the spans of the run's cell joins the run without a key or a
-        // map lookup.
-        let mut index: FastMap<u64, u32> = FastMap::default();
+        // map lookup. The map hashes the coordinate pair, not the packed
+        // key: a multiplicative hash of the packed key would pick buckets
+        // by `y` alone.
+        let mut index: FastMap<(i32, i32), u32> = FastMap::default();
         let mut seen: Vec<u64> = Vec::new();
         // Each run's end (one past its last node) and its cell's
         // first-seen id.
@@ -253,15 +240,14 @@ impl Field {
         let (mut span_x, mut span_y) = (Span::EMPTY, Span::EMPTY);
         for (i, p) in positions.iter().enumerate() {
             let (qx, qy) = (key.product(p.x), key.product(p.y));
-            if span_x.holds(qx) && span_y.holds(qy) {
+            if span_x.holds(qx) & span_y.holds(qy) {
                 continue;
             }
-            let (kx, sx) = key.of(p.x, qx);
-            let (ky, sy) = key.of(p.y, qy);
+            let (kx, sx) = key.of(p.x);
+            let (ky, sy) = key.of(p.y);
             (span_x, span_y) = (sx, sy);
-            let k = pack(kx, ky);
-            let c = *index.entry(k).or_insert_with(|| {
-                seen.push(k);
+            let c = *index.entry((kx, ky)).or_insert_with(|| {
+                seen.push(pack(kx, ky));
                 seen.len() as u32 - 1
             });
             if let Some(run) = runs.last_mut() {
@@ -324,26 +310,6 @@ impl Field {
     /// Center-to-center distance between two cells.
     pub fn center_distance(&self, a: u32, b: u32) -> f64 {
         self.center(a).distance(&self.center(b))
-    }
-
-    /// The cells of column `column` of `c`'s disk: a range of ids.
-    fn window(&self, c: u32, column: (i32, i32)) -> Range<usize> {
-        let (x, y) = unpack(self.keys[c as usize]);
-        match column_keys(x, y, column) {
-            Some((lo, hi)) => {
-                self.keys.partition_point(|&k| k < lo)..self.keys.partition_point(|&k| k <= hi)
-            }
-            None => 0..0,
-        }
-    }
-
-    /// Occupied link-adjacent neighbors of `c`, in fixed `(dx, dy)` order.
-    pub fn neighbors(&self, c: u32) -> impl Iterator<Item = u32> + '_ {
-        LINK_COLUMNS
-            .iter()
-            .flat_map(move |&column| self.window(c, column))
-            .map(|n| n as u32)
-            .filter(move |&n| n != c)
     }
 
     /// For every cell, the sum of `values` over its contention disk,
@@ -428,9 +394,9 @@ impl Field {
             .collect()
     }
 
-    /// Link adjacency in compressed rows: the neighbors of `c` are
-    /// `adj[start[c]..start[c + 1]]`, in [`neighbors`](Self::neighbors)
-    /// order.
+    /// Link adjacency in compressed rows: the occupied link-adjacent
+    /// neighbors of `c` are `adj[start[c]..start[c + 1]]`, in the link
+    /// disk's fixed `(dx, dy)` order.
     fn adjacency(&self) -> (Vec<u32>, Vec<u32>) {
         let mut sweep = Sweep::new(&self.keys, &LINK_COLUMNS);
         let mut start = Vec::with_capacity(self.len() + 1);
@@ -545,7 +511,9 @@ mod tests {
         f.load = vec![1.0, 2.0, 4.0, 8.0];
         f.integrate(1);
         assert_eq!(f.util, vec![3.0, 3.0, 12.0, 12.0]);
-        assert_eq!(f.neighbors(2).collect::<Vec<_>>(), vec![3]);
+        let (start, adj) = f.adjacency();
+        assert_eq!(start, vec![0, 1, 2, 3, 4]);
+        assert_eq!(adj, vec![1, 0, 3, 2]);
         let (parent, dist) = f.bfs(2);
         assert_eq!(parent, vec![u32::MAX, u32::MAX, 2, 2]);
         assert_eq!(dist[3], 125.0);
@@ -783,9 +751,12 @@ mod tests {
                 link
             });
             let link_counts = field.link_counts();
+            let (start, adj) = field.adjacency();
+            prop_assert_eq!(start.len(), field.len() + 1);
             for c in 0..field.len() as u32 {
                 let neighbors = reference.neighbors(c);
-                prop_assert_eq!(field.neighbors(c).collect::<Vec<_>>(), neighbors.clone());
+                let row = &adj[start[c as usize] as usize..start[c as usize + 1] as usize];
+                prop_assert_eq!(row, &neighbors[..]);
                 let near: u32 = neighbors.iter().map(|&n| reference.count[n as usize]).sum();
                 prop_assert_eq!(link_counts[c as usize], reference.count[c as usize] + near);
             }
@@ -827,6 +798,8 @@ mod tests {
                 Just(125.0),
                 1e-3f64..1e4,
                 any::<u64>().prop_map(f64::from_bits),
+                // Reciprocals that are subnormal or overflow.
+                prop_oneof![Just(f64::MAX), 4.5e307f64..1.7e308, 0.0f64..1e-307],
             ],
             k in prop_oneof![-50i64..50, any::<i32>().prop_map(i64::from), any::<i64>()],
             x in prop_oneof![-1e4f64..1e4, any::<u64>().prop_map(f64::from_bits)],
@@ -835,7 +808,7 @@ mod tests {
             let probes = key_probes(cell, k, x);
             let floored = |v: f64| (v / cell).floor() as i32;
             for &v in &probes {
-                let (kv, span) = key.of(v, key.product(v));
+                let (kv, span) = key.of(v);
                 prop_assert_eq!(kv, floored(v), "v = {:e}, cell = {:e}", v, cell);
                 // Every probe whose product the span holds shares the key,
                 // as do values at the span's ends.
