@@ -1094,6 +1094,80 @@ mod ring_search_tests {
         assert!(!log.borrow().received.is_empty());
     }
 
+    /// One ring-search run: the finished event-stream digest, every node's
+    /// control packets sent and data packets dropped, and the sink's
+    /// receive times in nanoseconds.
+    type RingRun = ((u64, u64), Vec<(u64, u64)>, Vec<u64>);
+
+    fn pinned_ring_run(positions: Vec<(f64, f64)>, dst: usize, secs: f64, seed: u64) -> RingRun {
+        use crate::testutil::{SinkLog, TestSink, TestSource};
+        use cavenet_net::{GoldenDigest, ScenarioConfig, Simulator, StaticMobility};
+
+        let n = positions.len();
+        let log = std::rc::Rc::new(std::cell::RefCell::new(SinkLog::default()));
+        let mut sim = Simulator::builder(ScenarioConfig::default())
+            .nodes(n)
+            .seed(seed)
+            .mobility(Box::new(StaticMobility::new(positions)))
+            .observer(GoldenDigest::new())
+            .routing_with(|_| Box::new(ring_aodv()))
+            .app(0, Box::new(TestSource::new(NodeId(dst as u32), 10)))
+            .app(
+                dst,
+                Box::new(TestSink {
+                    log: std::rc::Rc::clone(&log),
+                }),
+            )
+            .build();
+        sim.run_until_secs(secs);
+        let digest = sim.observer().finalize(&sim);
+        let control = (0..n)
+            .map(|i| {
+                let stats = sim.node_stats(i);
+                (stats.control_sent, stats.data_dropped)
+            })
+            .collect();
+        let times = log
+            .borrow()
+            .received
+            .iter()
+            .map(|&(_, at)| at.as_nanos())
+            .collect();
+        (digest, control, times)
+    }
+
+    #[test]
+    fn expanding_ring_runs_are_pinned() {
+        // Ring search is off by default, so no golden digest reaches it.
+        // A 4-hop line: the ring widens until the RREQ reaches the sink.
+        let line: Vec<(f64, f64)> = (0..5).map(|i| (i as f64 * 200.0, 0.0)).collect();
+        let (digest, control, times) = pinned_ring_run(line, 4, 20.0, 2);
+        assert_eq!(digest, (0x57a5_9fce_f8f8_6514, 2213));
+        assert_eq!(control, [(22, 0), (22, 0), (22, 0), (21, 0), (20, 0)]);
+        assert_eq!(
+            times,
+            [
+                947_485_338,
+                956_242_006,
+                962_176_674,
+                1_112_692_668,
+                1_311_472_668,
+                1_512_312_668,
+                1_712_192_668,
+                1_912_092_668,
+                2_112_172_668,
+                2_311_732_668,
+            ]
+        );
+        // A partitioned destination: the search reaches full radius, backs
+        // off exponentially, gives up and drops all ten buffered packets.
+        let split = vec![(0.0, 0.0), (200.0, 0.0), (400.0, 0.0), (5000.0, 0.0)];
+        let (digest, control, times) = pinned_ring_run(split, 3, 30.0, 4);
+        assert_eq!(digest, (0xdfbb_a34c_e2f1_b472, 1452));
+        assert_eq!(control, [(37, 10), (36, 0), (36, 0), (30, 0)]);
+        assert!(times.is_empty());
+    }
+
     #[test]
     fn ring_traversal_time_grows_with_ttl() {
         let c = AodvConfig::default();

@@ -23,6 +23,7 @@ use cavenet_core::{
     churn_plan, scenario_identity, CheckpointError, Engine, Experiment, Fidelity, MobilitySource,
     Protocol, Scenario,
 };
+use cavenet_rng::fnv::fnv64;
 use cavenet_testkit::{
     assert_identity_semantics, bisect_divergence, check_golden, digest_scenario, GoldenDigest,
 };
@@ -540,6 +541,22 @@ fn golden_snapshot_fixture_still_restores() {
     let straight = digest_scenario(&s);
     assert_eq!((digest, events), (straight.digest, straight.events));
     check_golden("checkpoint_v1_resume", digest, events);
+}
+
+/// The ROUTING section of each protocol's 6 s snapshot of the fixture
+/// scenario, pinned by its FNV-1a hash and length. The v1 fixture holds
+/// DSDV's state only; these pin every protocol's checkpoint wire format.
+#[test]
+fn golden_routing_sections() {
+    for protocol in PROTOCOLS {
+        let exp = Experiment::new(short_scenario(protocol, 2024));
+        let (mut sim, rec) = exp.build_sim(GoldenDigest::new()).unwrap();
+        sim.run_until(SimTime::from_secs(6));
+        let snap = exp.snapshot_now(&sim, &rec).unwrap();
+        let routing = snap.get(section::ROUTING).expect("routing section");
+        let name = format!("routing_section_{}", protocol.to_string().to_lowercase());
+        check_golden(&name, fnv64(routing), routing.len() as u64);
+    }
 }
 
 // ---------------------------------------------------------------------------

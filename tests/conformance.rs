@@ -246,10 +246,11 @@ fn parameter_flip_changes_digest() {
 
 // --- Fault injection ------------------------------------------------------
 
-/// The fixed churn plan used by the faulted golden fixture and the
+/// The fixed churn plan used by the faulted golden fixtures and the
 /// determinism checks: two relay vehicles crash mid-traffic and recover
 /// before the drain window ends. Changing it invalidates
-/// `tests/golden/table1_aodv_churn.golden`.
+/// `tests/golden/table1_aodv_churn.golden` and
+/// `tests/golden/table1_dymo_churn.golden`.
 fn fixed_churn_plan() -> FaultPlan {
     FaultPlan::new()
         .crash(SimTime::from_secs(10), 12)
@@ -263,6 +264,15 @@ fn golden_table1_aodv_churn() {
     let mut s = conformance_scenario(Protocol::Aodv, 1);
     s.fault_plan = fixed_churn_plan();
     check_scenario_golden("table1_aodv_churn", &s);
+}
+
+#[test]
+fn golden_table1_dymo_churn() {
+    // DYMO through crashes, HELLO-timeout link breaks, flooded RERRs and
+    // rediscovery after recovery.
+    let mut s = conformance_scenario(Protocol::Dymo, 1);
+    s.fault_plan = fixed_churn_plan();
+    check_scenario_golden("table1_dymo_churn", &s);
 }
 
 #[test]
