@@ -1044,6 +1044,20 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_discoveries_are_pinned() {
+        // Node 0 of a 7-node line discovers six destinations at once, and
+        // two of them time out and retry: the retries keep their
+        // destination order and their TTL, and reuse the sequence number.
+        let run = crate::testutil::spray_run(7, |_| Box::new(Aodv::new()), 4, 15.0);
+        let pinned = crate::testutil::SprayRun {
+            states: [(0x687d_87d1_a356_9b90, 538), (0x7671_32ba_54aa_18f6, 159)],
+            digest: (0x61f4_cce6_f46f_d3aa, 2545),
+            discoveries: [6, 2, 6, 0],
+        };
+        assert_eq!(run, pinned);
+    }
+
+    #[test]
     fn default_config_matches_table1() {
         let c = AodvConfig::default();
         assert_eq!(c.hello_interval, Duration::from_secs(1));

@@ -1020,6 +1020,20 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_discoveries_are_pinned() {
+        // Node 0 of a 7-node line discovers six destinations at once. A
+        // reply's accumulated path satisfies discoveries whose own replies
+        // are still out, and DYMO flushes those at once.
+        let run = crate::testutil::spray_run(7, |_| Box::new(Dymo::new()), 4, 15.0);
+        let pinned = crate::testutil::SprayRun {
+            states: [(0x8ee6_f18d_50af_8e26, 534), (0xbb30_5c13_2b08_485d, 234)],
+            digest: (0x5173_fb66_6cd6_486d, 2482),
+            discoveries: [6, 0, 6, 0],
+        };
+        assert_eq!(run, pinned);
+    }
+
+    #[test]
     fn default_config_matches_table1() {
         assert_eq!(DymoConfig::default().hello_interval, Duration::from_secs(1));
     }

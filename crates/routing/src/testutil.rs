@@ -6,8 +6,8 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use cavenet_net::{
-    Application, FlowId, NodeApi, NodeId, Packet, RoutingProtocol, ScenarioConfig, SimTime,
-    Simulator, StaticMobility, WireReader, WireWriter,
+    Application, FlowId, GoldenDigest, NodeApi, NodeId, Packet, RoutingProtocol, ScenarioConfig,
+    SimTime, Simulator, StaticMobility, WireReader, WireWriter,
 };
 
 /// Sequence numbers and receive times observed by a sink.
@@ -186,5 +186,77 @@ where
             w2.into_bytes(),
             "node {i}: restore → capture is not bit-identical"
         );
+    }
+}
+
+/// Sends one packet to each of `dsts`, all at 0.5 s.
+pub(crate) struct Spray {
+    pub dsts: Vec<NodeId>,
+}
+
+impl Application for Spray {
+    fn start(&mut self, api: &mut NodeApi<'_>) {
+        api.schedule(Duration::from_millis(500), 0);
+    }
+
+    fn handle_timer(&mut self, api: &mut NodeApi<'_>, _token: u64) {
+        for (seq, &dst) in self.dsts.iter().enumerate() {
+            let flow = FlowId::new(api.id(), dst, 0);
+            api.originate(Packet::data(flow, seq as u32, 512, api.now()));
+        }
+    }
+}
+
+/// What [`spray_run`] observed.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct SprayRun {
+    /// Node 0's routing state (FNV-1a hash and length) at 0.52 s, with
+    /// every discovery still buffering its packet, and at the end.
+    pub states: [(u64, usize); 2],
+    /// The finished event-stream digest and event count.
+    pub digest: (u64, u64),
+    /// Node 0's discoveries started, retried, succeeded and failed.
+    pub discoveries: [u64; 4],
+}
+
+/// Node 0 of an `n`-node line (200 m spacing) sends one packet to every
+/// other node at the same instant, so several discoveries run at once.
+pub(crate) fn spray_run<F>(n: usize, factory: F, seed: u64, secs: f64) -> SprayRun
+where
+    F: Fn(usize) -> Box<dyn RoutingProtocol> + 'static,
+{
+    let mut sim = Simulator::builder(ScenarioConfig::default())
+        .nodes(n)
+        .seed(seed)
+        .mobility(Box::new(StaticMobility::line(n, 200.0)))
+        .observer(GoldenDigest::new())
+        .routing_with(factory)
+        .app(
+            0,
+            Box::new(Spray {
+                dsts: (1..n as u32).map(NodeId).collect(),
+            }),
+        )
+        .build();
+    let state = |sim: &Simulator<GoldenDigest>| {
+        let mut w = WireWriter::new();
+        let node0 = sim.routing(0).expect("routing attached");
+        node0.capture_state(&mut w).expect("capture");
+        let bytes = w.into_bytes();
+        (cavenet_rng::fnv::fnv64(&bytes), bytes.len())
+    };
+    sim.run_until(SimTime::from_millis(520));
+    let mid = state(&sim);
+    sim.run_until_secs(secs);
+    let t = sim.routing(0).expect("routing attached").telemetry();
+    SprayRun {
+        states: [mid, state(&sim)],
+        digest: sim.observer().finalize(&sim),
+        discoveries: [
+            t.discoveries_started,
+            t.discovery_retries,
+            t.discoveries_succeeded,
+            t.discoveries_failed,
+        ],
     }
 }
