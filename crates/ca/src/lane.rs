@@ -430,7 +430,7 @@ impl Lane {
     /// [`WireError`] on a truncated stream, a malformed value, or a vehicle
     /// position outside this lane.
     pub fn restore(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
-        let n = r.get_usize()?;
+        let n = r.get_count(Vehicle::WIRE_BYTES)?;
         let mut vehicles = Vec::with_capacity(n);
         let mut last: Option<usize> = None;
         for _ in 0..n {
@@ -789,6 +789,21 @@ mod tests {
             fresh.restore(&mut r),
             Err(WireError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn restore_refuses_vehicle_counts_the_stream_cannot_hold() {
+        let mut lane =
+            Lane::with_uniform_placement(params(40, 10, 0.2), Boundary::Closed, 5).unwrap();
+        for count in [1u64 << 40, 1 << 61] {
+            let mut bytes = count.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[0; 16]);
+            let got = lane.restore(&mut WireReader::new(&bytes));
+            assert!(
+                matches!(got, Err(WireError::Truncated { .. })),
+                "count {count}: {got:?}"
+            );
+        }
     }
 
     #[test]

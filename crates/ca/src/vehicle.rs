@@ -109,6 +109,9 @@ impl Vehicle {
         }
     }
 
+    /// Wire bytes of one [`Vehicle::capture`] record.
+    pub(crate) const WIRE_BYTES: usize = 29;
+
     /// Serialize the complete vehicle state (checkpoint snapshots).
     pub(crate) fn capture(&self, w: &mut WireWriter) {
         w.put_u32(self.id.0);

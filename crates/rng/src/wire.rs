@@ -222,6 +222,23 @@ impl<'a> WireReader<'a> {
         })
     }
 
+    /// Read an item count stored as `u64`, for a sequence whose items each
+    /// take at least `item_bytes` bytes (and at least one) on the wire. A
+    /// count the rest of the stream cannot hold is
+    /// [`WireError::Truncated`], so a corrupt prefix can never size an
+    /// allocation or drive a long loop.
+    pub fn get_count(&mut self, item_bytes: usize) -> Result<usize, WireError> {
+        let n = self.get_usize()?;
+        let need = n.saturating_mul(item_bytes.max(1));
+        if need > self.remaining() {
+            return Err(WireError::Truncated {
+                need,
+                have: self.remaining(),
+            });
+        }
+        Ok(n)
+    }
+
     /// Read a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.get_usize()?;
@@ -318,5 +335,31 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         assert!(matches!(r.get_bytes(), Err(WireError::Truncated { .. })));
+    }
+
+    #[test]
+    fn counts_must_fit_the_remaining_bytes() {
+        for (count, items) in [(0u64, 0usize), (2, 2), (3, 2), (1 << 40, 2), (1 << 61, 2)] {
+            let mut w = WireWriter::new();
+            w.put_u64(count);
+            for _ in 0..items {
+                w.put_u64(7);
+            }
+            let bytes = w.into_bytes();
+            let got = WireReader::new(&bytes).get_count(8);
+            if count <= items as u64 {
+                assert_eq!(got, Ok(count as usize));
+            } else {
+                assert!(
+                    matches!(got, Err(WireError::Truncated { have: 16, .. })),
+                    "count {count}: {got:?}"
+                );
+            }
+        }
+        // A zero item size still bounds the count by the bytes left.
+        let mut w = WireWriter::new();
+        w.put_u64(1 << 40);
+        let bytes = w.into_bytes();
+        assert!(WireReader::new(&bytes).get_count(0).is_err());
     }
 }

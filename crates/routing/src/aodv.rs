@@ -6,19 +6,25 @@
 //! Link breakage — detected by HELLO silence or MAC transmission failure —
 //! triggers Route Errors (RERR) that invalidate affected routes upstream
 //! (paper §III-B-2).
+//!
+//! What AODV shares with DYMO — the discovery buffer and its tick,
+//! neighbour liveness, the duplicate cache, RERRs, HELLOs, telemetry and
+//! the checkpoint state — is the on-demand core (`on_demand.rs`). This
+//! module keeps what is AODV's own: RREQ and RREP, the expanding-ring
+//! search and its exponential retry backoff, learning a neighbour's
+//! sequence number from its HELLO, and refreshing the route back to a
+//! forwarded packet's source.
 
-use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use std::time::Duration;
 
-use cavenet_net::snapshot::{
-    read_duration, read_node_id, read_packet, read_time, write_duration, write_node_id,
-    write_packet, write_time,
-};
+use cavenet_net::snapshot::{read_duration, read_node_id, write_duration, write_node_id};
 use cavenet_net::{
-    ControlBlob, ControlCodec, DataOnlyCodec, DropReason, NodeApi, NodeId, Packet, RouteEventKind,
-    RoutingProtocol, RoutingTelemetry, SimTime, WireError, WireReader, WireWriter,
+    ControlBlob, ControlCodec, NodeApi, NodeId, Packet, RoutingProtocol, RoutingTelemetry,
+    WireError, WireReader, WireWriter,
 };
 
+use crate::on_demand::{CoreConfig, Discovery, Hello, OnDemand, SharedTags};
 use crate::table::{seq_newer, RouteEntry, RouteTable};
 
 /// AODV tunables (RFC 3561 §10 defaults, with the paper's 1 s HELLO
@@ -81,6 +87,45 @@ impl AodvConfig {
     fn ring_traversal_time(&self, ttl: u8) -> Duration {
         self.node_traversal_time * 2 * (u32::from(ttl) + 2)
     }
+
+    /// Initial search radius for a fresh discovery.
+    fn initial_ttl(&self) -> u8 {
+        if self.expanding_ring {
+            self.ttl_start
+        } else {
+            self.net_diameter
+        }
+    }
+
+    /// Timeout for a search at the given radius.
+    fn discovery_wait(&self, ttl: u8) -> Duration {
+        if self.expanding_ring {
+            self.ring_traversal_time(ttl)
+        } else {
+            self.discovery_timeout
+        }
+    }
+
+    /// The retry rule for a discovery whose attempt timed out: the wait of
+    /// its next attempt, or `None` to give up.
+    fn next_attempt(&self, p: &mut Discovery) -> Option<Duration> {
+        if self.expanding_ring && p.ttl < self.net_diameter {
+            // Widen the ring; failures below full radius do not count
+            // against RREQ_RETRIES (RFC 3561 §6.4). A zero increment must
+            // still make progress, or an unreachable destination would be
+            // probed forever without ever consuming RREQ_RETRIES.
+            p.ttl = if p.ttl >= self.ttl_threshold {
+                self.net_diameter
+            } else {
+                p.ttl.saturating_add(self.ttl_increment.max(1))
+            };
+            return Some(self.ring_traversal_time(p.ttl));
+        }
+        p.retries += 1;
+        // Binary exponential backoff on the wait.
+        (p.retries <= self.max_discovery_retries)
+            .then(|| self.discovery_wait(p.ttl) * 2u32.pow(p.retries.min(4)))
+    }
 }
 
 /// Route Request (wire size ≈ 24 bytes).
@@ -104,52 +149,16 @@ struct Rrep {
     lifetime: Duration,
 }
 
-/// Route Error (wire size ≈ 4 + 8·n bytes).
-#[derive(Debug, Clone)]
-struct Rerr {
-    unreachable: Vec<(NodeId, u32)>,
-}
-
-/// HELLO beacon (RFC: a TTL-1 RREP; wire size ≈ 20 bytes).
-#[derive(Debug, Clone)]
-struct Hello {
-    seq: u32,
-}
-
 const RREQ_SIZE: u32 = 24;
 const RREP_SIZE: u32 = 20;
+/// HELLO wire size (RFC: a TTL-1 RREP).
 const HELLO_SIZE: u32 = 20;
-const TOKEN_HELLO: u64 = 1;
-const TOKEN_TICK: u64 = 2;
-const TICK: Duration = Duration::from_millis(250);
-
-#[derive(Debug)]
-struct PendingDiscovery {
-    retries: u32,
-    deadline: SimTime,
-    /// Current search radius (TTL) — grows under expanding-ring search.
-    ttl: u8,
-    queued: VecDeque<(Packet, SimTime)>,
-}
 
 /// The AODV routing protocol state for one node.
 #[derive(Debug)]
 pub struct Aodv {
     config: AodvConfig,
-    table: RouteTable,
-    seqno: u32,
-    rreq_id: u32,
-    /// RREQ duplicate cache: (origin, rreq_id) → expiry.
-    seen_rreq: HashMap<(NodeId, u32), SimTime>,
-    /// Last time each neighbour was heard.
-    neighbours: HashMap<NodeId, SimTime>,
-    pending: HashMap<NodeId, PendingDiscovery>,
-    /// Lifetime discovery counters reported through
-    /// [`RoutingProtocol::telemetry`]; purely observational.
-    discoveries_started: u64,
-    discovery_retries: u64,
-    discoveries_succeeded: u64,
-    discoveries_failed: u64,
+    core: OnDemand,
 }
 
 impl Default for Aodv {
@@ -166,133 +175,31 @@ impl Aodv {
 
     /// AODV with explicit configuration.
     pub fn with_config(config: AodvConfig) -> Self {
-        Aodv {
-            config,
-            table: RouteTable::new(),
-            seqno: 0,
-            rreq_id: 0,
-            seen_rreq: HashMap::new(),
-            neighbours: HashMap::new(),
-            pending: HashMap::new(),
-            discoveries_started: 0,
-            discovery_retries: 0,
-            discoveries_succeeded: 0,
-            discoveries_failed: 0,
-        }
+        let core = OnDemand::new(CoreConfig {
+            hello_interval: config.hello_interval,
+            allowed_hello_loss: config.allowed_hello_loss,
+            route_timeout: config.active_route_timeout,
+            max_queue_time: config.max_queue_time,
+            hello_size: HELLO_SIZE,
+            ttl_in_state: true,
+        });
+        Aodv { config, core }
     }
 
     /// Read access to the routing table (for inspection and tests).
     pub fn table(&self) -> &RouteTable {
-        &self.table
-    }
-
-    fn route_lifetime(&self, api: &NodeApi<'_>) -> SimTime {
-        api.now() + self.config.active_route_timeout
-    }
-
-    /// Note that we can hear `neighbour` (creates/refreshes the 1-hop
-    /// route).
-    fn touch_neighbour(&mut self, api: &mut NodeApi<'_>, neighbour: NodeId, seq: Option<u32>) {
-        self.neighbours.insert(neighbour, api.now());
-        let expires = self.route_lifetime(api);
-        let entry = RouteEntry {
-            next_hop: neighbour,
-            hop_count: 1,
-            seqno: seq.unwrap_or_else(|| self.table.get(neighbour).map_or(0, |r| r.seqno)),
-            expires,
-            valid: true,
-        };
-        self.table.offer(neighbour, entry, api.now());
-        self.table.refresh(neighbour, expires);
-    }
-
-    fn start_discovery(&mut self, api: &mut NodeApi<'_>, dst: NodeId, first: bool, ttl: u8) {
-        if first {
-            self.seqno = self.seqno.wrapping_add(1);
-        }
-        self.rreq_id = self.rreq_id.wrapping_add(1);
-        let rreq = Rreq {
-            rreq_id: self.rreq_id,
-            dst,
-            dst_seq: self.table.get(dst).map(|r| r.seqno),
-            origin: api.id(),
-            origin_seq: self.seqno,
-            hop_count: 0,
-        };
-        // Remember our own RREQ so we do not re-process it.
-        self.seen_rreq
-            .insert((api.id(), self.rreq_id), api.now() + Duration::from_secs(5));
-        let mut packet = Packet::control(api.id(), NodeId::BROADCAST, RREQ_SIZE, rreq);
-        packet.ttl = ttl;
-        api.send(packet, NodeId::BROADCAST);
-    }
-
-    /// Initial search radius for a fresh discovery.
-    fn initial_ttl(&self) -> u8 {
-        if self.config.expanding_ring {
-            self.config.ttl_start
-        } else {
-            self.config.net_diameter
-        }
-    }
-
-    /// Timeout for a search at the given radius.
-    fn discovery_wait(&self, ttl: u8) -> Duration {
-        if self.config.expanding_ring {
-            self.config.ring_traversal_time(ttl)
-        } else {
-            self.config.discovery_timeout
-        }
-    }
-
-    fn flush_pending(&mut self, api: &mut NodeApi<'_>, dst: NodeId) {
-        let Some(p) = self.pending.remove(&dst) else {
-            return;
-        };
-        for (packet, _) in p.queued {
-            self.forward_data(api, packet);
-        }
-    }
-
-    fn forward_data(&mut self, api: &mut NodeApi<'_>, packet: Packet) {
-        let now = api.now();
-        let dst = packet.dst;
-        if let Some(route) = self.table.lookup(dst, now) {
-            let nh = route.next_hop;
-            let lifetime = now + self.config.active_route_timeout;
-            self.table.refresh(dst, lifetime);
-            self.table.refresh(nh, lifetime);
-            api.send(packet, nh);
-        } else {
-            // No route mid-path: drop and report upstream.
-            self.originate_rerr(api, vec![(dst, self.table.get(dst).map_or(0, |r| r.seqno))]);
-            api.drop_packet(packet, DropReason::NoRoute);
-        }
-    }
-
-    fn originate_rerr(&mut self, api: &mut NodeApi<'_>, unreachable: Vec<(NodeId, u32)>) {
-        if unreachable.is_empty() {
-            return;
-        }
-        let size = 4 + 8 * unreachable.len() as u32;
-        let rerr = Rerr { unreachable };
-        let packet = Packet::control(api.id(), NodeId::BROADCAST, size, rerr);
-        api.send(packet, NodeId::BROADCAST);
+        &self.core.table
     }
 
     fn handle_rreq(&mut self, api: &mut NodeApi<'_>, packet: &Packet, rreq: &Rreq, from: NodeId) {
         let now = api.now();
-        // Duplicate suppression.
-        let key = (rreq.origin, rreq.rreq_id);
-        if self.seen_rreq.contains_key(&key) {
+        if self.core.seen_before(rreq.origin, rreq.rreq_id, now) {
             return;
         }
-        self.seen_rreq.insert(key, now + Duration::from_secs(5));
-
-        self.touch_neighbour(api, from, None);
+        self.core.touch_neighbour(api, from, None);
         // Reverse route to the originator through `from`.
         let hops = rreq.hop_count + 1;
-        self.table.offer(
+        self.core.table.offer(
             rreq.origin,
             RouteEntry {
                 next_hop: from,
@@ -306,15 +213,16 @@ impl Aodv {
 
         if rreq.dst == api.id() {
             // RFC 3561 §6.6.1: destination sets its seq to max(own, RREQ's).
+            let core = &mut self.core;
             if let Some(ds) = rreq.dst_seq {
-                if seq_newer(ds, self.seqno) {
-                    self.seqno = ds;
+                if seq_newer(ds, core.seqno) {
+                    core.seqno = ds;
                 }
             }
-            self.seqno = self.seqno.wrapping_add(1);
+            core.seqno = core.seqno.wrapping_add(1);
             let rrep = Rrep {
                 dst: api.id(),
-                dst_seq: self.seqno,
+                dst_seq: core.seqno,
                 origin: rreq.origin,
                 hop_count: 0,
                 lifetime: self.config.active_route_timeout,
@@ -325,7 +233,7 @@ impl Aodv {
         }
 
         // Intermediate node with a fresh-enough valid route replies itself.
-        if let Some(route) = self.table.lookup(rreq.dst, now) {
+        if let Some(route) = self.core.table.lookup(rreq.dst, now) {
             let fresh_enough = rreq
                 .dst_seq
                 .is_none_or(|want| !seq_newer(want, route.seqno));
@@ -358,10 +266,10 @@ impl Aodv {
 
     fn handle_rrep(&mut self, api: &mut NodeApi<'_>, rrep: &Rrep, from: NodeId) {
         let now = api.now();
-        self.touch_neighbour(api, from, None);
+        self.core.touch_neighbour(api, from, None);
         // Forward route to the destination through `from`.
         let hops = rrep.hop_count + 1;
-        self.table.offer(
+        self.core.table.offer(
             rrep.dst,
             RouteEntry {
                 next_hop: from,
@@ -374,15 +282,11 @@ impl Aodv {
         );
 
         if rrep.origin == api.id() {
-            if self.pending.contains_key(&rrep.dst) {
-                self.discoveries_succeeded += 1;
-                api.note_route_event(rrep.dst, RouteEventKind::DiscoverySuccess);
-            }
-            self.flush_pending(api, rrep.dst);
+            self.core.complete_discovery(api, rrep.dst);
             return;
         }
         // Forward the RREP along the reverse route.
-        if let Some(rev) = self.table.lookup(rrep.origin, now) {
+        if let Some(rev) = self.core.table.lookup(rrep.origin, now) {
             let nh = rev.next_hop;
             let fwd = Rrep {
                 hop_count: hops,
@@ -392,135 +296,22 @@ impl Aodv {
             api.send(fwd_packet, nh);
         }
     }
+}
 
-    fn handle_rerr(&mut self, api: &mut NodeApi<'_>, rerr: &Rerr, from: NodeId) {
-        let now = api.now();
-        let mut propagate = Vec::new();
-        for &(dst, seq) in &rerr.unreachable {
-            if let Some(route) = self.table.get(dst) {
-                if route.valid && route.next_hop == from {
-                    self.table.invalidate(dst);
-                    propagate.push((dst, seq));
-                }
-            }
-        }
-        let _ = now;
-        self.originate_rerr(api, propagate);
-    }
-
-    fn link_broken(&mut self, api: &mut NodeApi<'_>, neighbour: NodeId) {
-        self.neighbours.remove(&neighbour);
-        let broken = self.table.invalidate_via(neighbour);
-        self.originate_rerr(api, broken);
-    }
-
-    fn tick(&mut self, api: &mut NodeApi<'_>) {
-        let now = api.now();
-        // Neighbour timeout.
-        let deadline = self.config.hello_interval * self.config.allowed_hello_loss;
-        // Sort every batch collected from a HashMap before acting on it:
-        // iteration order is per-process random, and link_broken /
-        // start_discovery / drop_packet all have observable effects.
-        let mut stale: Vec<NodeId> = self
-            .neighbours
-            .iter()
-            .filter(|(_, &last)| now.saturating_since(last) > deadline)
-            .map(|(&n, _)| n)
-            .collect();
-        stale.sort_by_key(|n| n.0);
-        for n in stale {
-            self.link_broken(api, n);
-        }
-        // RREQ cache purge.
-        self.seen_rreq.retain(|_, &mut exp| exp > now);
-        // Table purge.
-        self.table.purge(now, Duration::from_secs(10));
-        // Discovery retries / expiry.
-        let mut due: Vec<NodeId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(&d, _)| d)
-            .collect();
-        due.sort_by_key(|d| d.0);
-        for dst in due {
-            enum Action {
-                GiveUp,
-                Retry { ttl: u8, wait: Duration },
-            }
-            let config = self.config;
-            let action = {
-                let p = self.pending.get_mut(&dst).expect("pending entry");
-                if self.config.expanding_ring && p.ttl < self.config.net_diameter {
-                    // Widen the ring; failures below full radius do not
-                    // count against RREQ_RETRIES (RFC 3561 §6.4).
-                    // A zero increment must still make progress, or an
-                    // unreachable destination would be probed forever
-                    // without ever consuming RREQ_RETRIES.
-                    let step = self.config.ttl_increment.max(1);
-                    let next = if p.ttl >= self.config.ttl_threshold {
-                        self.config.net_diameter
-                    } else {
-                        p.ttl.saturating_add(step)
-                    };
-                    p.ttl = next;
-                    Action::Retry {
-                        ttl: next,
-                        wait: self.config.ring_traversal_time(next),
-                    }
-                } else {
-                    p.retries += 1;
-                    if p.retries > self.config.max_discovery_retries {
-                        Action::GiveUp
-                    } else {
-                        // Binary exponential backoff on the wait.
-                        let base = if config.expanding_ring {
-                            config.ring_traversal_time(p.ttl)
-                        } else {
-                            config.discovery_timeout
-                        };
-                        let wait = base * 2u32.pow(p.retries.min(4));
-                        Action::Retry { ttl: p.ttl, wait }
-                    }
-                }
-            };
-            match action {
-                Action::GiveUp => {
-                    self.discoveries_failed += 1;
-                    api.note_route_event(dst, RouteEventKind::DiscoveryFailure);
-                    if let Some(p) = self.pending.remove(&dst) {
-                        for (packet, _) in p.queued {
-                            api.drop_packet(packet, DropReason::DiscoveryFailed);
-                        }
-                    }
-                }
-                Action::Retry { ttl, wait } => {
-                    self.discovery_retries += 1;
-                    api.note_route_event(dst, RouteEventKind::DiscoveryRetry);
-                    if let Some(p) = self.pending.get_mut(&dst) {
-                        p.deadline = now + wait;
-                    }
-                    self.start_discovery(api, dst, false, ttl);
-                }
-            }
-        }
-        // Queued-data expiry.
-        let max_q = self.config.max_queue_time;
-        let mut queued_dsts: Vec<NodeId> = self.pending.keys().copied().collect();
-        queued_dsts.sort_by_key(|d| d.0);
-        for dst in queued_dsts {
-            let p = self.pending.get_mut(&dst).expect("pending entry");
-            let mut kept = VecDeque::with_capacity(p.queued.len());
-            for (packet, queued_at) in p.queued.drain(..) {
-                if now.saturating_since(queued_at) <= max_q {
-                    kept.push_back((packet, queued_at));
-                } else {
-                    api.drop_packet(packet, DropReason::QueueTimeout);
-                }
-            }
-            p.queued = kept;
-        }
-    }
+/// Flood a RREQ for `dst` with radius `ttl`, under a fresh RREQ id and the
+/// node's current sequence number.
+fn send_rreq(core: &mut OnDemand, api: &mut NodeApi<'_>, dst: NodeId, ttl: u8) {
+    let rreq = Rreq {
+        rreq_id: core.new_request_id(api),
+        dst,
+        dst_seq: core.table.get(dst).map(|r| r.seqno),
+        origin: api.id(),
+        origin_seq: core.seqno,
+        hop_count: 0,
+    };
+    let mut packet = Packet::control(api.id(), NodeId::BROADCAST, RREQ_SIZE, rreq);
+    packet.ttl = ttl;
+    api.send(packet, NodeId::BROADCAST);
 }
 
 /// Serializer for AODV's in-flight control payloads (RREQ, RREP, RERR,
@@ -530,8 +321,12 @@ pub struct AodvCodec;
 
 const CTRL_RREQ: u8 = 1;
 const CTRL_RREP: u8 = 2;
-const CTRL_RERR: u8 = 3;
-const CTRL_HELLO: u8 = 4;
+const TAGS: SharedTags = SharedTags {
+    rerr: 3,
+    hello: 4,
+    foreign: "non-AODV control payload",
+    unknown: "aodv control tag",
+};
 
 impl ControlCodec for AodvCodec {
     fn encode(&self, blob: &ControlBlob, w: &mut WireWriter) -> Result<(), WireError> {
@@ -556,28 +351,15 @@ impl ControlCodec for AodvCodec {
             write_node_id(w, m.origin);
             w.put_u32(m.hop_count);
             write_duration(w, m.lifetime);
-        } else if let Some(m) = blob.downcast_ref::<Rerr>() {
-            w.put_u8(CTRL_RERR);
-            w.put_usize(m.unreachable.len());
-            for &(dst, seq) in &m.unreachable {
-                write_node_id(w, dst);
-                w.put_u32(seq);
-            }
-        } else if let Some(m) = blob.downcast_ref::<Hello>() {
-            w.put_u8(CTRL_HELLO);
-            w.put_u32(m.seq);
         } else {
-            return Err(WireError::Malformed {
-                what: "non-AODV control payload",
-                value: 0,
-            });
+            return TAGS.encode(blob, w);
         }
         Ok(())
     }
 
     fn decode(&self, r: &mut WireReader<'_>) -> Result<ControlBlob, WireError> {
         Ok(match r.get_u8()? {
-            CTRL_RREQ => std::sync::Arc::new(Rreq {
+            CTRL_RREQ => Arc::new(Rreq {
                 rreq_id: r.get_u32()?,
                 dst: read_node_id(r)?,
                 dst_seq: if r.get_bool()? {
@@ -589,30 +371,14 @@ impl ControlCodec for AodvCodec {
                 origin_seq: r.get_u32()?,
                 hop_count: r.get_u32()?,
             }),
-            CTRL_RREP => std::sync::Arc::new(Rrep {
+            CTRL_RREP => Arc::new(Rrep {
                 dst: read_node_id(r)?,
                 dst_seq: r.get_u32()?,
                 origin: read_node_id(r)?,
                 hop_count: r.get_u32()?,
                 lifetime: read_duration(r)?,
             }),
-            CTRL_RERR => {
-                let n = r.get_usize()?;
-                let mut unreachable = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let dst = read_node_id(r)?;
-                    let seq = r.get_u32()?;
-                    unreachable.push((dst, seq));
-                }
-                std::sync::Arc::new(Rerr { unreachable })
-            }
-            CTRL_HELLO => std::sync::Arc::new(Hello { seq: r.get_u32()? }),
-            tag => {
-                return Err(WireError::Malformed {
-                    what: "aodv control tag",
-                    value: u64::from(tag),
-                })
-            }
+            tag => return TAGS.decode(tag, r),
         })
     }
 }
@@ -623,42 +389,21 @@ impl RoutingProtocol for Aodv {
     }
 
     fn start(&mut self, api: &mut NodeApi<'_>) {
-        // Jittered periodic timers.
-        let jitter = Duration::from_millis(api.rng().gen_range(0..200));
-        api.schedule(self.config.hello_interval / 2 + jitter, TOKEN_HELLO);
-        api.schedule(TICK + jitter, TOKEN_TICK);
+        self.core.start(api);
     }
 
     fn route_output(&mut self, api: &mut NodeApi<'_>, packet: Packet) {
-        let now = api.now();
-        let dst = packet.dst;
-        if dst.is_broadcast() {
-            api.send(packet, NodeId::BROADCAST);
-            return;
-        }
-        if self.table.lookup(dst, now).is_some() {
-            self.forward_data(api, packet);
-            return;
-        }
-        // Buffer and discover.
-        let fresh = !self.pending.contains_key(&dst);
-        let ttl = self.initial_ttl();
-        let deadline = now + self.discovery_wait(ttl);
-        let entry = self.pending.entry(dst).or_insert_with(|| PendingDiscovery {
-            retries: 0,
-            deadline,
-            ttl,
-            queued: VecDeque::new(),
-        });
-        entry.queued.push_back((packet, now));
-        if fresh {
-            self.discoveries_started += 1;
-            api.note_route_event(dst, RouteEventKind::DiscoveryStart);
-            self.start_discovery(api, dst, true, ttl);
+        let ttl = self.config.initial_ttl();
+        let wait = self.config.discovery_wait(ttl);
+        if let Some(dst) = self.core.route_output(api, packet, ttl, wait) {
+            // A new discovery claims a new sequence number; its retries
+            // reuse it.
+            self.core.seqno = self.core.seqno.wrapping_add(1);
+            send_rreq(&mut self.core, api, dst, ttl);
         }
     }
 
-    fn handle_received(&mut self, api: &mut NodeApi<'_>, mut packet: Packet, from: NodeId) {
+    fn handle_received(&mut self, api: &mut NodeApi<'_>, packet: Packet, from: NodeId) {
         if let Some(rreq) = packet.body.as_control::<Rreq>() {
             let rreq = rreq.clone();
             self.handle_rreq(api, &packet, &rreq, from);
@@ -669,81 +414,37 @@ impl RoutingProtocol for Aodv {
             self.handle_rrep(api, &rrep, from);
             return;
         }
-        if let Some(rerr) = packet.body.as_control::<Rerr>() {
-            let rerr = rerr.clone();
-            self.handle_rerr(api, &rerr, from);
-            return;
-        }
         if let Some(hello) = packet.body.as_control::<Hello>() {
+            // A HELLO carries its sender's sequence number.
             let seq = hello.seq;
-            self.touch_neighbour(api, from, Some(seq));
+            self.core.touch_neighbour(api, from, Some(seq));
             return;
         }
-        // Data.
-        self.touch_neighbour(api, from, None);
-        if packet.dst == api.id() {
-            api.deliver_to_app(packet);
-            return;
+        if let Some(packet) = self.core.receive(api, packet, from) {
+            // Keep the route to the source fresh too (RFC 3561 §6.2).
+            if packet.src != api.id() {
+                let lifetime = api.now() + self.config.active_route_timeout;
+                self.core.table.refresh(packet.src, lifetime);
+            }
+            self.core.forward_data(api, packet);
         }
-        if packet.ttl <= 1 {
-            api.drop_packet(packet, DropReason::TtlExpired);
-            return;
-        }
-        packet.ttl -= 1;
-        // Keep the route to the source fresh too (RFC 3561 §6.2).
-        if packet.src != api.id() {
-            self.table
-                .refresh(packet.src, api.now() + self.config.active_route_timeout);
-        }
-        self.forward_data(api, packet);
     }
 
     fn handle_timer(&mut self, api: &mut NodeApi<'_>, token: u64) {
-        match token {
-            TOKEN_HELLO => {
-                self.seqno = self.seqno.wrapping_add(1);
-                let hello = Hello { seq: self.seqno };
-                let packet = Packet::control(api.id(), NodeId::BROADCAST, HELLO_SIZE, hello);
-                api.send(packet, NodeId::BROADCAST);
-                let jitter = Duration::from_millis(api.rng().gen_range(0..100));
-                api.schedule(
-                    self.config.hello_interval - Duration::from_millis(50) + jitter,
-                    TOKEN_HELLO,
-                );
-            }
-            TOKEN_TICK => {
-                self.tick(api);
-                api.schedule(TICK, TOKEN_TICK);
-            }
-            _ => {}
-        }
+        let config = self.config;
+        self.core
+            .handle_timer(api, token, |p| config.next_attempt(p), send_rreq);
     }
 
     fn tx_failed(&mut self, api: &mut NodeApi<'_>, packet: Packet, next_hop: NodeId) {
-        self.link_broken(api, next_hop);
         // If we originated the packet, try to rediscover rather than lose it.
-        if packet.is_data() && packet.src == api.id() {
+        if let Some(packet) = self.core.tx_failed(api, packet, next_hop) {
             self.route_output(api, packet);
-        } else if packet.is_data() {
-            api.drop_packet(packet, DropReason::RetryLimit);
         }
     }
 
     fn on_crash(&mut self, api: &mut NodeApi<'_>) {
-        // Data buffered behind in-progress route discoveries dies with the
-        // node; each packet must reach a terminal fate or the conservation
-        // ledger would report it outstanding forever. Drop in destination
-        // order — HashMap iteration order would leak into the event stream
-        // and break bit-identical replay.
-        let mut dsts: Vec<NodeId> = self.pending.keys().copied().collect();
-        dsts.sort_by_key(|d| d.0);
-        for dst in dsts {
-            if let Some(p) = self.pending.remove(&dst) {
-                for (packet, _) in p.queued {
-                    api.drop_packet(packet, DropReason::NodeDown);
-                }
-            }
-        }
+        self.core.on_crash(api);
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -751,111 +452,15 @@ impl RoutingProtocol for Aodv {
     }
 
     fn telemetry(&self) -> RoutingTelemetry {
-        RoutingTelemetry {
-            route_table_size: self.table.len() as u64,
-            neighbours: self.neighbours.len() as u64,
-            discoveries_started: self.discoveries_started,
-            discovery_retries: self.discovery_retries,
-            discoveries_succeeded: self.discoveries_succeeded,
-            discoveries_failed: self.discoveries_failed,
-            mpr_set_size: 0,
-        }
+        self.core.telemetry()
     }
 
     fn capture_state(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        self.table.capture(w);
-        w.put_u32(self.seqno);
-        w.put_u32(self.rreq_id);
-        let mut seen: Vec<(NodeId, u32)> = self.seen_rreq.keys().copied().collect();
-        seen.sort_by_key(|&(n, id)| (n.0, id));
-        w.put_usize(seen.len());
-        for key in seen {
-            write_node_id(w, key.0);
-            w.put_u32(key.1);
-            write_time(w, self.seen_rreq[&key]);
-        }
-        let mut neigh: Vec<NodeId> = self.neighbours.keys().copied().collect();
-        neigh.sort_by_key(|n| n.0);
-        w.put_usize(neigh.len());
-        for n in neigh {
-            write_node_id(w, n);
-            write_time(w, self.neighbours[&n]);
-        }
-        let mut dsts: Vec<NodeId> = self.pending.keys().copied().collect();
-        dsts.sort_by_key(|d| d.0);
-        w.put_usize(dsts.len());
-        for dst in dsts {
-            let p = &self.pending[&dst];
-            write_node_id(w, dst);
-            w.put_u32(p.retries);
-            write_time(w, p.deadline);
-            w.put_u8(p.ttl);
-            w.put_usize(p.queued.len());
-            for (packet, queued_at) in &p.queued {
-                // Only data packets are ever buffered behind a discovery.
-                write_packet(w, packet, &DataOnlyCodec)?;
-                write_time(w, *queued_at);
-            }
-        }
-        for v in [
-            self.discoveries_started,
-            self.discovery_retries,
-            self.discoveries_succeeded,
-            self.discoveries_failed,
-        ] {
-            w.put_u64(v);
-        }
-        Ok(())
+        self.core.capture(w)
     }
 
     fn restore_state(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
-        self.table.restore(r)?;
-        self.seqno = r.get_u32()?;
-        self.rreq_id = r.get_u32()?;
-        self.seen_rreq.clear();
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let node = read_node_id(r)?;
-            let id = r.get_u32()?;
-            let expires = read_time(r)?;
-            self.seen_rreq.insert((node, id), expires);
-        }
-        self.neighbours.clear();
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let node = read_node_id(r)?;
-            let heard = read_time(r)?;
-            self.neighbours.insert(node, heard);
-        }
-        self.pending.clear();
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let dst = read_node_id(r)?;
-            let retries = r.get_u32()?;
-            let deadline = read_time(r)?;
-            let ttl = r.get_u8()?;
-            let qn = r.get_usize()?;
-            let mut queued = VecDeque::with_capacity(qn);
-            for _ in 0..qn {
-                let packet = read_packet(r, &DataOnlyCodec)?;
-                let queued_at = read_time(r)?;
-                queued.push_back((packet, queued_at));
-            }
-            self.pending.insert(
-                dst,
-                PendingDiscovery {
-                    retries,
-                    deadline,
-                    ttl,
-                    queued,
-                },
-            );
-        }
-        self.discoveries_started = r.get_u64()?;
-        self.discovery_retries = r.get_u64()?;
-        self.discoveries_succeeded = r.get_u64()?;
-        self.discoveries_failed = r.get_u64()?;
-        Ok(())
+        self.core.restore(r)
     }
 
     fn control_codec(&self) -> Option<Box<dyn ControlCodec>> {
@@ -866,6 +471,7 @@ impl RoutingProtocol for Aodv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::on_demand::Rerr;
     use crate::testutil::{run_line, run_ring};
 
     #[test]
@@ -939,6 +545,11 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn codec_refuses_counts_the_payload_cannot_hold() {
+        crate::testutil::assert_refuses_huge_counts(&[TAGS.rerr], |r| AodvCodec.decode(r));
     }
 
     #[test]
@@ -1068,6 +679,7 @@ mod tests {
 mod ring_search_tests {
     use super::*;
     use crate::testutil::run_line;
+    use cavenet_net::SimTime;
 
     fn ring_aodv() -> Aodv {
         Aodv::with_config(AodvConfig {

@@ -212,6 +212,8 @@ fn seq32_newer(a: u32, b: u32) -> bool {
 pub struct DsdvCodec;
 
 const CTRL_UPDATE: u8 = 1;
+/// Wire bytes of one advertised route: destination, metric, seqno.
+const ADVERTISED_BYTES: usize = 12;
 
 impl ControlCodec for DsdvCodec {
     fn encode(&self, blob: &ControlBlob, w: &mut WireWriter) -> Result<(), WireError> {
@@ -234,7 +236,7 @@ impl ControlCodec for DsdvCodec {
     fn decode(&self, r: &mut WireReader<'_>) -> Result<ControlBlob, WireError> {
         match r.get_u8()? {
             CTRL_UPDATE => {
-                let n = r.get_usize()?;
+                let n = r.get_count(ADVERTISED_BYTES)?;
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     entries.push(Advertised {
@@ -396,6 +398,11 @@ mod tests {
         assert!(seq32_newer(4, 2));
         assert!(!seq32_newer(2, 4));
         assert!(seq32_newer(0, u32::MAX - 1));
+    }
+
+    #[test]
+    fn codec_refuses_counts_the_payload_cannot_hold() {
+        crate::testutil::assert_refuses_huge_counts(&[CTRL_UPDATE], |r| DsdvCodec.decode(r));
     }
 
     #[test]

@@ -8,18 +8,24 @@
 //! paper highlights: link failures are disseminated by *flooding* RERRs to
 //! all nodes in range, which in turn re-flood if routes they know become
 //! invalid.
+//!
+//! What DYMO shares with AODV — the discovery buffer and its tick,
+//! neighbour liveness, the duplicate cache, those flooded RERRs, HELLOs,
+//! telemetry and the checkpoint state — is the on-demand core
+//! (`on_demand.rs`). This module keeps what is DYMO's own: route messages
+//! with path accumulation, a linear retry whose every attempt claims a new
+//! sequence number, and flushing every discovery one reply satisfies.
 
-use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use std::time::Duration;
 
-use cavenet_net::snapshot::{
-    read_node_id, read_packet, read_time, write_node_id, write_packet, write_time,
-};
+use cavenet_net::snapshot::{read_node_id, write_node_id};
 use cavenet_net::{
-    ControlBlob, ControlCodec, DataOnlyCodec, DropReason, NodeApi, NodeId, Packet, RouteEventKind,
-    RoutingProtocol, RoutingTelemetry, SimTime, WireError, WireReader, WireWriter,
+    ControlBlob, ControlCodec, NodeApi, NodeId, Packet, RoutingProtocol, RoutingTelemetry,
+    WireError, WireReader, WireWriter,
 };
 
+use crate::on_demand::{CoreConfig, Discovery, OnDemand, SharedTags};
 use crate::table::{seq_newer, RouteEntry, RouteTable};
 
 /// DYMO tunables (draft defaults, HELLO interval per paper Table 1).
@@ -55,12 +61,25 @@ impl Default for DymoConfig {
     }
 }
 
+impl DymoConfig {
+    /// The retry rule for a discovery whose attempt timed out: the wait of
+    /// its next attempt, or `None` to give up. The backoff is linear:
+    /// retry k waits k + 1 discovery timeouts.
+    fn next_attempt(&self, p: &mut Discovery) -> Option<Duration> {
+        p.retries += 1;
+        (p.retries <= self.max_discovery_retries).then(|| self.discovery_timeout * (p.retries + 1))
+    }
+}
+
 /// An address block entry accumulated along a route message's path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PathNode {
     addr: NodeId,
     seqno: u32,
 }
+
+/// Wire bytes of one [`PathNode`].
+const PATH_NODE_BYTES: usize = 8;
 
 /// DYMO Routing Message — RREQ and RREP share the structure (the draft's
 /// generic RM with a target and an accumulated address block). Wire size ≈
@@ -90,48 +109,14 @@ impl RouteMessage {
     }
 }
 
-/// Route Error, flooded (wire size ≈ 4 + 8·n).
-#[derive(Debug, Clone)]
-struct Rerr {
-    unreachable: Vec<(NodeId, u32)>,
-}
-
-/// HELLO beacon (wire size ≈ 8).
-#[derive(Debug, Clone)]
-struct Hello {
-    #[allow(dead_code)]
-    seq: u32,
-}
-
+/// HELLO wire size.
 const HELLO_SIZE: u32 = 8;
-const TOKEN_HELLO: u64 = 1;
-const TOKEN_TICK: u64 = 2;
-const TICK: Duration = Duration::from_millis(250);
-
-#[derive(Debug)]
-struct PendingDiscovery {
-    retries: u32,
-    deadline: SimTime,
-    queued: VecDeque<(Packet, SimTime)>,
-}
 
 /// The DYMO routing protocol state for one node.
 #[derive(Debug)]
 pub struct Dymo {
     config: DymoConfig,
-    table: RouteTable,
-    seqno: u32,
-    msg_id: u32,
-    /// Duplicate cache: (origin, msg_id) → expiry.
-    seen: HashMap<(NodeId, u32), SimTime>,
-    neighbours: HashMap<NodeId, SimTime>,
-    pending: HashMap<NodeId, PendingDiscovery>,
-    /// Lifetime discovery counters reported through
-    /// [`RoutingProtocol::telemetry`]; purely observational.
-    discoveries_started: u64,
-    discovery_retries: u64,
-    discoveries_succeeded: u64,
-    discoveries_failed: u64,
+    core: OnDemand,
 }
 
 impl Default for Dymo {
@@ -148,39 +133,20 @@ impl Dymo {
 
     /// DYMO with explicit configuration.
     pub fn with_config(config: DymoConfig) -> Self {
-        Dymo {
-            config,
-            table: RouteTable::new(),
-            seqno: 0,
-            msg_id: 0,
-            seen: HashMap::new(),
-            neighbours: HashMap::new(),
-            pending: HashMap::new(),
-            discoveries_started: 0,
-            discovery_retries: 0,
-            discoveries_succeeded: 0,
-            discoveries_failed: 0,
-        }
+        let core = OnDemand::new(CoreConfig {
+            hello_interval: config.hello_interval,
+            allowed_hello_loss: config.allowed_hello_loss,
+            route_timeout: config.route_timeout,
+            max_queue_time: config.max_queue_time,
+            hello_size: HELLO_SIZE,
+            ttl_in_state: false,
+        });
+        Dymo { config, core }
     }
 
     /// Read access to the routing table.
     pub fn table(&self) -> &RouteTable {
-        &self.table
-    }
-
-    fn touch_neighbour(&mut self, api: &mut NodeApi<'_>, neighbour: NodeId) {
-        self.neighbours.insert(neighbour, api.now());
-        let now = api.now();
-        let entry = RouteEntry {
-            next_hop: neighbour,
-            hop_count: 1,
-            seqno: self.table.get(neighbour).map_or(0, |r| r.seqno),
-            expires: now + self.config.route_timeout,
-            valid: true,
-        };
-        self.table.offer(neighbour, entry, now);
-        self.table
-            .refresh(neighbour, now + self.config.route_timeout);
+        &self.core.table
     }
 
     /// Install routes to **every** node on the accumulated path — DYMO's
@@ -195,7 +161,7 @@ impl Dymo {
             // The message travelled (len − i) hops from path[i] to us
             // (path[len−1] is our neighbour `from`, one hop away).
             let hops = len - i as u32;
-            self.table.offer(
+            self.core.table.offer(
                 node.addr,
                 RouteEntry {
                     next_hop: from,
@@ -209,77 +175,23 @@ impl Dymo {
         }
     }
 
-    fn start_discovery(&mut self, api: &mut NodeApi<'_>, dst: NodeId) {
-        self.seqno = self.seqno.wrapping_add(1);
-        self.msg_id = self.msg_id.wrapping_add(1);
-        let msg = RouteMessage {
-            is_reply: false,
-            target: dst,
-            target_seq: self.table.get(dst).map(|r| r.seqno),
-            msg_id: self.msg_id,
-            path: vec![PathNode {
-                addr: api.id(),
-                seqno: self.seqno,
-            }],
-        };
-        self.seen
-            .insert((api.id(), self.msg_id), api.now() + Duration::from_secs(5));
-        let size = msg.wire_size();
-        let mut packet = Packet::control(api.id(), NodeId::BROADCAST, size, msg);
-        packet.ttl = self.config.hop_limit;
-        api.send(packet, NodeId::BROADCAST);
-    }
-
     fn send_reply(&mut self, api: &mut NodeApi<'_>, req: &RouteMessage, via: NodeId) {
-        self.seqno = self.seqno.wrapping_add(1);
-        self.msg_id = self.msg_id.wrapping_add(1);
+        let core = &mut self.core;
+        core.seqno = core.seqno.wrapping_add(1);
+        core.msg_id = core.msg_id.wrapping_add(1);
         let msg = RouteMessage {
             is_reply: true,
             target: req.origin(),
             target_seq: None,
-            msg_id: self.msg_id,
+            msg_id: core.msg_id,
             path: vec![PathNode {
                 addr: api.id(),
-                seqno: self.seqno,
+                seqno: core.seqno,
             }],
         };
         let size = msg.wire_size();
         let packet = Packet::control(api.id(), req.origin(), size, msg);
         api.send(packet, via);
-    }
-
-    fn forward_data(&mut self, api: &mut NodeApi<'_>, packet: Packet) {
-        let now = api.now();
-        let dst = packet.dst;
-        if let Some(route) = self.table.lookup(dst, now) {
-            let nh = route.next_hop;
-            self.table.refresh(dst, now + self.config.route_timeout);
-            self.table.refresh(nh, now + self.config.route_timeout);
-            api.send(packet, nh);
-        } else {
-            let seq = self.table.get(dst).map_or(0, |r| r.seqno);
-            self.flood_rerr(api, vec![(dst, seq)]);
-            api.drop_packet(packet, DropReason::NoRoute);
-        }
-    }
-
-    fn flood_rerr(&mut self, api: &mut NodeApi<'_>, unreachable: Vec<(NodeId, u32)>) {
-        if unreachable.is_empty() {
-            return;
-        }
-        let size = 4 + 8 * unreachable.len() as u32;
-        let rerr = Rerr { unreachable };
-        let packet = Packet::control(api.id(), NodeId::BROADCAST, size, rerr);
-        api.send(packet, NodeId::BROADCAST);
-    }
-
-    fn flush_pending(&mut self, api: &mut NodeApi<'_>, dst: NodeId) {
-        let Some(p) = self.pending.remove(&dst) else {
-            return;
-        };
-        for (packet, _) in p.queued {
-            self.forward_data(api, packet);
-        }
     }
 
     fn handle_route_message(
@@ -290,14 +202,10 @@ impl Dymo {
         from: NodeId,
     ) {
         let now = api.now();
-        if !msg.is_reply {
-            let key = (msg.origin(), msg.msg_id);
-            if self.seen.contains_key(&key) {
-                return;
-            }
-            self.seen.insert(key, now + Duration::from_secs(5));
+        if !msg.is_reply && self.core.seen_before(msg.origin(), msg.msg_id, now) {
+            return;
         }
-        self.touch_neighbour(api, from);
+        self.core.touch_neighbour(api, from, None);
         self.learn_path(api, msg, from);
 
         if !msg.is_reply {
@@ -306,20 +214,21 @@ impl Dymo {
                 return;
             }
             // Intermediate reply when a fresh-enough route is known.
-            if let Some(route) = self.table.lookup(msg.target, now) {
+            if let Some(route) = self.core.table.lookup(msg.target, now) {
                 let fresh = msg
                     .target_seq
                     .is_none_or(|want| !seq_newer(want, route.seqno));
                 if fresh {
-                    self.msg_id = self.msg_id.wrapping_add(1);
+                    let seqno = route.seqno;
+                    self.core.msg_id = self.core.msg_id.wrapping_add(1);
                     let reply = RouteMessage {
                         is_reply: true,
                         target: msg.origin(),
                         target_seq: None,
-                        msg_id: self.msg_id,
+                        msg_id: self.core.msg_id,
                         path: vec![PathNode {
                             addr: msg.target,
-                            seqno: route.seqno,
+                            seqno,
                         }],
                     };
                     let size = reply.wire_size();
@@ -335,7 +244,7 @@ impl Dymo {
             let mut fwd = msg.clone();
             fwd.path.push(PathNode {
                 addr: api.id(),
-                seqno: self.seqno,
+                seqno: self.core.seqno,
             });
             let size = fwd.wire_size();
             let mut fwd_packet = Packet::control(msg.origin(), NodeId::BROADCAST, size, fwd);
@@ -344,35 +253,27 @@ impl Dymo {
         } else {
             // RREP travelling back to its target (the original requester).
             if msg.target == api.id() {
-                let dst = msg.path.first().expect("non-empty").addr;
-                if self.pending.contains_key(&dst) {
-                    self.discoveries_succeeded += 1;
-                    api.note_route_event(dst, RouteEventKind::DiscoverySuccess);
-                }
-                self.flush_pending(api, dst);
+                self.core.complete_discovery(api, msg.origin());
                 // Path accumulation may have satisfied other discoveries.
                 // Flush in destination order: HashMap iteration order is
                 // per-process random and the send order is observable.
                 let mut satisfied: Vec<NodeId> = self
-                    .pending
-                    .keys()
-                    .copied()
-                    .filter(|&d| self.table.lookup(d, now).is_some())
+                    .core
+                    .discovering()
+                    .filter(|&d| self.core.table.lookup(d, now).is_some())
                     .collect();
                 satisfied.sort_by_key(|d| d.0);
                 for d in satisfied {
-                    self.discoveries_succeeded += 1;
-                    api.note_route_event(d, RouteEventKind::DiscoverySuccess);
-                    self.flush_pending(api, d);
+                    self.core.complete_discovery(api, d);
                 }
                 return;
             }
-            if let Some(route) = self.table.lookup(msg.target, now) {
+            if let Some(route) = self.core.table.lookup(msg.target, now) {
                 let nh = route.next_hop;
                 let mut fwd = msg.clone();
                 fwd.path.push(PathNode {
                     addr: api.id(),
-                    seqno: self.seqno,
+                    seqno: self.core.seqno,
                 });
                 let size = fwd.wire_size();
                 let fwd_packet = Packet::control(api.id(), msg.target, size, fwd);
@@ -380,94 +281,26 @@ impl Dymo {
             }
         }
     }
+}
 
-    fn handle_rerr(&mut self, api: &mut NodeApi<'_>, rerr: &Rerr, from: NodeId) {
-        let mut invalidated = Vec::new();
-        for &(dst, seq) in &rerr.unreachable {
-            if let Some(route) = self.table.get(dst) {
-                if route.valid && route.next_hop == from {
-                    self.table.invalidate(dst);
-                    invalidated.push((dst, seq));
-                }
-            }
-        }
-        // Paper: "they will again inform all their neighbours by
-        // multicasting a RERR containing the routes concerned".
-        self.flood_rerr(api, invalidated);
-    }
-
-    fn link_broken(&mut self, api: &mut NodeApi<'_>, neighbour: NodeId) {
-        self.neighbours.remove(&neighbour);
-        let broken = self.table.invalidate_via(neighbour);
-        self.flood_rerr(api, broken);
-    }
-
-    fn tick(&mut self, api: &mut NodeApi<'_>) {
-        let now = api.now();
-        let deadline = self.config.hello_interval * self.config.allowed_hello_loss;
-        // Sort every batch collected from a HashMap before acting on it:
-        // iteration order is per-process random, and link_broken /
-        // start_discovery / drop_packet all have observable effects.
-        let mut stale: Vec<NodeId> = self
-            .neighbours
-            .iter()
-            .filter(|(_, &last)| now.saturating_since(last) > deadline)
-            .map(|(&n, _)| n)
-            .collect();
-        stale.sort_by_key(|n| n.0);
-        for n in stale {
-            self.link_broken(api, n);
-        }
-        self.seen.retain(|_, &mut exp| exp > now);
-        self.table.purge(now, Duration::from_secs(10));
-
-        let mut due: Vec<NodeId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(&d, _)| d)
-            .collect();
-        due.sort_by_key(|d| d.0);
-        for dst in due {
-            let (retries, give_up) = {
-                let p = self.pending.get_mut(&dst).expect("pending entry");
-                p.retries += 1;
-                (p.retries, p.retries > self.config.max_discovery_retries)
-            };
-            if give_up {
-                self.discoveries_failed += 1;
-                api.note_route_event(dst, RouteEventKind::DiscoveryFailure);
-                if let Some(p) = self.pending.remove(&dst) {
-                    for (packet, _) in p.queued {
-                        api.drop_packet(packet, DropReason::DiscoveryFailed);
-                    }
-                }
-            } else {
-                self.discovery_retries += 1;
-                api.note_route_event(dst, RouteEventKind::DiscoveryRetry);
-                let wait = self.config.discovery_timeout * (retries + 1);
-                if let Some(p) = self.pending.get_mut(&dst) {
-                    p.deadline = now + wait;
-                }
-                self.start_discovery(api, dst);
-            }
-        }
-        let max_q = self.config.max_queue_time;
-        let mut queued_dsts: Vec<NodeId> = self.pending.keys().copied().collect();
-        queued_dsts.sort_by_key(|d| d.0);
-        for dst in queued_dsts {
-            let p = self.pending.get_mut(&dst).expect("pending entry");
-            let mut kept = VecDeque::with_capacity(p.queued.len());
-            while let Some((packet, at)) = p.queued.pop_front() {
-                if now.saturating_since(at) <= max_q {
-                    kept.push_back((packet, at));
-                } else {
-                    api.drop_packet(packet, DropReason::QueueTimeout);
-                }
-            }
-            p.queued = kept;
-        }
-    }
+/// Flood a RREQ for `dst` with `hop_limit`: every attempt, first or retry,
+/// claims a new sequence number and message id.
+fn send_rreq(core: &mut OnDemand, api: &mut NodeApi<'_>, dst: NodeId, hop_limit: u8) {
+    core.seqno = core.seqno.wrapping_add(1);
+    let msg = RouteMessage {
+        is_reply: false,
+        target: dst,
+        target_seq: core.table.get(dst).map(|r| r.seqno),
+        msg_id: core.new_request_id(api),
+        path: vec![PathNode {
+            addr: api.id(),
+            seqno: core.seqno,
+        }],
+    };
+    let size = msg.wire_size();
+    let mut packet = Packet::control(api.id(), NodeId::BROADCAST, size, msg);
+    packet.ttl = hop_limit;
+    api.send(packet, NodeId::BROADCAST);
 }
 
 /// Serializer for DYMO's in-flight control payloads (route messages with
@@ -477,98 +310,71 @@ impl Dymo {
 pub struct DymoCodec;
 
 const CTRL_RM: u8 = 1;
-const CTRL_RERR: u8 = 2;
-const CTRL_HELLO: u8 = 3;
+const TAGS: SharedTags = SharedTags {
+    rerr: 2,
+    hello: 3,
+    foreign: "non-DYMO control payload",
+    unknown: "dymo control tag",
+};
 
 impl ControlCodec for DymoCodec {
     fn encode(&self, blob: &ControlBlob, w: &mut WireWriter) -> Result<(), WireError> {
-        if let Some(m) = blob.downcast_ref::<RouteMessage>() {
-            w.put_u8(CTRL_RM);
-            w.put_bool(m.is_reply);
-            write_node_id(w, m.target);
-            match m.target_seq {
-                None => w.put_bool(false),
-                Some(s) => {
-                    w.put_bool(true);
-                    w.put_u32(s);
-                }
+        let Some(m) = blob.downcast_ref::<RouteMessage>() else {
+            return TAGS.encode(blob, w);
+        };
+        w.put_u8(CTRL_RM);
+        w.put_bool(m.is_reply);
+        write_node_id(w, m.target);
+        match m.target_seq {
+            None => w.put_bool(false),
+            Some(s) => {
+                w.put_bool(true);
+                w.put_u32(s);
             }
-            w.put_u32(m.msg_id);
-            w.put_usize(m.path.len());
-            for node in &m.path {
-                write_node_id(w, node.addr);
-                w.put_u32(node.seqno);
-            }
-        } else if let Some(m) = blob.downcast_ref::<Rerr>() {
-            w.put_u8(CTRL_RERR);
-            w.put_usize(m.unreachable.len());
-            for &(dst, seq) in &m.unreachable {
-                write_node_id(w, dst);
-                w.put_u32(seq);
-            }
-        } else if let Some(m) = blob.downcast_ref::<Hello>() {
-            w.put_u8(CTRL_HELLO);
-            w.put_u32(m.seq);
-        } else {
-            return Err(WireError::Malformed {
-                what: "non-DYMO control payload",
-                value: 0,
-            });
+        }
+        w.put_u32(m.msg_id);
+        w.put_usize(m.path.len());
+        for node in &m.path {
+            write_node_id(w, node.addr);
+            w.put_u32(node.seqno);
         }
         Ok(())
     }
 
     fn decode(&self, r: &mut WireReader<'_>) -> Result<ControlBlob, WireError> {
-        Ok(match r.get_u8()? {
-            CTRL_RM => {
-                let is_reply = r.get_bool()?;
-                let target = read_node_id(r)?;
-                let target_seq = if r.get_bool()? {
-                    Some(r.get_u32()?)
-                } else {
-                    None
-                };
-                let msg_id = r.get_u32()?;
-                let n = r.get_usize()?;
-                if n == 0 {
-                    // `RouteMessage::origin` relies on a non-empty path.
-                    return Err(WireError::Malformed {
-                        what: "empty DYMO path",
-                        value: 0,
-                    });
-                }
-                let mut path = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let addr = read_node_id(r)?;
-                    let seqno = r.get_u32()?;
-                    path.push(PathNode { addr, seqno });
-                }
-                std::sync::Arc::new(RouteMessage {
-                    is_reply,
-                    target,
-                    target_seq,
-                    msg_id,
-                    path,
-                })
-            }
-            CTRL_RERR => {
-                let n = r.get_usize()?;
-                let mut unreachable = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let dst = read_node_id(r)?;
-                    let seq = r.get_u32()?;
-                    unreachable.push((dst, seq));
-                }
-                std::sync::Arc::new(Rerr { unreachable })
-            }
-            CTRL_HELLO => std::sync::Arc::new(Hello { seq: r.get_u32()? }),
-            tag => {
-                return Err(WireError::Malformed {
-                    what: "dymo control tag",
-                    value: u64::from(tag),
-                })
-            }
-        })
+        let tag = r.get_u8()?;
+        if tag != CTRL_RM {
+            return TAGS.decode(tag, r);
+        }
+        let is_reply = r.get_bool()?;
+        let target = read_node_id(r)?;
+        let target_seq = if r.get_bool()? {
+            Some(r.get_u32()?)
+        } else {
+            None
+        };
+        let msg_id = r.get_u32()?;
+        let n = r.get_count(PATH_NODE_BYTES)?;
+        if n == 0 {
+            // `RouteMessage::origin` relies on a non-empty path.
+            return Err(WireError::Malformed {
+                what: "empty DYMO path",
+                value: 0,
+            });
+        }
+        let mut path = Vec::with_capacity(n);
+        for _ in 0..n {
+            let addr = read_node_id(r)?;
+            let seqno = r.get_u32()?;
+            path.push(PathNode { addr, seqno });
+        }
+        Ok(Arc::new(RouteMessage {
+            is_reply,
+            target,
+            target_seq,
+            msg_id,
+            path,
+        }))
     }
 }
 
@@ -578,89 +384,35 @@ impl RoutingProtocol for Dymo {
     }
 
     fn start(&mut self, api: &mut NodeApi<'_>) {
-        let jitter = Duration::from_millis(api.rng().gen_range(0..200));
-        api.schedule(self.config.hello_interval / 2 + jitter, TOKEN_HELLO);
-        api.schedule(TICK + jitter, TOKEN_TICK);
+        self.core.start(api);
     }
 
     fn route_output(&mut self, api: &mut NodeApi<'_>, packet: Packet) {
-        let now = api.now();
-        let dst = packet.dst;
-        if dst.is_broadcast() {
-            api.send(packet, NodeId::BROADCAST);
-            return;
-        }
-        if self.table.lookup(dst, now).is_some() {
-            self.forward_data(api, packet);
-            return;
-        }
-        let fresh = !self.pending.contains_key(&dst);
-        let deadline = now + self.config.discovery_timeout;
-        let entry = self.pending.entry(dst).or_insert_with(|| PendingDiscovery {
-            retries: 0,
-            deadline,
-            queued: VecDeque::new(),
-        });
-        entry.queued.push_back((packet, now));
-        if fresh {
-            self.discoveries_started += 1;
-            api.note_route_event(dst, RouteEventKind::DiscoveryStart);
-            self.start_discovery(api, dst);
+        let wait = self.config.discovery_timeout;
+        if let Some(dst) = self.core.route_output(api, packet, 0, wait) {
+            send_rreq(&mut self.core, api, dst, self.config.hop_limit);
         }
     }
 
-    fn handle_received(&mut self, api: &mut NodeApi<'_>, mut packet: Packet, from: NodeId) {
+    fn handle_received(&mut self, api: &mut NodeApi<'_>, packet: Packet, from: NodeId) {
         if let Some(msg) = packet.body.as_control::<RouteMessage>() {
             let msg = msg.clone();
             self.handle_route_message(api, &packet, &msg, from);
             return;
         }
-        if let Some(rerr) = packet.body.as_control::<Rerr>() {
-            let rerr = rerr.clone();
-            self.handle_rerr(api, &rerr, from);
-            return;
+        if let Some(packet) = self.core.receive(api, packet, from) {
+            self.core.forward_data(api, packet);
         }
-        if packet.body.as_control::<Hello>().is_some() {
-            self.touch_neighbour(api, from);
-            return;
-        }
-        // Data.
-        self.touch_neighbour(api, from);
-        if packet.dst == api.id() {
-            api.deliver_to_app(packet);
-            return;
-        }
-        if packet.ttl <= 1 {
-            api.drop_packet(packet, DropReason::TtlExpired);
-            return;
-        }
-        packet.ttl -= 1;
-        self.forward_data(api, packet);
     }
 
     fn handle_timer(&mut self, api: &mut NodeApi<'_>, token: u64) {
-        match token {
-            TOKEN_HELLO => {
-                self.seqno = self.seqno.wrapping_add(1);
-                let packet = Packet::control(
-                    api.id(),
-                    NodeId::BROADCAST,
-                    HELLO_SIZE,
-                    Hello { seq: self.seqno },
-                );
-                api.send(packet, NodeId::BROADCAST);
-                let jitter = Duration::from_millis(api.rng().gen_range(0..100));
-                api.schedule(
-                    self.config.hello_interval - Duration::from_millis(50) + jitter,
-                    TOKEN_HELLO,
-                );
-            }
-            TOKEN_TICK => {
-                self.tick(api);
-                api.schedule(TICK, TOKEN_TICK);
-            }
-            _ => {}
-        }
+        let config = self.config;
+        self.core.handle_timer(
+            api,
+            token,
+            |p| config.next_attempt(p),
+            |core, api, dst, _| send_rreq(core, api, dst, config.hop_limit),
+        );
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -668,131 +420,25 @@ impl RoutingProtocol for Dymo {
     }
 
     fn tx_failed(&mut self, api: &mut NodeApi<'_>, packet: Packet, next_hop: NodeId) {
-        self.link_broken(api, next_hop);
-        if packet.is_data() && packet.src == api.id() {
+        if let Some(packet) = self.core.tx_failed(api, packet, next_hop) {
             self.route_output(api, packet);
-        } else if packet.is_data() {
-            api.drop_packet(packet, DropReason::RetryLimit);
         }
     }
 
     fn on_crash(&mut self, api: &mut NodeApi<'_>) {
-        // Like AODV, DYMO buffers data behind route discoveries; those
-        // packets die with the node. Destination order keeps the drop
-        // stream independent of HashMap iteration order.
-        let mut dsts: Vec<NodeId> = self.pending.keys().copied().collect();
-        dsts.sort_by_key(|d| d.0);
-        for dst in dsts {
-            if let Some(p) = self.pending.remove(&dst) {
-                for (packet, _) in p.queued {
-                    api.drop_packet(packet, DropReason::NodeDown);
-                }
-            }
-        }
+        self.core.on_crash(api);
     }
 
     fn telemetry(&self) -> RoutingTelemetry {
-        RoutingTelemetry {
-            route_table_size: self.table.len() as u64,
-            neighbours: self.neighbours.len() as u64,
-            discoveries_started: self.discoveries_started,
-            discovery_retries: self.discovery_retries,
-            discoveries_succeeded: self.discoveries_succeeded,
-            discoveries_failed: self.discoveries_failed,
-            mpr_set_size: 0,
-        }
+        self.core.telemetry()
     }
 
     fn capture_state(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        self.table.capture(w);
-        w.put_u32(self.seqno);
-        w.put_u32(self.msg_id);
-        let mut seen: Vec<(NodeId, u32)> = self.seen.keys().copied().collect();
-        seen.sort_by_key(|&(n, id)| (n.0, id));
-        w.put_usize(seen.len());
-        for key in seen {
-            write_node_id(w, key.0);
-            w.put_u32(key.1);
-            write_time(w, self.seen[&key]);
-        }
-        let mut neigh: Vec<NodeId> = self.neighbours.keys().copied().collect();
-        neigh.sort_by_key(|n| n.0);
-        w.put_usize(neigh.len());
-        for n in neigh {
-            write_node_id(w, n);
-            write_time(w, self.neighbours[&n]);
-        }
-        let mut dsts: Vec<NodeId> = self.pending.keys().copied().collect();
-        dsts.sort_by_key(|d| d.0);
-        w.put_usize(dsts.len());
-        for dst in dsts {
-            let p = &self.pending[&dst];
-            write_node_id(w, dst);
-            w.put_u32(p.retries);
-            write_time(w, p.deadline);
-            w.put_usize(p.queued.len());
-            for (packet, queued_at) in &p.queued {
-                write_packet(w, packet, &DataOnlyCodec)?;
-                write_time(w, *queued_at);
-            }
-        }
-        for v in [
-            self.discoveries_started,
-            self.discovery_retries,
-            self.discoveries_succeeded,
-            self.discoveries_failed,
-        ] {
-            w.put_u64(v);
-        }
-        Ok(())
+        self.core.capture(w)
     }
 
     fn restore_state(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
-        self.table.restore(r)?;
-        self.seqno = r.get_u32()?;
-        self.msg_id = r.get_u32()?;
-        self.seen.clear();
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let node = read_node_id(r)?;
-            let id = r.get_u32()?;
-            let expires = read_time(r)?;
-            self.seen.insert((node, id), expires);
-        }
-        self.neighbours.clear();
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let node = read_node_id(r)?;
-            let heard = read_time(r)?;
-            self.neighbours.insert(node, heard);
-        }
-        self.pending.clear();
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let dst = read_node_id(r)?;
-            let retries = r.get_u32()?;
-            let deadline = read_time(r)?;
-            let qn = r.get_usize()?;
-            let mut queued = VecDeque::with_capacity(qn);
-            for _ in 0..qn {
-                let packet = read_packet(r, &DataOnlyCodec)?;
-                let queued_at = read_time(r)?;
-                queued.push_back((packet, queued_at));
-            }
-            self.pending.insert(
-                dst,
-                PendingDiscovery {
-                    retries,
-                    deadline,
-                    queued,
-                },
-            );
-        }
-        self.discoveries_started = r.get_u64()?;
-        self.discovery_retries = r.get_u64()?;
-        self.discoveries_succeeded = r.get_u64()?;
-        self.discoveries_failed = r.get_u64()?;
-        Ok(())
+        self.core.restore(r)
     }
 
     fn control_codec(&self) -> Option<Box<dyn ControlCodec>> {
@@ -803,6 +449,7 @@ impl RoutingProtocol for Dymo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::on_demand::{Hello, Rerr};
     use crate::testutil::{run_line, run_ring};
 
     #[test]
@@ -884,6 +531,21 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn codec_refuses_counts_the_payload_cannot_hold() {
+        use crate::testutil::assert_refuses_huge_counts;
+        assert_refuses_huge_counts(&[TAGS.rerr], |r| DymoCodec.decode(r));
+        // A route message up to its path length: tag, request flag,
+        // target, no target sequence number, message id.
+        let mut w = WireWriter::new();
+        w.put_u8(CTRL_RM);
+        w.put_bool(false);
+        write_node_id(&mut w, NodeId(3));
+        w.put_bool(false);
+        w.put_u32(5);
+        assert_refuses_huge_counts(&w.into_bytes(), |r| DymoCodec.decode(r));
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //!   **path accumulation**: every node on a discovery path learns routes to
 //!   all intermediate hops, and link breakage floods RERRs ([`Dymo`]).
 //!
+//! AODV and DYMO share one on-demand core: the discovery buffer and its
+//! tick, neighbour timeouts, the duplicate cache, RERRs, HELLOs and the
+//! checkpoint state are written once, and each protocol adds only its route
+//! messages and its retry rule.
+//!
 //! Two baselines complete the crate: a TTL-scoped [`Flooding`] protocol and
 //! [`Dsdv`] — the classical proactive distance-vector protocol the paper
 //! names as AODV's ancestor — plus the shared sequence-numbered
@@ -42,6 +47,7 @@ mod dsdv;
 mod dymo;
 mod flooding;
 mod olsr;
+mod on_demand;
 mod table;
 
 #[cfg(test)]

@@ -824,6 +824,10 @@ pub struct OlsrCodec;
 
 const CTRL_HELLO: u8 = 1;
 const CTRL_TC: u8 = 2;
+/// Wire bytes of one HELLO entry: address, two flags, link quality.
+const HELLO_ENTRY_BYTES: usize = 14;
+/// Wire bytes of one TC selector: address, link quality.
+const SELECTOR_BYTES: usize = 12;
 
 impl ControlCodec for OlsrCodec {
     fn encode(&self, blob: &ControlBlob, w: &mut WireWriter) -> Result<(), WireError> {
@@ -859,7 +863,7 @@ impl ControlCodec for OlsrCodec {
     fn decode(&self, r: &mut WireReader<'_>) -> Result<ControlBlob, WireError> {
         match r.get_u8()? {
             CTRL_HELLO => {
-                let n = r.get_usize()?;
+                let n = r.get_count(HELLO_ENTRY_BYTES)?;
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     entries.push(HelloEntry {
@@ -875,7 +879,7 @@ impl ControlCodec for OlsrCodec {
                 let origin = read_node_id(r)?;
                 let seq = r.get_u32()?;
                 let ansn = r.get_u16()?;
-                let n = r.get_usize()?;
+                let n = r.get_count(SELECTOR_BYTES)?;
                 let mut selectors = Vec::with_capacity(n);
                 for _ in 0..n {
                     selectors.push((read_node_id(r)?, r.get_f64()?));
@@ -1086,7 +1090,8 @@ impl RoutingProtocol for Olsr {
             let n = read_node_id(r)?;
             let heard_until = read_time(r)?;
             let sym_until = read_time(r)?;
-            let times = r.get_usize()?;
+            // Each HELLO time is one `u64`.
+            let times = r.get_count(8)?;
             let mut hello_times = VecDeque::with_capacity(times);
             for _ in 0..times {
                 hello_times.push_back(read_time(r)?);
@@ -1173,6 +1178,27 @@ mod tests {
     #[test]
     fn name() {
         assert_eq!(Olsr::new().name(), "olsr");
+    }
+
+    #[test]
+    fn decoders_refuse_counts_the_stream_cannot_hold() {
+        use crate::testutil::assert_refuses_huge_counts;
+        assert_refuses_huge_counts(&[CTRL_HELLO], |r| OlsrCodec.decode(r));
+        // A TC up to its selector count: tag, origin, seq, ANSN.
+        let mut w = WireWriter::new();
+        w.put_u8(CTRL_TC);
+        write_node_id(&mut w, NodeId(1));
+        w.put_u32(2);
+        w.put_u16(3);
+        assert_refuses_huge_counts(&w.into_bytes(), |r| OlsrCodec.decode(r));
+        // Node state up to one link's HELLO-time count: one link, its
+        // address and two expiry times.
+        let mut w = WireWriter::new();
+        w.put_usize(1);
+        write_node_id(&mut w, NodeId(1));
+        write_time(&mut w, SimTime::from_secs(1));
+        write_time(&mut w, SimTime::from_secs(1));
+        assert_refuses_huge_counts(&w.into_bytes(), |r| Olsr::new().restore_state(r));
     }
 
     #[test]

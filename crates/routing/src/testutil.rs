@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use cavenet_net::{
     Application, FlowId, GoldenDigest, NodeApi, NodeId, Packet, RoutingProtocol, ScenarioConfig,
-    SimTime, Simulator, StaticMobility, WireReader, WireWriter,
+    SimTime, Simulator, StaticMobility, WireError, WireReader, WireWriter,
 };
 
 /// Sequence numbers and receive times observed by a sink.
@@ -258,5 +258,24 @@ where
             t.discoveries_succeeded,
             t.discoveries_failed,
         ],
+    }
+}
+
+/// Feed `decode` the bytes `prefix`, then an item count of 2^40 or 2^61,
+/// then a few more bytes: each count must be refused as truncated before
+/// anything is sized from it.
+pub(crate) fn assert_refuses_huge_counts<T: std::fmt::Debug>(
+    prefix: &[u8],
+    mut decode: impl FnMut(&mut WireReader<'_>) -> Result<T, WireError>,
+) {
+    for count in [1u64 << 40, 1 << 61] {
+        let mut bytes = prefix.to_vec();
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.extend_from_slice(&[0; 16]);
+        let got = decode(&mut WireReader::new(&bytes));
+        assert!(
+            matches!(got, Err(WireError::Truncated { .. })),
+            "count {count}: {got:?}"
+        );
     }
 }

@@ -26,6 +26,10 @@ struct RecvRecord {
     bytes: u32,
 }
 
+/// Wire bytes of one captured [`SentRecord`] and [`RecvRecord`].
+const SENT_RECORD_BYTES: usize = 16;
+const RECV_RECORD_BYTES: usize = 24;
+
 /// Records every CBR packet sent and received, per flow.
 ///
 /// Sources and sinks share one recorder through [`SharedRecorder`]; after
@@ -198,7 +202,7 @@ impl TrafficRecorder {
         self.sent.clear();
         for _ in 0..r.get_usize()? {
             let flow = read_flow(r)?;
-            let n = r.get_usize()?;
+            let n = r.get_count(SENT_RECORD_BYTES)?;
             let mut records = Vec::with_capacity(n);
             for _ in 0..n {
                 records.push(SentRecord {
@@ -212,7 +216,7 @@ impl TrafficRecorder {
         self.received.clear();
         for _ in 0..r.get_usize()? {
             let flow = read_flow(r)?;
-            let n = r.get_usize()?;
+            let n = r.get_count(RECV_RECORD_BYTES)?;
             let mut records = Vec::with_capacity(n);
             for _ in 0..n {
                 records.push(RecvRecord {
@@ -421,6 +425,36 @@ mod tests {
         let mut w2 = WireWriter::new();
         restored.capture(&mut w2);
         assert_eq!(bytes, w2.into_bytes(), "round trip not bit-identical");
+    }
+
+    #[test]
+    fn restore_refuses_record_counts_the_stream_cannot_hold() {
+        // Each ledger up to one flow's record count: the sent ledger with
+        // one flow, then an empty sent ledger and a received one.
+        let flow = |w: &mut WireWriter| {
+            write_node_id(w, NodeId(0));
+            write_node_id(w, NodeId(1));
+            w.put_u16(0);
+        };
+        let mut sent = WireWriter::new();
+        sent.put_usize(1);
+        flow(&mut sent);
+        let mut received = WireWriter::new();
+        received.put_usize(0);
+        received.put_usize(1);
+        flow(&mut received);
+        for prefix in [sent.into_bytes(), received.into_bytes()] {
+            for count in [1u64 << 40, 1 << 61] {
+                let mut bytes = prefix.clone();
+                bytes.extend_from_slice(&count.to_le_bytes());
+                bytes.extend_from_slice(&[0; 16]);
+                let got = TrafficRecorder::default().restore(&mut WireReader::new(&bytes));
+                assert!(
+                    matches!(got, Err(WireError::Truncated { .. })),
+                    "count {count}: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]

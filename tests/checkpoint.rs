@@ -622,3 +622,80 @@ fn corrupted_snapshot_bytes_never_panic() {
         );
     }
 }
+
+/// Corruption that reaches the section decoders. The container hash
+/// rejects nearly every mutant of a sealed file, so this sweep mutates one
+/// section's payload of each protocol's 7 s snapshot and re-seals it with
+/// [`Snapshot::insert`] into a fresh container: byte flips, a truncation,
+/// and a count-like 8-byte field (a little-endian value in 1..=4096)
+/// replaced by a huge count or nudged by one. Every mutant must restore
+/// cleanly or fail with a typed error; a panic fails the test, and an
+/// allocation sized from a corrupt count would abort the process.
+#[test]
+fn resealed_section_corruption_fails_with_typed_errors() {
+    use cavenet_rng::SimRng;
+
+    const ROUNDS: u64 = 32;
+    let mut rng = SimRng::seed_from_u64(0x5EA1);
+    for protocol in PROTOCOLS {
+        let exp = Experiment::new(short_scenario(protocol, 11));
+        let (mut sim, rec) = exp.build_sim(GoldenDigest::new()).unwrap();
+        sim.run_until(SimTime::from_secs(7));
+        let snap = exp.snapshot_now(&sim, &rec).unwrap();
+        for (victim, len) in snap.section_sizes() {
+            let pristine = snap.get(victim).unwrap();
+            let counts: Vec<usize> = (0..len.saturating_sub(7))
+                .filter(|&at| {
+                    let v = u64::from_le_bytes(pristine[at..at + 8].try_into().unwrap());
+                    (1..=4096).contains(&v)
+                })
+                .collect();
+            for round in 0..ROUNDS {
+                let mut body = pristine.to_vec();
+                let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+                match round % 4 {
+                    0 if len > 0 => {
+                        for _ in 0..1 + pick(4) {
+                            let at = pick(len);
+                            body[at] ^= 1 + pick(255) as u8;
+                        }
+                    }
+                    1 => body.truncate(pick(len + 1)),
+                    2 | 3 if !counts.is_empty() => {
+                        let at = counts[pick(counts.len())];
+                        let old = u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+                        let new = if round % 4 == 2 {
+                            [1 << 40, 1 << 61, u64::MAX][pick(3)]
+                        } else {
+                            old + 1
+                        };
+                        body[at..at + 8].copy_from_slice(&new.to_le_bytes());
+                    }
+                    _ => continue,
+                }
+                let mut mutant = Snapshot::new();
+                for (id, _) in snap.section_sizes() {
+                    let payload = if id == victim {
+                        body.clone()
+                    } else {
+                        snap.get(id).unwrap().to_vec()
+                    };
+                    mutant.insert(id, payload).unwrap();
+                }
+                let resealed = Snapshot::from_bytes(&mutant.to_bytes()).unwrap();
+                let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match exp
+                    .resume_from_snapshot(GoldenDigest::new(), &resealed)
+                {
+                    Ok(_) | Err(CheckpointError::Snapshot(_)) => {}
+                    Err(other) => panic!("unexpected error class: {other}"),
+                }));
+                assert!(
+                    verdict.is_ok(),
+                    "{protocol:?}: round {round} on section {} panicked instead of \
+                     returning a typed error",
+                    cavenet_core::checkpoint::section_name(victim)
+                );
+            }
+        }
+    }
+}
