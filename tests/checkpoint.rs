@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use cavenet_core::checkpoint::{section, Snapshot, SnapshotError};
 use cavenet_core::mobility::{MobilityTrace, NodeTrajectory};
-use cavenet_core::net::SimTime;
+use cavenet_core::net::{EventKind, SimObserver, SimTime};
 use cavenet_core::{
     churn_plan, scenario_identity, CheckpointError, Engine, Experiment, Fidelity, MobilitySource,
     Protocol, Scenario,
@@ -556,6 +556,130 @@ fn golden_routing_sections() {
         let routing = snap.get(section::ROUTING).expect("routing section");
         let name = format!("routing_section_{}", protocol.to_string().to_lowercase());
         check_golden(&name, fnv64(routing), routing.len() as u64);
+    }
+}
+
+/// Finds the receptions of one transmission: the first `RxStart`
+/// scheduled at or after `after` opens the batch, which holds every
+/// `RxStart` and `RxEnd` the sender's transmission scheduled before its
+/// `TxEnd`. Counts how many of each pass have been dispatched.
+struct RxWindows {
+    after: SimTime,
+    state: Batch,
+    starts: Vec<(SimTime, u64)>,
+    ends: Vec<(SimTime, u64)>,
+    started: usize,
+    ended: usize,
+}
+
+#[derive(PartialEq)]
+enum Batch {
+    Waiting,
+    Open,
+    Closed,
+}
+
+impl RxWindows {
+    fn new(after: SimTime) -> Self {
+        RxWindows {
+            after,
+            state: Batch::Waiting,
+            starts: Vec::new(),
+            ends: Vec::new(),
+            started: 0,
+            ended: 0,
+        }
+    }
+
+    /// The time of the middle entry of a pass, in time order.
+    fn middle(pass: &[(SimTime, u64)]) -> SimTime {
+        let mut times: Vec<SimTime> = pass.iter().map(|&(t, _)| t).collect();
+        times.sort_unstable();
+        times[times.len() / 2]
+    }
+}
+
+impl SimObserver for RxWindows {
+    fn on_event_scheduled(&mut self, at: SimTime, seq: u64, _node: usize, kind: EventKind) {
+        match (&self.state, kind) {
+            (Batch::Waiting, EventKind::RxStart) if at >= self.after => {
+                self.state = Batch::Open;
+                self.starts.push((at, seq));
+            }
+            (Batch::Open, EventKind::RxStart) => self.starts.push((at, seq)),
+            (Batch::Open, EventKind::RxEnd) => self.ends.push((at, seq)),
+            (Batch::Open, _) => self.state = Batch::Closed,
+            _ => {}
+        }
+    }
+
+    fn on_event_dispatched(&mut self, _now: SimTime, seq: u64, _node: usize, kind: EventKind) {
+        // The batch holds consecutive sequence numbers.
+        let (Some(&(_, first)), Some(&(_, last))) = (self.starts.first(), self.ends.last()) else {
+            return;
+        };
+        if (first..=last).contains(&seq) {
+            match kind {
+                EventKind::RxStart => self.started += 1,
+                EventKind::RxEnd => self.ended += 1,
+                _ => {}
+            }
+        }
+    }
+}
+
+/// The ENGINE, CHANNEL and LINK sections of snapshots taken in the middle
+/// of one transmission's receptions, pinned by FNV-1a hash and length:
+/// once inside its RxStart window (some starts dispatched, the rest
+/// pending) and once inside its RxEnd window. They pin the capture order
+/// of a transmission's pending receptions among the other queued events,
+/// the event wire format, and the per-node MAC and radio state.
+#[test]
+fn golden_engine_sections() {
+    let table1 = Scenario::paper_table1(Protocol::Flooding);
+    let table1_after = table1.traffic.cbr.start + Duration::from_millis(500);
+    let jam = cavenet_testkit::jam_ring_scenario(600);
+    let jam_after = jam.traffic.cbr.start + Duration::from_micros(500);
+    for (label, s, after) in [("table1", table1, table1_after), ("jam", jam, jam_after)] {
+        let exp = Experiment::new(s);
+        let after = SimTime::from_secs_f64(after.as_secs_f64());
+        let (mut sim, _) = exp.build_sim(RxWindows::new(after)).unwrap();
+        sim.run_until(after + Duration::from_millis(20));
+        let probe = sim.observer();
+        assert!(
+            probe.state == Batch::Closed,
+            "{label}: no transmission found"
+        );
+        assert_eq!(probe.starts.len(), probe.ends.len());
+        let windows = [
+            ("rx_start", RxWindows::middle(&probe.starts)),
+            ("rx_end", RxWindows::middle(&probe.ends)),
+        ];
+
+        let (mut sim, rec) = exp.build_sim(RxWindows::new(after)).unwrap();
+        for (window, at) in windows {
+            sim.run_until(at);
+            let probe = sim.observer();
+            let n = probe.starts.len();
+            let (done, of_pass) = match window {
+                "rx_start" => (probe.started, probe.ended),
+                _ => (probe.ended, n - probe.started),
+            };
+            assert!(
+                0 < done && done < n && of_pass == 0,
+                "{label} {window}: {done} of {n} dispatched"
+            );
+            let snap = exp.snapshot_now(&sim, &rec).unwrap();
+            for (name, id) in [
+                ("engine", section::ENGINE),
+                ("channel", section::CHANNEL),
+                ("link", section::LINK),
+            ] {
+                let bytes = snap.get(id).expect("section");
+                let golden = format!("sections_{label}_{window}_{name}");
+                check_golden(&golden, fnv64(bytes), bytes.len() as u64);
+            }
+        }
     }
 }
 
