@@ -54,6 +54,13 @@ pub enum NetError {
         /// 1-based line number of the first malformed line.
         line: usize,
     },
+    /// A [`ScenarioConfig`](crate::ScenarioConfig) field the engine would
+    /// divide by or overflow on (see
+    /// [`ScenarioConfig::validate`](crate::ScenarioConfig::validate)).
+    BadConfig {
+        /// The offending field, as `phy.data_rate_bps` or `mac.slot`.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for NetError {
@@ -83,6 +90,9 @@ impl fmt::Display for NetError {
             }
             NetError::FaultPlanSyntax { line } => {
                 write!(f, "fault plan text is malformed at line {line}")
+            }
+            NetError::BadConfig { field } => {
+                write!(f, "scenario config field `{field}` is out of range")
             }
         }
     }

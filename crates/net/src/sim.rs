@@ -39,6 +39,38 @@ pub struct ScenarioConfig {
     pub propagation: Propagation,
 }
 
+impl ScenarioConfig {
+    /// Check the fields the engine divides by or doubles, so a bad value is
+    /// refused at build instead of panicking in the middle of a run.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::BadConfig`] naming the first offending field:
+    /// - `phy.data_rate_bps` or `phy.basic_rate_bps` below 1 b/s, infinite
+    ///   or NaN (every airtime divides by them);
+    /// - a zero `mac.slot` (a frozen backoff divides by it);
+    /// - `mac.cw_min` or `mac.cw_max` above `u32::MAX / 2 - 1`, where the
+    ///   retry doubling `(cw + 1) * 2 - 1` overflows.
+    pub fn validate(&self) -> Result<(), NetError> {
+        let rate_ok = |bps: f64| bps >= 1.0 && bps.is_finite();
+        let cw_ok = |cw: u32| cw <= u32::MAX / 2 - 1;
+        let field = if !rate_ok(self.phy.data_rate_bps) {
+            "phy.data_rate_bps"
+        } else if !rate_ok(self.phy.basic_rate_bps) {
+            "phy.basic_rate_bps"
+        } else if self.mac.slot.is_zero() {
+            "mac.slot"
+        } else if !cw_ok(self.mac.cw_min) {
+            "mac.cw_min"
+        } else if !cw_ok(self.mac.cw_max) {
+            "mac.cw_max"
+        } else {
+            return Ok(());
+        };
+        Err(NetError::BadConfig { field })
+    }
+}
+
 #[derive(Debug)]
 pub(crate) enum Event {
     RxStart {
@@ -435,12 +467,15 @@ impl<O: SimObserver> SimulatorBuilder<O> {
     ///
     /// # Errors
     ///
+    /// - [`NetError::BadConfig`] — a config field fails
+    ///   [`ScenarioConfig::validate`];
     /// - [`NetError::MobilityTooSmall`] — the mobility model covers fewer
     ///   nodes than configured;
     /// - [`NetError::UnknownNode`] — an application is attached to an
     ///   out-of-range node;
     /// - any [`FaultPlan::validate`] error for an invalid fault plan.
     pub fn try_build(self) -> Result<Simulator<O>, NetError> {
+        self.config.validate()?;
         let mobility = self
             .mobility
             .unwrap_or_else(|| Box::new(crate::StaticMobility::grid(self.nodes, 100.0)));
@@ -1854,23 +1889,26 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_secs(5));
     }
 
+    /// Broadcasts one 64-byte data packet 1 ms after start.
+    struct Bcast {
+        sent: bool,
+    }
+
+    impl Application for Bcast {
+        fn start(&mut self, api: &mut NodeApi<'_>) {
+            api.schedule(Duration::from_millis(1), 0);
+        }
+        fn handle_timer(&mut self, api: &mut NodeApi<'_>, _t: u64) {
+            if !self.sent {
+                self.sent = true;
+                let flow = FlowId::new(api.id(), NodeId::BROADCAST, 0);
+                api.originate(Packet::data(flow, 0, 64, api.now()));
+            }
+        }
+    }
+
     #[test]
     fn broadcast_reaches_all_neighbours() {
-        struct Bcast {
-            sent: bool,
-        }
-        impl Application for Bcast {
-            fn start(&mut self, api: &mut NodeApi<'_>) {
-                api.schedule(Duration::from_millis(1), 0);
-            }
-            fn handle_timer(&mut self, api: &mut NodeApi<'_>, _t: u64) {
-                if !self.sent {
-                    self.sent = true;
-                    let flow = FlowId::new(api.id(), NodeId::BROADCAST, 0);
-                    api.originate(Packet::data(flow, 0, 64, api.now()));
-                }
-            }
-        }
         // 3 nodes, 100 m apart in a line — all within range of node 1.
         let mut sim = Simulator::builder(ScenarioConfig::default())
             .nodes(3)
@@ -2280,6 +2318,49 @@ mod tests {
                 covered: 2
             })
         );
+    }
+
+    /// A config that would panic mid-run (a zero bit rate is a zero
+    /// divisor of every airtime, a zero slot of the backoff freeze) is
+    /// refused at build with a typed error naming the field.
+    #[test]
+    fn malformed_configs_are_refused_at_build() {
+        let build = |config: ScenarioConfig| {
+            let mut b = Simulator::builder(config)
+                .nodes(3)
+                .mobility(Box::new(StaticMobility::line(3, 100.0)));
+            for i in 0..3 {
+                b = b.app(i, Box::new(Bcast { sent: false }));
+            }
+            b.try_build()
+        };
+        let cases: [(&str, fn(&mut ScenarioConfig)); 7] = [
+            ("phy.data_rate_bps", |c| c.phy.data_rate_bps = 0.0),
+            ("phy.data_rate_bps", |c| c.phy.data_rate_bps = f64::NAN),
+            ("phy.basic_rate_bps", |c| c.phy.basic_rate_bps = -1e6),
+            ("phy.basic_rate_bps", |c| {
+                c.phy.basic_rate_bps = f64::INFINITY
+            }),
+            ("mac.slot", |c| c.mac.slot = Duration::ZERO),
+            ("mac.cw_min", |c| c.mac.cw_min = u32::MAX),
+            ("mac.cw_max", |c| c.mac.cw_max = 1 << 31),
+        ];
+        for (field, corrupt) in cases {
+            let mut config = ScenarioConfig::default();
+            corrupt(&mut config);
+            match build(config) {
+                Err(e) => assert!(e.to_string().contains(field), "{field}: {e}"),
+                Ok(mut sim) => {
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        sim.run_until_secs(1.0)
+                    }));
+                    panic!("{field}: built, and the run panicked: {}", run.is_err());
+                }
+            }
+        }
+        let mut sim = build(ScenarioConfig::default()).expect("the default config builds");
+        sim.run_until_secs(1.0);
+        assert_eq!(sim.global_stats().transmissions, 3);
     }
 
     #[test]
