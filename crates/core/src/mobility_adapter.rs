@@ -110,6 +110,20 @@ impl MobilityModel for TraceMobility {
         self.trace.node_count()
     }
 
+    /// One bulk [`MobilityTrace::positions_of`]: on frames, `t` is located
+    /// once for all ids. Should any id fail, every id takes the per-id path
+    /// and its fallback.
+    fn positions_of(&self, ids: &[usize], t: SimTime, out: &mut Vec<(f64, f64)>) {
+        out.clear();
+        let bulk = self
+            .trace
+            .positions_of(ids, t.as_secs_f64(), |p| out.push((p.x, p.y)));
+        if bulk.is_err() {
+            out.clear();
+            out.extend(ids.iter().map(|&i| self.position(i, t)));
+        }
+    }
+
     fn epoch(&self, t: SimTime) -> PositionEpoch {
         match self.quantum {
             None => PositionEpoch::Continuous,

@@ -357,6 +357,40 @@ impl MobilityTrace {
         Ok(())
     }
 
+    /// Positions of nodes `ids` at time `t`, handed to `put` in the order
+    /// of `ids`: the per-node [`position_at`](Self::position_at) of each
+    /// id, bit for bit. On frames that is one segment search for all ids
+    /// and a read of the two frames around `t` per id.
+    ///
+    /// # Errors
+    ///
+    /// The error [`position_at`](Self::position_at) gives for the first id
+    /// in `ids` without a position; `put` has seen the ids before it.
+    pub fn positions_of(
+        &self,
+        ids: &[usize],
+        t: f64,
+        mut put: impl FnMut(Point2),
+    ) -> Result<(), MobilityError> {
+        match &self.shared.layout {
+            Layout::Frames(f) => {
+                let at = f.locate(t);
+                for &id in ids {
+                    if id >= f.nodes() {
+                        return Err(MobilityError::UnknownNode { node: id });
+                    }
+                    put(f.point(at.ok_or_else(|| unresolved(id, t))?, id));
+                }
+            }
+            Layout::Nodes(_) => {
+                for &id in ids {
+                    put(self.position_at(id, t)?);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Largest sample time across all nodes (0 if the trace is empty).
     pub fn duration(&self) -> f64 {
         match &self.shared.layout {
@@ -1216,6 +1250,32 @@ mod tests {
         p.map(|p| (p.x.to_bits(), p.y.to_bits()))
     }
 
+    /// [`MobilityTrace::positions_of`] for `ids` against one
+    /// [`MobilityTrace::position_at`] per id: the same points up to the
+    /// first id without a position, and the same error there.
+    fn check_positions_of(
+        trace: &MobilityTrace,
+        ids: &[usize],
+        t: f64,
+    ) -> Result<(), TestCaseError> {
+        let mut seen = Vec::new();
+        let bulk = trace.positions_of(ids, t, |p| seen.push(bits(Some(p))));
+        let mut each = Vec::new();
+        let mut first_error = Ok(());
+        for &id in ids {
+            match trace.position_at(id, t) {
+                Ok(p) => each.push(bits(Some(p))),
+                Err(e) => {
+                    first_error = Err(e);
+                    break;
+                }
+            }
+        }
+        prop_assert_eq!(bulk, first_error);
+        prop_assert_eq!(seen, each);
+        Ok(())
+    }
+
     proptest! {
         // At least 512 cases; `PROPTEST_CASES` raises it (CI runs 4096).
         #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(512)))]
@@ -1225,10 +1285,13 @@ mod tests {
             kind in 0u8..7,
             pick in any::<usize>(),
             u in 0.0f64..1.0,
+            ids in prop::collection::vec(any::<usize>(), 0..24),
         ) {
             let (t, _) = query(&nodes[pick % nodes.len()], kind, pick / 7, u);
             let n = nodes.len();
             let trace = MobilityTrace::from_trajectories(nodes);
+            let ids: Vec<usize> = ids.into_iter().map(|id| id % (n + 2)).collect();
+            check_positions_of(&trace, &ids, t)?;
             let reference: Result<Vec<Point2>, MobilityError> =
                 (0..n).map(|id| trace.position_at(id, t)).collect();
             let mut out = vec![Point2::new(1.0, 1.0)];
@@ -1255,11 +1318,14 @@ mod tests {
             pick in any::<usize>(),
             u in 0.0f64..1.0,
             count in any::<usize>(),
+            ids in prop::collection::vec(any::<usize>(), 0..24),
         ) {
             let (t, _) = query(&nodes[0], kind, pick, u);
             let n = nodes.len();
             let trace = MobilityTrace::from_trajectories(nodes.clone());
             prop_assert!(is_frames(&trace));
+            let ids: Vec<usize> = ids.into_iter().map(|id| id % (n + 2)).collect();
+            check_positions_of(&trace, &ids, t)?;
             let reference = |id: usize| match nodes.get(id) {
                 Some(tr) => tr.position_at(t).ok_or_else(|| unresolved(id, t)),
                 None => Err(MobilityError::UnknownNode { node: id }),

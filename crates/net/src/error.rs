@@ -56,7 +56,7 @@ pub enum NetError {
     },
     /// A [`ScenarioConfig`](crate::ScenarioConfig) field the engine would
     /// divide by or overflow on (see
-    /// [`ScenarioConfig::validate`](crate::ScenarioConfig::validate)).
+    /// [`SimulatorBuilder::try_build`](crate::SimulatorBuilder::try_build)).
     BadConfig {
         /// The offending field, as `phy.data_rate_bps` or `mac.slot`.
         field: &'static str,

@@ -23,7 +23,7 @@ use crate::snapshot::{
     read_frame, read_time, write_frame, write_time, ControlCodec, WireError, WireReader, WireWriter,
 };
 use crate::stats::DropCounts;
-use crate::{NodeId, Packet, PhyParams, SimTime};
+use crate::{NodeId, Packet, ScenarioConfig, SimTime};
 
 /// 802.11 DCF timing and policy parameters (DSSS PHY defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,6 +162,9 @@ pub(crate) struct MacHooks<'a, O: SimObserver = NoopObserver> {
     pub drops: &'a mut DropCounts,
     /// Engine observer (no-op by default).
     pub observer: &'a mut O,
+    /// The simulator's one configuration: DCF timing and policy, and the
+    /// PHY rates that set frame airtimes.
+    pub config: &'a ScenarioConfig,
 }
 
 /// DCF states of one station, as reported through
@@ -184,12 +187,12 @@ pub enum MacState {
     WaitCts = 6,
 }
 
-/// The 802.11 DCF state machine for one station.
+/// The 802.11 DCF state machine for one station. Its parameters are the
+/// simulator's, reached through [`MacHooks::config`]: a station keeps only
+/// its own state.
 #[derive(Debug)]
 pub(crate) struct Mac {
     id: NodeId,
-    params: MacParams,
-    phy: PhyParams,
     queue: VecDeque<Frame>,
     state: MacState,
     /// Contention window for the frame in service.
@@ -231,14 +234,14 @@ enum TxPhase {
 }
 
 impl Mac {
-    pub(crate) fn new(id: NodeId, params: MacParams, phy: PhyParams) -> Self {
+    /// A station in power-on state, whose contention window starts at
+    /// `cw_min`.
+    pub(crate) fn new(id: NodeId, cw_min: u32) -> Self {
         Mac {
             id,
-            params,
-            phy,
             queue: VecDeque::new(),
             state: MacState::Idle,
-            cw: params.cw_min,
+            cw: cw_min,
             retries: 0,
             backoff_slots: 0,
             need_backoff: false,
@@ -287,7 +290,7 @@ impl Mac {
             .filter_map(|frame| frame.packet.map(Arc::unwrap_or_clone))
             .collect();
         self.set_state(hooks, MacState::Idle);
-        self.cw = self.params.cw_min;
+        self.cw = hooks.config.mac.cw_min;
         self.retries = 0;
         self.backoff_slots = 0;
         self.need_backoff = false;
@@ -307,7 +310,7 @@ impl Mac {
     /// Serialize the complete DCF state: interface queue, contention
     /// variables, timer sequence numbers (preserved exactly — queued
     /// `MacTimer` events refer to them), pending delayed control frames,
-    /// carrier-sense caches and statistics. `id`/`params`/`phy` are
+    /// carrier-sense caches and statistics. `id` and the parameters are
     /// configuration and are not captured.
     pub(crate) fn capture(
         &self,
@@ -452,8 +455,8 @@ impl Mac {
     }
 
     /// Total air size of a data frame for `packet`.
-    fn frame_size(&self, packet: &Packet) -> u32 {
-        packet.size_bytes + self.params.ip_overhead_bytes + self.params.mac_overhead_bytes
+    fn frame_size(params: &MacParams, packet: &Packet) -> u32 {
+        packet.size_bytes + params.ip_overhead_bytes + params.mac_overhead_bytes
     }
 
     /// Accept a packet from the network layer for transmission to
@@ -464,7 +467,8 @@ impl Mac {
         packet: Packet,
         next_hop: NodeId,
     ) {
-        if self.queue.len() >= self.params.queue_capacity {
+        let params = &hooks.config.mac;
+        if self.queue.len() >= params.queue_capacity {
             self.stats.queue_drops += 1;
             if packet.is_data() {
                 hooks.drops.record(DropReason::QueueOverflow);
@@ -479,7 +483,7 @@ impl Mac {
             }
             return;
         }
-        let size = self.frame_size(&packet);
+        let size = Self::frame_size(params, &packet);
         self.queue.push_back(Frame {
             mac_src: self.id,
             mac_dst: next_hop,
@@ -512,7 +516,7 @@ impl Mac {
     fn start_difs<O: SimObserver>(&mut self, hooks: &mut MacHooks<'_, O>) {
         self.set_state(hooks, MacState::WaitDifs);
         self.dcf_timer = self.alloc_timer();
-        hooks.timers.push((self.params.difs, self.dcf_timer));
+        hooks.timers.push((hooks.config.mac.difs, self.dcf_timer));
     }
 
     fn alloc_timer(&mut self) -> u64 {
@@ -582,7 +586,7 @@ impl Mac {
             MacState::Backoff => {
                 // Freeze: compute how many whole slots elapsed.
                 let elapsed = hooks.now.saturating_since(self.backoff_started);
-                let done = (elapsed.as_nanos() / self.params.slot.as_nanos()) as u32;
+                let done = (elapsed.as_nanos() / hooks.config.mac.slot.as_nanos()) as u32;
                 self.backoff_slots = self.backoff_slots.saturating_sub(done);
                 self.dcf_timer = self.alloc_timer();
                 self.need_backoff = true;
@@ -630,7 +634,7 @@ impl Mac {
                         self.set_state(hooks, MacState::Backoff);
                         self.backoff_started = hooks.now;
                         self.dcf_timer = self.alloc_timer();
-                        let wait = self.params.slot * self.backoff_slots;
+                        let wait = hooks.config.mac.slot * self.backoff_slots;
                         hooks.timers.push((wait, self.dcf_timer));
                     }
                 } else {
@@ -645,7 +649,7 @@ impl Mac {
                 // ACK (or CTS) timeout.
                 self.retries += 1;
                 self.stats.retries += 1;
-                if self.retries >= self.params.retry_limit {
+                if self.retries >= hooks.config.mac.retry_limit {
                     let frame = self.queue.pop_front().expect("frame in service");
                     self.stats.retry_drops += 1;
                     if let Some(packet) = frame.packet.map(Arc::unwrap_or_clone) {
@@ -654,12 +658,12 @@ impl Mac {
                             next_hop: frame.mac_dst,
                         });
                     }
-                    self.reset_contention();
+                    self.reset_contention(hooks.config.mac.cw_min);
                     self.need_backoff = true;
                     self.start_service(hooks);
                 } else {
                     // Exponential backoff and retry.
-                    self.cw = ((self.cw + 1) * 2 - 1).min(self.params.cw_max);
+                    self.cw = ((self.cw + 1) * 2 - 1).min(hooks.config.mac.cw_max);
                     self.backoff_slots = 0;
                     self.need_backoff = true;
                     if self.medium_busy {
@@ -673,8 +677,8 @@ impl Mac {
         }
     }
 
-    fn reset_contention(&mut self) {
-        self.cw = self.params.cw_min;
+    fn reset_contention(&mut self, cw_min: u32) {
+        self.cw = cw_min;
         self.retries = 0;
         self.backoff_slots = 0;
     }
@@ -685,8 +689,9 @@ impl Mac {
             return;
         };
         let use_rts = !frame.mac_dst.is_broadcast()
-            && self
-                .params
+            && hooks
+                .config
+                .mac
                 .rts_threshold
                 .is_some_and(|t| frame.size_bytes >= t);
         if use_rts {
@@ -704,9 +709,9 @@ impl Mac {
         };
         // Protect the upcoming ACK via the duration field (only meaningful
         // when the handshake is enabled; harmless otherwise).
-        if !frame.mac_dst.is_broadcast() && self.params.rts_threshold.is_some() {
-            frame.nav =
-                self.params.sifs + self.phy.control_frame_duration(self.params.ack_size_bytes);
+        let ScenarioConfig { mac, phy, .. } = hooks.config;
+        if !frame.mac_dst.is_broadcast() && mac.rts_threshold.is_some() {
+            frame.nav = mac.sifs + phy.control_frame_duration(mac.ack_size_bytes);
         }
         self.set_state(hooks, MacState::Transmitting);
         self.tx_phase = TxPhase::Data;
@@ -723,15 +728,16 @@ impl Mac {
             self.set_state(hooks, MacState::Idle);
             return;
         };
-        let sifs = self.params.sifs;
-        let cts = self.phy.control_frame_duration(self.params.cts_size_bytes);
-        let data_dur = self.phy.data_frame_duration(data.size_bytes);
-        let ack = self.phy.control_frame_duration(self.params.ack_size_bytes);
+        let ScenarioConfig { mac, phy, .. } = hooks.config;
+        let sifs = mac.sifs;
+        let cts = phy.control_frame_duration(mac.cts_size_bytes);
+        let data_dur = phy.data_frame_duration(data.size_bytes);
+        let ack = phy.control_frame_duration(mac.ack_size_bytes);
         let rts = Frame {
             mac_src: self.id,
             mac_dst: data.mac_dst,
             kind: FrameKind::Rts,
-            size_bytes: self.params.rts_size_bytes,
+            size_bytes: mac.rts_size_bytes,
             packet: None,
             ack_uid: data.packet.as_ref().map_or(0, |p| p.uid),
             // Reserve the whole remaining exchange: CTS + DATA + ACK.
@@ -756,9 +762,8 @@ impl Mac {
             // Our RTS is out; await the CTS.
             self.set_state(hooks, MacState::WaitCts);
             self.dcf_timer = self.alloc_timer();
-            let timeout = self.params.sifs
-                + self.phy.control_frame_duration(self.params.cts_size_bytes)
-                + self.params.slot;
+            let ScenarioConfig { mac, phy, .. } = hooks.config;
+            let timeout = mac.sifs + phy.control_frame_duration(mac.cts_size_bytes) + mac.slot;
             hooks.timers.push((timeout, self.dcf_timer));
             return;
         }
@@ -772,16 +777,15 @@ impl Mac {
                     next_hop: NodeId::BROADCAST,
                 });
             }
-            self.reset_contention();
+            self.reset_contention(hooks.config.mac.cw_min);
             self.need_backoff = true;
             self.start_service(hooks);
         } else {
             // Unicast: await the ACK.
             self.set_state(hooks, MacState::WaitAck);
             self.dcf_timer = self.alloc_timer();
-            let timeout = self.params.sifs
-                + self.phy.control_frame_duration(self.params.ack_size_bytes)
-                + self.params.slot;
+            let ScenarioConfig { mac, phy, .. } = hooks.config;
+            let timeout = mac.sifs + phy.control_frame_duration(mac.ack_size_bytes) + mac.slot;
             hooks.timers.push((timeout, self.dcf_timer));
         }
     }
@@ -809,13 +813,13 @@ impl Mac {
                         mac_src: self.id,
                         mac_dst: frame.mac_src,
                         kind: FrameKind::Ack,
-                        size_bytes: self.params.ack_size_bytes,
+                        size_bytes: hooks.config.mac.ack_size_bytes,
                         packet: None,
                         ack_uid: frame.packet.as_ref().map_or(0, |p| p.uid),
                         nav: Duration::ZERO,
                     };
                     self.pending_acks.push((seq, ack));
-                    hooks.timers.push((self.params.sifs, seq));
+                    hooks.timers.push((hooks.config.mac.sifs, seq));
                 }
                 if let Some(packet) = frame.packet.map(Arc::unwrap_or_clone) {
                     hooks.upcalls.push(MacUpcall::Deliver {
@@ -832,15 +836,16 @@ impl Mac {
                 }
                 // Answer with a CTS one SIFS later, carrying the remaining
                 // reservation.
-                let sifs = self.params.sifs;
-                let cts_dur = self.phy.control_frame_duration(self.params.cts_size_bytes);
+                let ScenarioConfig { mac, phy, .. } = hooks.config;
+                let sifs = mac.sifs;
+                let cts_dur = phy.control_frame_duration(mac.cts_size_bytes);
                 let remaining = frame.nav.saturating_sub(sifs + cts_dur);
                 let seq = self.alloc_timer();
                 let cts = Frame {
                     mac_src: self.id,
                     mac_dst: frame.mac_src,
                     kind: FrameKind::Cts,
-                    size_bytes: self.params.cts_size_bytes,
+                    size_bytes: mac.cts_size_bytes,
                     packet: None,
                     ack_uid: frame.ack_uid,
                     nav: remaining,
@@ -869,7 +874,7 @@ impl Mac {
                 self.dcf_timer = self.alloc_timer();
                 let seq = self.alloc_timer();
                 self.pending_data_go = Some(seq);
-                hooks.timers.push((self.params.sifs, seq));
+                hooks.timers.push((hooks.config.mac.sifs, seq));
             }
             FrameKind::Ack => {
                 if frame.mac_dst != self.id || self.state != MacState::WaitAck {
@@ -892,7 +897,7 @@ impl Mac {
                         next_hop: done.mac_dst,
                     });
                 }
-                self.reset_contention();
+                self.reset_contention(hooks.config.mac.cw_min);
                 self.need_backoff = true;
                 self.start_service(hooks);
             }
@@ -914,12 +919,13 @@ mod tests {
         upcalls: Vec<MacUpcall>,
         drops: DropCounts,
         obs: NoopObserver,
+        config: ScenarioConfig,
     }
 
     impl Harness {
         fn new() -> Self {
             Harness {
-                mac: Mac::new(NodeId(0), MacParams::default(), PhyParams::ns2_default()),
+                mac: Mac::new(NodeId(0), MacParams::default().cw_min),
                 rng: SimRng::seed_from_u64(7),
                 now: SimTime::ZERO,
                 timers: Vec::new(),
@@ -927,6 +933,7 @@ mod tests {
                 upcalls: Vec::new(),
                 drops: DropCounts::default(),
                 obs: NoopObserver,
+                config: ScenarioConfig::default(),
             }
         }
 
@@ -939,6 +946,7 @@ mod tests {
                 upcalls: &mut self.upcalls,
                 drops: &mut self.drops,
                 observer: &mut self.obs,
+                config: &self.config,
             };
             f(&mut self.mac, &mut hooks)
         }
@@ -1258,7 +1266,8 @@ mod proptests {
             stimuli in prop::collection::vec(stimulus_strategy(), 1..120),
             seed in any::<u64>(),
         ) {
-            let mut mac = Mac::new(NodeId(0), MacParams::default(), PhyParams::ns2_default());
+            let config = ScenarioConfig::default();
+            let mut mac = Mac::new(NodeId(0), config.mac.cw_min);
             let mut rng = SimRng::seed_from_u64(seed);
             let mut now = SimTime::ZERO;
             let mut timers: Vec<(Duration, u64)> = Vec::new();
@@ -1279,6 +1288,7 @@ mod proptests {
                     upcalls: &mut upcalls,
                     drops: &mut drops,
                     observer: &mut obs,
+                    config: &config,
                 };
                 match s {
                     Stimulus::Enqueue(bcast) => {
@@ -1344,16 +1354,15 @@ mod rts_cts_tests {
         upcalls: Vec<MacUpcall>,
         drops: DropCounts,
         obs: NoopObserver,
+        config: ScenarioConfig,
     }
 
     impl Harness {
         fn with_rts(threshold: u32) -> Self {
-            let params = MacParams {
-                rts_threshold: Some(threshold),
-                ..MacParams::default()
-            };
+            let mut config = ScenarioConfig::default();
+            config.mac.rts_threshold = Some(threshold);
             Harness {
-                mac: Mac::new(NodeId(0), params, PhyParams::ns2_default()),
+                mac: Mac::new(NodeId(0), config.mac.cw_min),
                 rng: SimRng::seed_from_u64(7),
                 now: SimTime::ZERO,
                 timers: Vec::new(),
@@ -1361,6 +1370,7 @@ mod rts_cts_tests {
                 upcalls: Vec::new(),
                 drops: DropCounts::default(),
                 obs: NoopObserver,
+                config,
             }
         }
 
@@ -1373,6 +1383,7 @@ mod rts_cts_tests {
                 upcalls: &mut self.upcalls,
                 drops: &mut self.drops,
                 observer: &mut self.obs,
+                config: &self.config,
             };
             f(&mut self.mac, &mut hooks)
         }

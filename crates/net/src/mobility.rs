@@ -40,6 +40,17 @@ pub trait MobilityModel {
     /// Number of nodes the model covers.
     fn node_count(&self) -> usize;
 
+    /// Positions of nodes `ids` at time `t`, written into `out` (cleared
+    /// first) in the order of `ids`: the same coordinates, bit for bit, as
+    /// one [`position`](Self::position) call per id, which is the default.
+    /// Models that can share work across ids (a trace locating `t` once)
+    /// override it; the simulator calls it once per transmission for every
+    /// candidate receiver when positions must be sampled afresh.
+    fn positions_of(&self, ids: &[usize], t: SimTime, out: &mut Vec<(f64, f64)>) {
+        out.clear();
+        out.extend(ids.iter().map(|&i| self.position(i, t)));
+    }
+
     /// The position epoch containing `t` (see [`PositionEpoch`]).
     ///
     /// The default, [`PositionEpoch::Continuous`], preserves exact per-event

@@ -37,10 +37,71 @@ pub(crate) enum RxOutcome {
     NotReceived,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Arrival {
     tx_id: u64,
     power: f64,
+}
+
+/// Arrivals a radio keeps inline; under heavy contention the rest spill to
+/// the heap.
+const INLINE_ARRIVALS: usize = 3;
+
+/// The signals currently arriving, in arrival order: the first ones inline
+/// (`inline[..len]`), the rest behind them in `spill`. While `spill` holds
+/// any, new arrivals join it, so the order survives removals from the
+/// inline part.
+#[derive(Debug, Default)]
+struct Arrivals {
+    inline: [Arrival; INLINE_ARRIVALS],
+    len: u8,
+    spill: Vec<Arrival>,
+}
+
+impl Arrivals {
+    fn is_empty(&self) -> bool {
+        self.len == 0 && self.spill.is_empty()
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.len) + self.spill.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Arrival> {
+        self.inline[..usize::from(self.len)]
+            .iter()
+            .chain(&self.spill)
+    }
+
+    fn push(&mut self, a: Arrival) {
+        let n = usize::from(self.len);
+        if n < INLINE_ARRIVALS && self.spill.is_empty() {
+            self.inline[n] = a;
+            self.len += 1;
+        } else {
+            self.spill.push(a);
+        }
+    }
+
+    /// Drop every arrival of `tx_id`, keeping the others in order.
+    fn remove(&mut self, tx_id: u64) {
+        let mut kept = 0;
+        for i in 0..usize::from(self.len) {
+            if self.inline[i].tx_id != tx_id {
+                self.inline[kept] = self.inline[i];
+                kept += 1;
+            }
+        }
+        self.len = kept as u8;
+        if !self.spill.is_empty() {
+            self.spill.retain(|a| a.tx_id != tx_id);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.spill.clear();
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -57,7 +118,7 @@ struct RxLock {
 pub(crate) struct Radio {
     transmitting: bool,
     lock: Option<RxLock>,
-    arrivals: Vec<Arrival>,
+    arrivals: Arrivals,
 }
 
 impl Radio {
@@ -113,7 +174,7 @@ impl Radio {
     /// A signal finished arriving. Returns what happened if it was the
     /// locked frame.
     pub(crate) fn on_rx_end(&mut self, tx_id: u64) -> RxOutcome {
-        self.arrivals.retain(|a| a.tx_id != tx_id);
+        self.arrivals.remove(tx_id);
         match self.lock {
             Some(lock) if lock.tx_id == tx_id => {
                 let corrupted = lock.corrupted;
@@ -165,7 +226,7 @@ impl Radio {
             }
         }
         w.put_usize(self.arrivals.len());
-        for a in &self.arrivals {
+        for a in self.arrivals.iter() {
             w.put_u64(a.tx_id);
             w.put_f64(a.power);
         }
@@ -288,6 +349,30 @@ mod tests {
         assert!(!r.is_transmitting());
         // The stale RxEnd for the pre-crash arrival is a non-reception.
         assert_eq!(r.on_rx_end(1), RxOutcome::NotReceived);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The arrival set, inline slots and spill together, keeps the
+        /// order and contents a plain vector would.
+        #[test]
+        fn arrivals_keep_vector_order(ops in prop::collection::vec((any::<bool>(), 0u64..8), 0..64)) {
+            let (mut arrivals, mut reference) = (Arrivals::default(), Vec::new());
+            for (push, tx_id) in ops {
+                if push {
+                    arrivals.push(Arrival { tx_id, power: tx_id as f64 });
+                    reference.push(tx_id);
+                } else {
+                    arrivals.remove(tx_id);
+                    reference.retain(|&t| t != tx_id);
+                }
+                let ids: Vec<u64> = arrivals.iter().map(|a| a.tx_id).collect();
+                prop_assert_eq!(&ids, &reference);
+                prop_assert_eq!(arrivals.len(), reference.len());
+                prop_assert_eq!(arrivals.is_empty(), reference.is_empty());
+            }
+        }
     }
 
     #[test]

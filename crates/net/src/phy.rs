@@ -119,39 +119,13 @@ impl PhyParams {
 
     /// Mean (deterministic part of the) received power at distance `d`.
     pub fn mean_rx_power(&self, model: Propagation, d: f64) -> f64 {
-        let d = d.max(1e-3);
-        let friis = |d: f64| {
-            self.tx_power_w * self.gt * self.gr * self.wavelength().powi(2)
-                / ((4.0 * PI * d).powi(2) * self.system_loss)
-        };
-        match model {
-            Propagation::FreeSpace => friis(d),
-            Propagation::TwoRayGround => {
-                if d < self.crossover_distance() {
-                    friis(d)
-                } else {
-                    self.tx_power_w * self.gt * self.gr * self.ht.powi(2) * self.hr.powi(2)
-                        / (d.powi(4) * self.system_loss)
-                }
-            }
-            Propagation::Shadowing { exponent, .. } => {
-                // Reference distance d₀ = 1 m via Friis.
-                friis(1.0) * (1.0 / d).powf(exponent).max(f64::MIN_POSITIVE)
-            }
-        }
+        LinkBudget::new(self, model).mean_rx_power(d)
     }
 
     /// Received power at distance `d`, including the random shadowing
     /// component when the model has one.
     pub fn rx_power(&self, model: Propagation, d: f64, rng: &mut SimRng) -> f64 {
-        let mean = self.mean_rx_power(model, d);
-        match model {
-            Propagation::Shadowing { sigma_db, .. } if sigma_db > 0.0 => {
-                let x_db = gaussian(rng) * sigma_db;
-                mean * 10f64.powf(x_db / 10.0)
-            }
-            _ => mean,
-        }
+        LinkBudget::new(self, model).rx_power(d, rng)
     }
 
     /// The distance at which the mean received power crosses the reception
@@ -235,6 +209,80 @@ impl PhyParams {
 impl Default for PhyParams {
     fn default() -> Self {
         Self::ns2_default()
+    }
+}
+
+/// One propagation model's received-power formula with its
+/// distance-independent factors computed once. The simulator keeps one per
+/// run for the per-receiver power of every transmission; the public
+/// [`PhyParams::mean_rx_power`] and [`PhyParams::rx_power`] build one per
+/// call, so there is one formula and both give bit-identical powers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LinkBudget {
+    model: Propagation,
+    /// `Pt·Gt·Gr·λ²`, the Friis numerator.
+    friis_gain: f64,
+    /// System loss factor `L`.
+    loss: f64,
+    /// Two-ray crossover distance `d_c`.
+    crossover: f64,
+    /// `Pt·Gt·Gr·ht²·hr²`, the two-ray numerator.
+    two_ray_gain: f64,
+    /// Friis power at the shadowing reference distance of 1 m.
+    friis_1m: f64,
+}
+
+impl LinkBudget {
+    pub(crate) fn new(phy: &PhyParams, model: Propagation) -> Self {
+        let mut budget = LinkBudget {
+            model,
+            friis_gain: phy.tx_power_w * phy.gt * phy.gr * phy.wavelength().powi(2),
+            loss: phy.system_loss,
+            crossover: phy.crossover_distance(),
+            two_ray_gain: phy.tx_power_w * phy.gt * phy.gr * phy.ht.powi(2) * phy.hr.powi(2),
+            friis_1m: 0.0,
+        };
+        budget.friis_1m = budget.friis(1.0);
+        budget
+    }
+
+    #[inline]
+    fn friis(&self, d: f64) -> f64 {
+        self.friis_gain / ((4.0 * PI * d).powi(2) * self.loss)
+    }
+
+    /// Mean (deterministic part of the) received power at distance `d`.
+    #[inline]
+    pub(crate) fn mean_rx_power(&self, d: f64) -> f64 {
+        let d = d.max(1e-3);
+        match self.model {
+            Propagation::FreeSpace => self.friis(d),
+            Propagation::TwoRayGround => {
+                if d < self.crossover {
+                    self.friis(d)
+                } else {
+                    self.two_ray_gain / (d.powi(4) * self.loss)
+                }
+            }
+            Propagation::Shadowing { exponent, .. } => {
+                // Reference distance d₀ = 1 m via Friis.
+                self.friis_1m * (1.0 / d).powf(exponent).max(f64::MIN_POSITIVE)
+            }
+        }
+    }
+
+    /// Received power at distance `d`, including the random shadowing
+    /// component when the model has one.
+    #[inline]
+    pub(crate) fn rx_power(&self, d: f64, rng: &mut SimRng) -> f64 {
+        let mean = self.mean_rx_power(d);
+        match self.model {
+            Propagation::Shadowing { sigma_db, .. } if sigma_db > 0.0 => {
+                let x_db = gaussian(rng) * sigma_db;
+                mean * 10f64.powf(x_db / 10.0)
+            }
+            _ => mean,
+        }
     }
 }
 

@@ -7,7 +7,7 @@ use cavenet_rng::SimRng;
 
 use crate::api::{ApiKind, NodeApi};
 use crate::backend::{ChannelBackend, MacBackend};
-use crate::calq::{CalendarQueue, Entry};
+use crate::calq::{EventQueue, Reception};
 use crate::channel::Channel;
 use crate::error::NetError;
 use crate::fault::{FaultKind, FaultPlan, RecoveryMode};
@@ -19,6 +19,7 @@ use crate::observer::{
     DropReason, EventKind, FrameDropReason, NoopObserver, RouteEventKind, SimObserver,
 };
 use crate::packet::Frame;
+use crate::phy::LinkBudget;
 use crate::snapshot::{
     read_time, write_time, ControlCodec, DataOnlyCodec, WireError, WireReader, WireWriter,
 };
@@ -41,19 +42,17 @@ pub struct ScenarioConfig {
 
 impl ScenarioConfig {
     /// Check the fields the engine divides by or doubles, so a bad value is
-    /// refused at build instead of panicking in the middle of a run.
+    /// refused at build instead of panicking in the middle of a run: bit
+    /// rates (every airtime divides by them), the slot (a frozen backoff
+    /// divides by it) and the contention-window bounds (a retry doubles the
+    /// window as `(cw + 1) * 2 - 1`).
     ///
     /// # Errors
     ///
-    /// [`NetError::BadConfig`] naming the first offending field:
-    /// - `phy.data_rate_bps` or `phy.basic_rate_bps` below 1 b/s, infinite
-    ///   or NaN (every airtime divides by them);
-    /// - a zero `mac.slot` (a frozen backoff divides by it);
-    /// - `mac.cw_min` or `mac.cw_max` above `u32::MAX / 2 - 1`, where the
-    ///   retry doubling `(cw + 1) * 2 - 1` overflows.
-    pub fn validate(&self) -> Result<(), NetError> {
+    /// [`NetError::BadConfig`] naming the first offending field.
+    pub(crate) fn validate(&self) -> Result<(), NetError> {
         let rate_ok = |bps: f64| bps >= 1.0 && bps.is_finite();
-        let cw_ok = |cw: u32| cw <= u32::MAX / 2 - 1;
+        let cw_ok = |cw: u32| cw < u32::MAX / 2;
         let field = if !rate_ok(self.phy.data_rate_bps) {
             "phy.data_rate_bps"
         } else if !rate_ok(self.phy.basic_rate_bps) {
@@ -71,38 +70,40 @@ impl ScenarioConfig {
     }
 }
 
-#[derive(Debug)]
+/// A scheduled event. Node indices are `u32`, like [`NodeId`], so that the
+/// tag and the node share the first word and an event is 24 bytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Event {
     RxStart {
-        node: usize,
+        node: u32,
         tx_id: u64,
         power: f64,
     },
     RxEnd {
-        node: usize,
+        node: u32,
         tx_id: u64,
     },
     TxEnd {
-        node: usize,
+        node: u32,
         tx_id: u64,
     },
     MacTimer {
-        node: usize,
+        node: u32,
         seq: u64,
     },
     /// `epoch` is the node's routing-state generation at schedule time;
     /// timers from before a crash carry a stale epoch and are ignored.
     RoutingTimer {
-        node: usize,
+        node: u32,
         token: u64,
         epoch: u64,
     },
     AppTimer {
-        node: usize,
+        node: u32,
         token: u64,
     },
     Fault {
-        node: usize,
+        node: u32,
         kind: FaultKind,
     },
 }
@@ -116,7 +117,7 @@ impl Event {
             | Event::MacTimer { node, .. }
             | Event::RoutingTimer { node, .. }
             | Event::AppTimer { node, .. }
-            | Event::Fault { node, .. } => node,
+            | Event::Fault { node, .. } => node as usize,
         }
     }
 
@@ -174,7 +175,7 @@ pub(crate) enum Pending {
 /// Mutable engine state shared with [`NodeApi`].
 pub(crate) struct Kernel {
     pub(crate) now: SimTime,
-    queue: CalendarQueue<Event>,
+    queue: EventQueue,
     seq: u64,
     pub(crate) rng: SimRng,
     pub(crate) pending: VecDeque<Pending>,
@@ -210,29 +211,43 @@ pub(crate) struct Kernel {
 }
 
 impl Kernel {
-    /// Assign the next sequence number to `event`, due at `at`, and log it
-    /// for the observer.
-    fn next_seq(&mut self, at: SimTime, event: &Event) -> u64 {
+    /// Assign `event`, due at `at`, the next sequence number, log it for
+    /// the observer and queue it.
+    fn schedule(&mut self, at: SimTime, event: Event) {
         self.seq += 1;
         if self.record_sched {
             self.sched_log
                 .push((at, self.seq, event.node(), event.kind()));
         }
-        self.seq
+        self.queue.insert(at, self.seq, event);
     }
 
-    fn schedule(&mut self, at: SimTime, event: Event) {
-        let seq = self.next_seq(at, &event);
-        self.queue.insert(at, seq, event);
-    }
-
-    /// Schedule `event` at `at` into `run`, a batch later handed to the
-    /// queue whole by [`CalendarQueue::insert_run`]: same sequence number
-    /// and log record as [`schedule`](Self::schedule), one queue insert for
-    /// the whole batch.
-    fn stage(&mut self, run: &mut Vec<Entry<Event>>, at: SimTime, event: Event) {
-        let seq = self.next_seq(at, &event);
-        run.push((at, seq, event));
+    /// Schedule a transmission's receptions as one table: `rows` in staging
+    /// order, so receiver `m` takes the sequence numbers `2m + 1` (its
+    /// `RxStart`) and `2m + 2` (its `RxEnd`) past the current one, exactly
+    /// as scheduling each start and then its end one by one would, and is
+    /// logged in that order. `rows` is left empty.
+    fn schedule_receptions(
+        &mut self,
+        tx_id: u64,
+        start: SimTime,
+        end: SimTime,
+        rows: &mut Vec<Reception>,
+    ) {
+        let base = self.seq;
+        self.seq += 2 * rows.len() as u64;
+        if self.record_sched {
+            for r in rows.iter() {
+                let seq = base + 2 * u64::from(r.m);
+                let node = r.node as usize;
+                let delay = Duration::from_nanos(r.delay_ns);
+                self.sched_log
+                    .push((start + delay, seq + 1, node, EventKind::RxStart));
+                self.sched_log
+                    .push((end + delay, seq + 2, node, EventKind::RxEnd));
+            }
+        }
+        self.queue.insert_table(tx_id, start, end, base, rows);
     }
 
     pub(crate) fn schedule_layer_timer(
@@ -242,12 +257,10 @@ impl Kernel {
         token: u64,
         kind: ApiKind,
     ) {
+        let epoch = self.routing_epoch[node];
+        let node = node as u32;
         let event = match kind {
-            ApiKind::Routing => Event::RoutingTimer {
-                node,
-                token,
-                epoch: self.routing_epoch[node],
-            },
+            ApiKind::Routing => Event::RoutingTimer { node, token, epoch },
             ApiKind::App => Event::AppTimer { node, token },
         };
         self.schedule(at, event);
@@ -296,14 +309,15 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     channel: Channel,
     mobility: Box<dyn MobilityModel>,
     config: ScenarioConfig,
+    /// The configured propagation model's received-power formula, with its
+    /// distance-independent factors computed once.
+    link: LinkBudget,
     started: bool,
     /// Cached `(x, y)` of every node, valid for the epoch in `pos_key` —
-    /// except in the stale-grid regime, where entries are refreshed per
-    /// node on demand and `pos_stamp` records each entry's sample instant.
+    /// except in the stale-grid regime, where it is the snapshot the grid
+    /// was built from and every query samples positions afresh.
     positions: Vec<(f64, f64)>,
     pos_key: SnapshotKey,
-    /// Per-node instant `positions[i]` was sampled at (stale-grid regime).
-    pos_stamp: Vec<SimTime>,
     /// Neighbor grid over `positions`; `None` when disabled or when the
     /// propagation model has no deterministic carrier-sense cutoff.
     grid: Option<SpatialGrid>,
@@ -320,10 +334,16 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// radii are inflated by the accumulated drift bound up to this slack.
     grid_slack: f64,
     /// Whether the shared snapshot may lag the current instant (stale-grid
-    /// regime); [`Simulator::position_of`] then resamples on demand.
+    /// regime); positions are then sampled at each query's instant.
     snapshot_lagged: bool,
     /// Reusable candidate buffer for broadcast scans.
     scratch: Vec<usize>,
+    /// The candidates' positions, sampled in one bulk call in the
+    /// stale-grid regime.
+    scratch_pos: Vec<(f64, f64)>,
+    /// Reusable reception-table buffer, traded with the event queue for a
+    /// drained table's on every transmission.
+    rx_rows: Vec<Reception>,
     /// The validated fault schedule (empty by default — and provably
     /// zero-effect then: no events scheduled, no RNG drawn, no hooks fired).
     fault_plan: FaultPlan,
@@ -467,8 +487,9 @@ impl<O: SimObserver> SimulatorBuilder<O> {
     ///
     /// # Errors
     ///
-    /// - [`NetError::BadConfig`] — a config field fails
-    ///   [`ScenarioConfig::validate`];
+    /// - [`NetError::BadConfig`] — `phy.data_rate_bps` or
+    ///   `phy.basic_rate_bps` is below 1 b/s, infinite or NaN, `mac.slot`
+    ///   is zero, or `mac.cw_min` or `mac.cw_max` exceeds `u32::MAX / 2 - 1`;
     /// - [`NetError::MobilityTooSmall`] — the mobility model covers fewer
     ///   nodes than configured;
     /// - [`NetError::UnknownNode`] — an application is attached to an
@@ -487,7 +508,7 @@ impl<O: SimObserver> SimulatorBuilder<O> {
         }
         self.fault_plan.validate(self.nodes)?;
         let macs: Vec<Mac> = (0..self.nodes)
-            .map(|i| Mac::new(NodeId(i as u32), self.config.mac, self.config.phy))
+            .map(|i| Mac::new(NodeId(i as u32), self.config.mac.cw_min))
             .collect();
         let radios: Vec<Radio> = (0..self.nodes).map(|_| Radio::default()).collect();
         let node_stats = vec![NodeStats::default(); self.nodes];
@@ -520,11 +541,8 @@ impl<O: SimObserver> SimulatorBuilder<O> {
         Ok(Simulator {
             kernel: Kernel {
                 now: SimTime::ZERO,
-                // Pre-sized from the node count: the pending-event population
-                // scales with nodes (per-node MAC timers plus in-flight
-                // frames × receivers), so the run arena reaches steady state
-                // without growing. The bucket window grows with the runs.
-                queue: CalendarQueue::with_capacity(self.nodes * 8),
+                // The bucket window grows with the pending events.
+                queue: EventQueue::with_capacity(self.nodes),
                 seq: 0,
                 rng: SimRng::seed_from_u64(self.seed),
                 pending: VecDeque::new(),
@@ -552,10 +570,10 @@ impl<O: SimObserver> SimulatorBuilder<O> {
             channel: Channel::new(),
             mobility,
             config: self.config,
+            link: LinkBudget::new(&self.config.phy, self.config.propagation),
             started: false,
             positions: Vec::with_capacity(self.nodes),
             pos_key: SnapshotKey::Stale,
-            pos_stamp: Vec::with_capacity(self.nodes),
             grid: cutoff.map(SpatialGrid::new),
             cs_cutoff: cutoff.unwrap_or(0.0),
             lazy_vmax,
@@ -565,6 +583,8 @@ impl<O: SimObserver> SimulatorBuilder<O> {
             grid_slack: cutoff.unwrap_or(0.0) * 0.5,
             snapshot_lagged: false,
             scratch: Vec::new(),
+            scratch_pos: Vec::new(),
+            rx_rows: Vec::new(),
             fault_plan: self.fault_plan,
             impairments,
             // A distinct, seed-derived stream: impairment draws must never
@@ -686,11 +706,7 @@ impl<O: SimObserver> Simulator<O> {
     pub fn run_until(&mut self, t: SimTime) {
         self.ensure_started();
         self.flush_scheduled();
-        while let Some((head_time, _)) = self.kernel.queue.min_key() {
-            if head_time > t {
-                break;
-            }
-            let (time, seq, event) = self.kernel.queue.pop().expect("peeked");
+        while let Some((time, seq, event)) = self.kernel.queue.pop_until(t) {
             self.kernel.now = time;
             self.kernel.stats.events_processed += 1;
             if O::ENABLED {
@@ -737,7 +753,7 @@ impl<O: SimObserver> Simulator<O> {
             self.kernel.schedule(
                 e.at,
                 Event::Fault {
-                    node: e.node,
+                    node: e.node as u32,
                     kind: e.kind,
                 },
             );
@@ -750,8 +766,9 @@ impl<O: SimObserver> Simulator<O> {
     }
 
     fn dispatch(&mut self, event: Event) {
+        let node = event.node();
         match event {
-            Event::RxStart { node, tx_id, power } => {
+            Event::RxStart { tx_id, power, .. } => {
                 if !self.node_up[node] {
                     // A powered-off radio records nothing; the matching
                     // RxEnd settles the channel refcount.
@@ -768,7 +785,7 @@ impl<O: SimObserver> Simulator<O> {
                     self.mac_call(node, |m, h| m.on_medium_busy(h));
                 }
             }
-            Event::RxEnd { node, tx_id } => {
+            Event::RxEnd { tx_id, .. } => {
                 if !self.node_up[node] {
                     // Still release the reference this reception held, or
                     // the channel would leak the transmission record.
@@ -824,7 +841,7 @@ impl<O: SimObserver> Simulator<O> {
                     self.mac_call(node, |m, h| m.on_medium_idle(h));
                 }
             }
-            Event::TxEnd { node, tx_id } => {
+            Event::TxEnd { tx_id, .. } => {
                 if !self.node_up[node] {
                     // The crash already reset the radio and flushed the MAC;
                     // only the channel bookkeeping remains.
@@ -838,13 +855,13 @@ impl<O: SimObserver> Simulator<O> {
                     self.mac_call(node, |m, h| m.on_medium_idle(h));
                 }
             }
-            Event::MacTimer { node, seq } => {
+            Event::MacTimer { seq, .. } => {
                 if !self.node_up[node] {
                     return;
                 }
                 self.mac_call(node, |m, h| m.on_timer(h, seq));
             }
-            Event::RoutingTimer { node, token, epoch } => {
+            Event::RoutingTimer { token, epoch, .. } => {
                 // Stale-epoch timers belong to a routing instance from
                 // before the node's last crash and must not fire even after
                 // recovery (a cold-started instance re-arms its own chains).
@@ -853,7 +870,7 @@ impl<O: SimObserver> Simulator<O> {
                 }
                 self.routing_call(node, |r, api| r.handle_timer(api, token));
             }
-            Event::AppTimer { node, token } => {
+            Event::AppTimer { token, .. } => {
                 // Application timer chains die while a node is down and are
                 // not restarted on recovery — a crashed CBR source stays
                 // silent, which is what a resilience experiment measures.
@@ -862,7 +879,7 @@ impl<O: SimObserver> Simulator<O> {
                 }
                 self.app_call(node, |a, api| a.handle_timer(api, token));
             }
-            Event::Fault { node, kind } => self.apply_fault(node, kind),
+            Event::Fault { kind, .. } => self.apply_fault(node, kind),
         }
     }
 
@@ -889,6 +906,7 @@ impl<O: SimObserver> Simulator<O> {
                         upcalls: &mut self.kernel.mac_upcalls,
                         drops: &mut self.kernel.drops,
                         observer: &mut self.observer,
+                        config: &self.config,
                     };
                     self.macs[node].crash_flush(&mut hooks)
                 };
@@ -1010,6 +1028,7 @@ impl<O: SimObserver> Simulator<O> {
                 upcalls: &mut self.kernel.mac_upcalls,
                 drops: &mut self.kernel.drops,
                 observer: &mut self.observer,
+                config: &self.config,
             };
             f(&mut self.macs[idx], &mut hooks);
         }
@@ -1036,7 +1055,8 @@ impl<O: SimObserver> Simulator<O> {
             std::mem::swap(&mut timers, &mut self.kernel.mac_timers);
             for (delay, seq) in timers.drain(..) {
                 let at = self.kernel.now + delay;
-                self.kernel.schedule(at, Event::MacTimer { node: idx, seq });
+                let node = idx as u32;
+                self.kernel.schedule(at, Event::MacTimer { node, seq });
             }
             self.kernel.scratch_timers = timers;
             let mut frames = std::mem::take(&mut self.kernel.scratch_tx);
@@ -1091,8 +1111,9 @@ impl<O: SimObserver> Simulator<O> {
     ///   transmission timestamp: exact, but O(nodes) per timestamp;
     /// * bounded — the grid tolerates staleness: cells are rebuilt only
     ///   once the drift bound `vmax·Δt` exceeds `grid_slack`, every query
-    ///   radius is inflated by the same bound, and individual positions are
-    ///   resampled exactly on demand by [`Simulator::position_of`]. The
+    ///   radius is inflated by the same bound, and the sender and every
+    ///   candidate are sampled exactly at the transmission's instant
+    ///   ([`MobilityModel::positions_of`] for the candidates). The
     ///   candidate set stays a superset of the true carrier-sense set in
     ///   ascending order, and the per-candidate power check runs on exact
     ///   coordinates, so the event schedule is bit-identical to rebuilding
@@ -1132,8 +1153,6 @@ impl<O: SimObserver> Simulator<O> {
         for i in 0..self.kernel.node_count {
             self.positions.push(self.mobility.position(i, at));
         }
-        self.pos_stamp.clear();
-        self.pos_stamp.resize(self.kernel.node_count, at);
         if let Some(grid) = &mut self.grid {
             grid.rebuild(&self.positions);
         }
@@ -1142,25 +1161,6 @@ impl<O: SimObserver> Simulator<O> {
     /// Seconds elapsed since the grid snapshot was built.
     fn grid_age_secs(&self, now: SimTime) -> f64 {
         now.as_nanos().saturating_sub(self.grid_built_at.as_nanos()) as f64 * 1e-9
-    }
-
-    /// Exact position of node `j` at `now`.
-    ///
-    /// Outside the stale-grid regime the shared snapshot already covers the
-    /// current epoch and this is a plain array read. Inside it the snapshot
-    /// may lag, so the node is resampled on demand — the same
-    /// `mobility.position(j, now)` call a full refresh would have made,
-    /// hence bitwise-identical coordinates.
-    #[inline]
-    fn position_of(&mut self, j: usize, now: SimTime) -> (f64, f64) {
-        if self.snapshot_lagged && self.pos_stamp[j] != now {
-            let p = self.mobility.position(j, now);
-            self.positions[j] = p;
-            self.pos_stamp[j] = now;
-            p
-        } else {
-            self.positions[j]
-        }
     }
 
     /// Put a frame on the air from node `idx`: schedule its end at the
@@ -1192,12 +1192,22 @@ impl<O: SimObserver> Simulator<O> {
                 upcalls: &mut self.kernel.mac_upcalls,
                 drops: &mut self.kernel.drops,
                 observer: &mut self.observer,
+                config: &self.config,
             };
             self.macs[idx].on_medium_busy(&mut hooks);
         }
 
         self.refresh_positions(now);
-        let (sx, sy) = self.position_of(idx, now);
+        // Outside the stale-grid regime the snapshot covers `now`. Inside
+        // it the snapshot may lag, so the sender and every candidate are
+        // sampled at `now` (the candidates in one bulk call): the same
+        // coordinates, bit for bit, that a full refresh would have read.
+        let lagged = self.snapshot_lagged;
+        let (sx, sy) = if lagged {
+            self.mobility.position(idx, now)
+        } else {
+            self.positions[idx]
+        };
         if O::ENABLED {
             self.observer.on_frame_tx(now, idx, &frame);
         }
@@ -1224,9 +1234,12 @@ impl<O: SimObserver> Simulator<O> {
             None => cand.extend(0..self.kernel.node_count),
         }
 
-        let mut starts = self.kernel.queue.run_buffer(cand.len());
-        let mut ends = self.kernel.queue.run_buffer(cand.len());
-        for &j in &cand {
+        if lagged {
+            self.mobility
+                .positions_of(&cand, now, &mut self.scratch_pos);
+        }
+        let mut rows = std::mem::take(&mut self.rx_rows);
+        for (k, &j) in cand.iter().enumerate() {
             if j == idx {
                 continue;
             }
@@ -1235,12 +1248,13 @@ impl<O: SimObserver> Simulator<O> {
             if !self.node_up[j] {
                 continue;
             }
-            let (x, y) = self.position_of(j, now);
+            let (x, y) = if lagged {
+                self.scratch_pos[k]
+            } else {
+                self.positions[j]
+            };
             let d = ((x - sx).powi(2) + (y - sy).powi(2)).sqrt();
-            let power = self
-                .config
-                .phy
-                .rx_power(self.config.propagation, d, &mut self.kernel.rng);
+            let power = self.link.rx_power(d, &mut self.kernel.rng);
             if power >= self.config.phy.cs_threshold_w {
                 // Frame-level impairment (link loss, fading bursts) is
                 // decided at the rx side, per receiver, from the dedicated
@@ -1253,24 +1267,20 @@ impl<O: SimObserver> Simulator<O> {
                     }
                 }
                 let delay = ChannelBackend::propagation_delay(&self.config, d);
-                self.kernel.stage(
-                    &mut starts,
-                    now + delay,
-                    Event::RxStart {
-                        node: j,
-                        tx_id,
-                        power,
-                    },
-                );
-                self.kernel
-                    .stage(&mut ends, end + delay, Event::RxEnd { node: j, tx_id });
+                rows.push(Reception {
+                    delay_ns: u64::try_from(delay.as_nanos()).expect("SimTime overflow"),
+                    m: rows.len() as u32,
+                    node: j as u32,
+                    power,
+                });
             }
         }
         self.scratch = cand;
-        self.channel.retain(tx_id, starts.len() as u32);
-        self.kernel.queue.insert_run(starts);
-        self.kernel.queue.insert_run(ends);
-        self.kernel.schedule(end, Event::TxEnd { node: idx, tx_id });
+        self.channel.retain(tx_id, rows.len() as u32);
+        self.kernel.schedule_receptions(tx_id, now, end, &mut rows);
+        self.rx_rows = rows;
+        let node = idx as u32;
+        self.kernel.schedule(end, Event::TxEnd { node, tx_id });
     }
 
     fn routing_call(
@@ -1394,42 +1404,42 @@ impl<O: SimObserver> Simulator<O> {
         for (time, seq, event) in entries {
             write_time(w, time);
             w.put_u64(seq);
-            match *event {
+            match event {
                 Event::RxStart { node, tx_id, power } => {
                     w.put_u8(event_tag::RX_START);
-                    w.put_usize(node);
+                    w.put_usize(node as usize);
                     w.put_u64(tx_id);
                     w.put_f64(power);
                 }
                 Event::RxEnd { node, tx_id } => {
                     w.put_u8(event_tag::RX_END);
-                    w.put_usize(node);
+                    w.put_usize(node as usize);
                     w.put_u64(tx_id);
                 }
                 Event::TxEnd { node, tx_id } => {
                     w.put_u8(event_tag::TX_END);
-                    w.put_usize(node);
+                    w.put_usize(node as usize);
                     w.put_u64(tx_id);
                 }
                 Event::MacTimer { node, seq } => {
                     w.put_u8(event_tag::MAC_TIMER);
-                    w.put_usize(node);
+                    w.put_usize(node as usize);
                     w.put_u64(seq);
                 }
                 Event::RoutingTimer { node, token, epoch } => {
                     w.put_u8(event_tag::ROUTING_TIMER);
-                    w.put_usize(node);
+                    w.put_usize(node as usize);
                     w.put_u64(token);
                     w.put_u64(epoch);
                 }
                 Event::AppTimer { node, token } => {
                     w.put_u8(event_tag::APP_TIMER);
-                    w.put_usize(node);
+                    w.put_usize(node as usize);
                     w.put_u64(token);
                 }
                 Event::Fault { node, kind } => {
                     w.put_u8(event_tag::FAULT);
-                    w.put_usize(node);
+                    w.put_usize(node as usize);
                     w.put_u8(match kind {
                         FaultKind::Crash => 0,
                         FaultKind::Recover => 1,
@@ -1478,13 +1488,10 @@ impl<O: SimObserver> Simulator<O> {
             *d = r.get_u64()?;
         }
         self.kernel.drops.set_raw(drops);
+        // `n` is untrusted snapshot input and sizes nothing: an over-long
+        // count fails as `Truncated` inside the loop.
         let n = r.get_usize()?;
-        // `n` is untrusted snapshot input: clamp the pre-allocation to what
-        // the remaining stream could actually encode (an event is ≥ 26
-        // bytes), so a crafted count cannot force an OOM abort — an
-        // over-long count then fails as `Truncated` inside the loop.
-        let plausible = n.min(r.remaining() / 26 + 1);
-        let mut queue = CalendarQueue::with_capacity(plausible.max(self.kernel.node_count * 8));
+        let mut queue = EventQueue::with_capacity(self.kernel.node_count);
         for _ in 0..n {
             let time = read_time(r)?;
             let seq = r.get_u64()?;
@@ -1496,6 +1503,7 @@ impl<O: SimObserver> Simulator<O> {
                     value: node as u64,
                 });
             }
+            let node = node as u32;
             let event = match tag {
                 event_tag::RX_START => Event::RxStart {
                     node,
@@ -2334,20 +2342,27 @@ mod tests {
             }
             b.try_build()
         };
-        let cases: [(&str, fn(&mut ScenarioConfig)); 7] = [
-            ("phy.data_rate_bps", |c| c.phy.data_rate_bps = 0.0),
-            ("phy.data_rate_bps", |c| c.phy.data_rate_bps = f64::NAN),
-            ("phy.basic_rate_bps", |c| c.phy.basic_rate_bps = -1e6),
-            ("phy.basic_rate_bps", |c| {
-                c.phy.basic_rate_bps = f64::INFINITY
-            }),
-            ("mac.slot", |c| c.mac.slot = Duration::ZERO),
-            ("mac.cw_min", |c| c.mac.cw_min = u32::MAX),
-            ("mac.cw_max", |c| c.mac.cw_max = 1 << 31),
-        ];
-        for (field, corrupt) in cases {
+        let with = |corrupt: fn(&mut ScenarioConfig)| {
             let mut config = ScenarioConfig::default();
             corrupt(&mut config);
+            config
+        };
+        let cases = [
+            ("phy.data_rate_bps", with(|c| c.phy.data_rate_bps = 0.0)),
+            (
+                "phy.data_rate_bps",
+                with(|c| c.phy.data_rate_bps = f64::NAN),
+            ),
+            ("phy.basic_rate_bps", with(|c| c.phy.basic_rate_bps = -1e6)),
+            (
+                "phy.basic_rate_bps",
+                with(|c| c.phy.basic_rate_bps = f64::INFINITY),
+            ),
+            ("mac.slot", with(|c| c.mac.slot = Duration::ZERO)),
+            ("mac.cw_min", with(|c| c.mac.cw_min = u32::MAX)),
+            ("mac.cw_max", with(|c| c.mac.cw_max = 1 << 31)),
+        ];
+        for (field, config) in cases {
             match build(config) {
                 Err(e) => assert!(e.to_string().contains(field), "{field}: {e}"),
                 Ok(mut sim) => {

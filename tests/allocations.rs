@@ -1,6 +1,6 @@
 //! Allocation density of the flat-memory engine.
 //!
-//! The engine recycles its scheduler runs, frames and grid buffers, and a
+//! The engine recycles its reception tables, frames and grid buffers, and a
 //! serial run makes the same number of heap allocations on every run, in
 //! debug and release alike. This binary installs a counting global
 //! allocator, runs six fixed workloads and pins, per workload, the event
@@ -101,10 +101,13 @@ enum Observer {
 /// `(workload, scenario, observer, events, committed allocations)`. The
 /// bare rows' committed allocation counts are the flat-memory engine's as
 /// first recorded; the ceiling scales their per-event rate by the run's
-/// event count. The engine has since dropped to 4,734, 7,382, 13,272,
-/// 20,955 and 22,252. The streamed row was first recorded once filtered
-/// trace records stopped being built; while every hook built its record,
-/// the same run made 79,168 allocations (1.40 per event).
+/// event count. The engine has since dropped to 4,401, 6,930, 11,134,
+/// 14,028 and 14,442 (4,510, 7,035, 11,306, 14,385 and 14,835 with the
+/// calendar queue of sorted runs that reception tables replaced). The
+/// streamed row was first recorded once filtered trace records stopped
+/// being built; while every hook built its record, the same run made
+/// 79,168 allocations (1.40 per event). It now makes 4,430 (4,539 with
+/// sorted runs).
 fn workloads() -> Vec<(&'static str, Scenario, Observer, u64, u64)> {
     use Observer::{Bare, Streamed};
     let table1 = table1_40s(Protocol::Aodv);
