@@ -264,6 +264,7 @@ impl Radio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const RX: f64 = 1e-10;
     const CAP: f64 = 10.0;
@@ -350,8 +351,6 @@ mod tests {
         // The stale RxEnd for the pre-crash arrival is a non-reception.
         assert_eq!(r.on_rx_end(1), RxOutcome::NotReceived);
     }
-
-    use proptest::prelude::*;
 
     proptest! {
         /// The arrival set, inline slots and spill together, keeps the
