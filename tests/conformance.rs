@@ -8,9 +8,13 @@
 
 use std::time::Duration;
 
-use cavenet_ca::FundamentalDiagram;
+use cavenet_ca::{Boundary, FundamentalDiagram, Lane, NasParams};
+use cavenet_core::mobility::{LaneGeometry, TraceGenerator};
 use cavenet_core::{Experiment, Fidelity, MobilitySource, Protocol, Scenario};
-use cavenet_net::{FaultPlan, RecoveryMode, SimTime};
+use cavenet_net::{
+    Application, FaultPlan, FlowId, NodeApi, NodeId, Packet, RecoveryMode, ScenarioConfig, SimTime,
+    Simulator, StaticMobility,
+};
 use cavenet_stats::Ensemble;
 use cavenet_testkit::{
     assert_equiv, check_golden, digest_scenario, jam_ring_scenario, GoldenDigest, InvariantChecker,
@@ -99,6 +103,103 @@ fn golden_jam_ring_dense_flood() {
     // each transmission fans out to ~600 receptions — the regime where
     // the scheduler handles hundreds of same-instant RxStart/RxEnd pairs.
     check_scenario_golden("jam_ring_dense_flood", &jam_ring_scenario(600));
+}
+
+// --- Golden digests: the position regimes ---------------------------------
+//
+// The goldens above all run continuous mobility with a speed bound. These
+// pin the other three ways a model can move: `Step` epochs, continuous
+// motion without a bound, and no motion at all.
+
+#[test]
+fn golden_table1_aodv_quantized() {
+    // `Step` epochs of the CA's 1 s step: positions are sampled at each
+    // epoch's start, not at the transmission's instant.
+    let mut s = conformance_scenario(Protocol::Aodv, 1);
+    s.mobility_quantum = Some(Duration::from_secs(1));
+    check_scenario_golden("table1_aodv_quantized", &s);
+}
+
+#[test]
+fn golden_table1_aodv_recycling_line() {
+    // The paper's first-version road: 30 vehicles on a recycling straight
+    // line, as `ablation_boundary` builds it. A vehicle leaving the end
+    // teleports to the start, so the trace bounds no speed.
+    let params = NasParams::builder()
+        .length(400)
+        .vehicle_count(30)
+        .slowdown_probability(0.3)
+        .build()
+        .expect("valid parameters");
+    let lane = Lane::with_uniform_placement(params, Boundary::Recycling, 1).expect("vehicles fit");
+    let trace = TraceGenerator::new(LaneGeometry::straight_x())
+        .steps(101)
+        .generate(lane);
+    assert_eq!(trace.max_speed(), None, "wrap-arounds are teleports");
+    let mut s = conformance_scenario(Protocol::Aodv, 1);
+    s.mobility = MobilitySource::Trace(trace);
+    check_scenario_golden("table1_aodv_recycling_line", &s);
+}
+
+/// Originates `count` packets to `dst`, one every `interval` from `offset`
+/// on; a broadcast `dst` makes each a link-layer broadcast.
+struct Chatter {
+    dst: NodeId,
+    offset: Duration,
+    interval: Duration,
+    count: u32,
+    sent: u32,
+}
+
+impl Chatter {
+    fn boxed(dst: NodeId, offset_ms: u64, interval_ms: u64, count: u32) -> Box<Self> {
+        Box::new(Chatter {
+            dst,
+            offset: Duration::from_millis(offset_ms),
+            interval: Duration::from_millis(interval_ms),
+            count,
+            sent: 0,
+        })
+    }
+}
+
+impl Application for Chatter {
+    fn start(&mut self, api: &mut NodeApi<'_>) {
+        api.schedule(self.offset, 0);
+    }
+
+    fn handle_timer(&mut self, api: &mut NodeApi<'_>, _token: u64) {
+        let flow = FlowId::new(api.id(), self.dst, 0);
+        api.originate(Packet::data(flow, self.sent, 512, api.now()));
+        self.sent += 1;
+        if self.sent < self.count {
+            api.schedule(self.interval, 0);
+        }
+    }
+}
+
+#[test]
+fn golden_static_line_chatter() {
+    // The `Static` epoch: 16 fixed stations 150 m apart, so a frame is
+    // decoded one hop away and sensed three. Saturated broadcasters and
+    // unicasts contend (backoff, same-slot collisions), and one unicast
+    // goes to a station out of decoding range (retries, then drops).
+    let mut sim = Simulator::builder(ScenarioConfig::default())
+        .nodes(16)
+        .seed(3)
+        .mobility(Box::new(StaticMobility::line(16, 150.0)))
+        .observer(GoldenDigest::new())
+        .app(0, Chatter::boxed(NodeId::BROADCAST, 5, 4, 400))
+        .app(2, Chatter::boxed(NodeId(3), 7, 5, 300))
+        .app(3, Chatter::boxed(NodeId::BROADCAST, 3, 6, 250))
+        .app(9, Chatter::boxed(NodeId(11), 11, 20, 60))
+        .app(15, Chatter::boxed(NodeId(14), 2, 5, 300))
+        .build();
+    sim.run_until_secs(2.0);
+    let stats = sim.global_stats();
+    assert!(stats.decoded > 0 && stats.collisions > 0, "{stats:?}");
+    let (digest, events) = sim.observer().finalize(&sim);
+    check_golden("static_line_chatter", digest, events);
 }
 
 // --- Golden digests: the fluid backend -----------------------------------
