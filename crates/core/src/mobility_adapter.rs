@@ -12,11 +12,11 @@ use cavenet_net::{MobilityModel, PositionEpoch, SimTime};
 /// and after the last sample they clamp (nodes park at the trace edges).
 ///
 /// With [`TraceMobility::quantized`], the model declares piecewise-constant
-/// [`PositionEpoch::Step`] epochs of the given width: the simulator then
-/// samples every position once per epoch (and rebuilds its neighbor grid
-/// once per epoch) instead of once per event time — the natural choice when
-/// the quantum matches the underlying CA step, since the trace only holds
-/// new information once per step anyway.
+/// [`PositionEpoch::Step`] epochs of the given width: every transmission in
+/// an epoch then reads the positions at the epoch's start instead of at its
+/// own instant — the natural choice when the quantum matches the underlying
+/// CA step, since the trace only holds new information once per step
+/// anyway.
 #[derive(Debug, Clone)]
 pub struct TraceMobility {
     trace: MobilityTrace,

@@ -146,8 +146,9 @@ impl FluidEngine {
         let mut positions = Vec::new();
         trace.positions_into(cfg.nodes as usize, 0.0, &mut positions)?;
         let rx_range = cfg.backend.rx_range();
-        // An unbounded carrier-sense model (shadowing) degrades to twice
-        // the reception range for contention purposes.
+        // A carrier-sense model without a known bound (shadowing, or a
+        // threshold still met 100 km out) degrades to twice the reception
+        // range for contention purposes.
         let cs_range = cfg.backend.carrier_sense_cutoff().unwrap_or(2.0 * rx_range);
         let end_ns = cfg.sim_time.as_nanos() as u64;
         let step_ns = cfg.step.as_nanos() as u64;

@@ -11,39 +11,19 @@
 //! frame).
 
 use crate::hash::FastMap;
-use crate::pool::VecPool;
 
 /// A uniform spatial-hash grid over node positions.
 ///
-/// Rebuilt from a position snapshot once per mobility epoch (see
-/// [`PositionEpoch`](crate::PositionEpoch)) and queried once per
-/// transmission. Candidate lists are returned in ascending node order so
-/// that event scheduling is bit-identical to a full `0..N` scan.
-///
-/// Under continuous mobility the grid is rebuilt at every distinct
-/// transmission timestamp, so rebuilds recycle per-cell vectors through a
-/// [`VecPool`] instead of dropping them: steady-state rebuilds are
-/// allocation-free. The pool holds only empty spare buffers and never
-/// affects query results (see DESIGN.md §13).
-#[derive(Debug, Default)]
+/// Built from a position snapshot and queried once per transmission; the
+/// simulator rebuilds it only when its nodes may have drifted past a slack
+/// (see [`PositionEpoch`](crate::PositionEpoch)). Candidate lists are
+/// returned in ascending node order so that event scheduling is
+/// bit-identical to a full `0..N` scan.
+#[derive(Debug, Clone, Default)]
 pub struct SpatialGrid {
     cell: f64,
     cells: FastMap<(i64, i64), Vec<u32>>,
-    spares: VecPool<u32>,
     nodes: usize,
-}
-
-impl Clone for SpatialGrid {
-    /// Clones the index itself; the recycling pool starts empty in the
-    /// clone (spare buffers are a cache, not state).
-    fn clone(&self) -> Self {
-        SpatialGrid {
-            cell: self.cell,
-            cells: self.cells.clone(),
-            spares: VecPool::new(),
-            nodes: self.nodes,
-        }
-    }
 }
 
 impl SpatialGrid {
@@ -60,7 +40,6 @@ impl SpatialGrid {
         SpatialGrid {
             cell: cell_size,
             cells: FastMap::default(),
-            spares: VecPool::new(),
             nodes: 0,
         }
     }
@@ -82,21 +61,14 @@ impl SpatialGrid {
 
     /// Re-index the grid from a position snapshot (`positions[i]` is node
     /// `i`). Per-cell node lists stay sorted because nodes are inserted in
-    /// index order. Retired cell vectors are recycled through the spare
-    /// pool, so rebuilding an already-warm grid performs no allocations.
+    /// index order.
     pub fn rebuild(&mut self, positions: &[(f64, f64)]) {
         let cell = self.cell;
         let cell_of = |x: f64, y: f64| ((x / cell).floor() as i64, (y / cell).floor() as i64);
-        let spares = &mut self.spares;
-        for (_, v) in self.cells.drain() {
-            spares.put(v);
-        }
+        self.cells.clear();
         self.nodes = positions.len();
         for (i, &(x, y)) in positions.iter().enumerate() {
-            self.cells
-                .entry(cell_of(x, y))
-                .or_insert_with(|| spares.take(0))
-                .push(i as u32);
+            self.cells.entry(cell_of(x, y)).or_default().push(i as u32);
         }
     }
 
@@ -215,21 +187,5 @@ mod tests {
     #[should_panic(expected = "cell size")]
     fn zero_cell_size_rejected() {
         let _ = SpatialGrid::new(0.0);
-    }
-
-    #[test]
-    fn rebuild_recycles_cell_vectors() {
-        let positions: Vec<(f64, f64)> = (0..16).map(|i| (i as f64 * 30.0, 0.0)).collect();
-        let mut grid = SpatialGrid::new(25.0);
-        grid.rebuild(&positions);
-        // A warm rebuild must produce identical results whether its cell
-        // vectors came from the pool or the allocator.
-        let before = candidates(&grid, (0.0, 0.0), 1e6);
-        grid.rebuild(&positions);
-        assert_eq!(candidates(&grid, (0.0, 0.0), 1e6), before);
-        // Shrinking the population parks the surplus vectors in the pool.
-        grid.rebuild(&positions[..1]);
-        assert_eq!(grid.len(), 1);
-        assert!(grid.spares.held() > 0, "retired cells should be pooled");
     }
 }

@@ -40,7 +40,7 @@
 
 mod api;
 pub mod backend;
-pub mod calq;
+mod calq;
 mod channel;
 mod digest;
 mod error;
@@ -54,7 +54,6 @@ mod node;
 mod observer;
 mod packet;
 mod phy;
-pub mod pool;
 mod progress;
 mod sim;
 pub mod snapshot;
@@ -65,7 +64,6 @@ mod traits;
 
 pub use api::NodeApi;
 pub use backend::{ChannelBackend, ExactBackend, Fidelity, MacBackend};
-pub use calq::CalendarQueue;
 pub use channel::{Channel, Transmission};
 pub use digest::GoldenDigest;
 pub use error::NetError;
@@ -81,7 +79,6 @@ pub use observer::{
 };
 pub use packet::{ControlBlob, DataPayload, Frame, FrameKind, Packet, PacketBody};
 pub use phy::{PhyParams, Propagation};
-pub use pool::VecPool;
 pub use progress::{CancelSignal, ProgressHandle, TrialCancelled};
 pub use sim::{ScenarioConfig, Simulator, SimulatorBuilder};
 pub use snapshot::{ControlCodec, DataOnlyCodec, WireError, WireReader, WireWriter};

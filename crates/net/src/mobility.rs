@@ -2,27 +2,29 @@
 
 use crate::SimTime;
 
-/// Describes how a model's positions evolve around time `t`, so the
-/// simulator knows when its cached position snapshot must be refreshed.
+/// Describes how a model's positions evolve around time `t`: it chooses the
+/// instant at which a transmission samples positions.
 ///
-/// The simulator samples every node's position once per epoch and reuses the
-/// snapshot (and the spatial grid built from it) for all events inside the
-/// epoch, instead of re-resolving each position per event.
+/// A transmission at `t` samples its sender and every candidate receiver
+/// at one instant: the epoch's start under [`Step`](Self::Step), `t`
+/// otherwise. The epoch and [`MobilityModel::max_speed`] together decide
+/// when the simulator rebuilds its neighbor grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PositionEpoch {
-    /// Positions never change; one snapshot is valid forever.
+    /// Positions never change: no node drifts, so the neighbor grid is
+    /// built once.
     Static,
-    /// Positions may change at every instant; the snapshot is resampled
-    /// whenever the simulation clock has advanced. This is exact for any
-    /// model and is the default.
+    /// Positions may change at every instant; each transmission samples
+    /// them at its own instant. This is exact for any model and is the
+    /// default.
     Continuous,
     /// Positions are constant within the numbered epoch that begins at
-    /// `start`; the snapshot is sampled at `start` and reused until the
-    /// epoch id changes (e.g. a trace advancing in whole mobility steps).
+    /// `start`, and every transmission in it samples them at `start`
+    /// (e.g. a trace advancing in whole mobility steps).
     Step {
         /// Monotonically increasing epoch identifier.
         id: u64,
-        /// The instant the snapshot should be sampled at.
+        /// The instant positions are sampled at.
         start: SimTime,
     },
 }
@@ -45,19 +47,21 @@ pub trait MobilityModel {
     /// one [`position`](Self::position) call per id, which is the default.
     /// Models that can share work across ids (a trace locating `t` once)
     /// override it; the simulator calls it once per transmission for every
-    /// candidate receiver when positions must be sampled afresh.
+    /// candidate receiver.
     fn positions_of(&self, ids: &[usize], t: SimTime, out: &mut Vec<(f64, f64)>) {
         out.clear();
         out.extend(ids.iter().map(|&i| self.position(i, t)));
     }
 
-    /// The position epoch containing `t` (see [`PositionEpoch`]).
+    /// The position epoch containing `t` (see [`PositionEpoch`]), which
+    /// chooses the instant a transmission at `t` samples positions at.
     ///
-    /// The default, [`PositionEpoch::Continuous`], preserves exact per-event
-    /// sampling. Models whose positions are piecewise-constant should return
-    /// [`PositionEpoch::Step`] so the simulator can amortize position
-    /// lookups and neighbor-grid builds across all events in an epoch;
-    /// time-invariant models should return [`PositionEpoch::Static`].
+    /// The default, [`PositionEpoch::Continuous`], samples at `t`. Models
+    /// whose positions are piecewise-constant may return
+    /// [`PositionEpoch::Step`] to have every transmission in an epoch read
+    /// the epoch start's positions; time-invariant models should return
+    /// [`PositionEpoch::Static`], which lets the neighbor grid be built
+    /// once.
     fn epoch(&self, _t: SimTime) -> PositionEpoch {
         PositionEpoch::Continuous
     }
@@ -66,12 +70,15 @@ pub trait MobilityModel {
     /// over any interval `[t, t+Δ]`, no node's position moves more than
     /// `max_speed · Δ`. The default, `None`, promises nothing.
     ///
-    /// A finite bound lets the simulator serve [`PositionEpoch::Continuous`]
-    /// models from a *stale-tolerant* neighbor grid: cells are rebuilt only
-    /// after the accumulated drift bound exceeds a slack, and every query
-    /// radius is inflated by the same bound, so the candidate set stays a
-    /// superset of the true carrier-sense range set and the event schedule
-    /// is bit-identical to per-timestamp rebuilding (see DESIGN.md §13).
+    /// The simulator's neighbor grid is built from every node's position
+    /// at one sample instant and reused while it may be stale: between
+    /// that instant and a later one, a node may have drifted by at most
+    /// `max_speed · Δ` (zero under [`PositionEpoch::Static`], unbounded
+    /// without a bound). Every query radius is inflated by that drift, so
+    /// the candidates stay a superset of the stations in carrier-sense
+    /// range, and the grid is rebuilt once it exceeds a slack — without a
+    /// bound, at every new sample instant. The event schedule is the same
+    /// either way (see DESIGN.md §13).
     fn max_speed(&self) -> Option<f64> {
         None
     }

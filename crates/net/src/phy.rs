@@ -146,8 +146,9 @@ impl PhyParams {
 
     /// A distance beyond which the given model's received power is
     /// guaranteed to stay below the carrier-sense threshold, or `None` when
-    /// no such bound exists (the model has an unbounded random component, so
-    /// any distance may occasionally be sensed).
+    /// no such bound is known: the model has an unbounded random component,
+    /// so any distance may occasionally be sensed, or the threshold is still
+    /// met 100 km out (a threshold ≤ 0 is met at any distance).
     ///
     /// This is the carrier-sense pruning radius of the simulator's neighbor
     /// grid: a node farther than the returned distance can never observe the
@@ -169,8 +170,9 @@ impl PhyParams {
         let mut lo = 1e-3;
         let mut hi = 1e5;
         if self.mean_rx_power(model, hi) >= th {
-            // Everything plausible is within carrier-sense range.
-            return Some(hi);
+            // Still sensed at the bracket's end (or the threshold is met at
+            // any distance): no radius found here is safe.
+            return None;
         }
         if self.mean_rx_power(model, lo) < th {
             // Nothing is ever sensed; any positive radius works.

@@ -272,22 +272,6 @@ impl Kernel {
     }
 }
 
-/// Identifies which position snapshot is currently cached, so
-/// [`Simulator::refresh_positions`] can skip resampling when the snapshot is
-/// still valid for the current instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SnapshotKey {
-    /// No snapshot taken yet (or explicitly invalidated via
-    /// [`Simulator::node_moved`]).
-    Stale,
-    /// Snapshot from a [`PositionEpoch::Static`] model: valid forever.
-    Forever,
-    /// Snapshot sampled at this exact instant ([`PositionEpoch::Continuous`]).
-    At(SimTime),
-    /// Snapshot for this [`PositionEpoch::Step`] epoch id.
-    Epoch(u64),
-}
-
 /// The simulator: a set of stations on a shared wireless channel, driven by
 /// a deterministic discrete-event loop.
 ///
@@ -313,33 +297,26 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// distance-independent factors computed once.
     link: LinkBudget,
     started: bool,
-    /// Cached `(x, y)` of every node, valid for the epoch in `pos_key` —
-    /// except in the stale-grid regime, where it is the snapshot the grid
-    /// was built from and every query samples positions afresh.
-    positions: Vec<(f64, f64)>,
-    pos_key: SnapshotKey,
-    /// Neighbor grid over `positions`; `None` when disabled or when the
+    /// Neighbor grid over node positions; `None` when disabled or when the
     /// propagation model has no deterministic carrier-sense cutoff.
     grid: Option<SpatialGrid>,
     /// Carrier-sense radius used for grid queries (set iff `grid` is set).
     cs_cutoff: f64,
-    /// `Some(vmax)` iff the grid is active *and* the mobility model bounds
-    /// its displacement rate ([`MobilityModel::max_speed`]): continuous
-    /// mobility is then served from a stale-tolerant grid instead of an
-    /// O(nodes) resample per distinct transmission timestamp.
-    lazy_vmax: Option<f64>,
-    /// Instant the current grid cells were built from.
-    grid_built_at: SimTime,
+    /// The mobility model's displacement-rate bound
+    /// ([`MobilityModel::max_speed`]), kept only when finite and
+    /// non-negative.
+    max_speed: Option<f64>,
+    /// Sample instant the grid's cells were built from; `None` before the
+    /// first build and after [`node_moved`](Simulator::node_moved) or a
+    /// restore.
+    grid_built_at: Option<SimTime>,
     /// Motion slack in metres tolerated before the grid is rebuilt; query
-    /// radii are inflated by the accumulated drift bound up to this slack.
+    /// radii are inflated by the drift bound up to this slack.
     grid_slack: f64,
-    /// Whether the shared snapshot may lag the current instant (stale-grid
-    /// regime); positions are then sampled at each query's instant.
-    snapshot_lagged: bool,
     /// Reusable candidate buffer for broadcast scans.
     scratch: Vec<usize>,
-    /// The candidates' positions, sampled in one bulk call in the
-    /// stale-grid regime.
+    /// The candidates' positions, sampled in one bulk call per
+    /// transmission (and every node's, when the grid is rebuilt).
     scratch_pos: Vec<(f64, f64)>,
     /// Reusable reception-table buffer, traded with the event queue for a
     /// drained table's on every transmission.
@@ -532,17 +509,12 @@ impl<O: SimObserver> SimulatorBuilder<O> {
             None
         };
         let impairments = self.fault_plan.has_impairments();
-        // Stale-tolerant grid regime: sound only when every query can be
-        // inflated by a finite drift bound (and pointless without a grid).
-        let lazy_vmax = match (cutoff, mobility.max_speed()) {
-            (Some(_), Some(v)) if v.is_finite() && v >= 0.0 => Some(v),
-            _ => None,
-        };
+        // A drift bound must be finite to inflate a query radius.
+        let max_speed = mobility.max_speed().filter(|v| v.is_finite() && *v >= 0.0);
         Ok(Simulator {
             kernel: Kernel {
                 now: SimTime::ZERO,
-                // The bucket window grows with the pending events.
-                queue: EventQueue::with_capacity(self.nodes),
+                queue: EventQueue::default(),
                 seq: 0,
                 rng: SimRng::seed_from_u64(self.seed),
                 pending: VecDeque::new(),
@@ -572,16 +544,13 @@ impl<O: SimObserver> SimulatorBuilder<O> {
             config: self.config,
             link: LinkBudget::new(&self.config.phy, self.config.propagation),
             started: false,
-            positions: Vec::with_capacity(self.nodes),
-            pos_key: SnapshotKey::Stale,
             grid: cutoff.map(SpatialGrid::new),
             cs_cutoff: cutoff.unwrap_or(0.0),
-            lazy_vmax,
-            grid_built_at: SimTime::ZERO,
+            max_speed,
+            grid_built_at: None,
             // Half the carrier-sense radius: query areas grow at most
             // (1.5)² ≈ 2.25× before a rebuild amortizes the drift away.
             grid_slack: cutoff.unwrap_or(0.0) * 0.5,
-            snapshot_lagged: false,
             scratch: Vec::new(),
             scratch_pos: Vec::new(),
             rx_rows: Vec::new(),
@@ -1091,76 +1060,58 @@ impl<O: SimObserver> Simulator<O> {
         }
     }
 
-    /// Tell the simulator that node positions changed outside the mobility
-    /// model's declared epoch structure (e.g. a mutable model was updated in
-    /// place). The cached snapshot and neighbor grid are rebuilt before the
-    /// next transmission.
+    /// Tell the simulator that node positions changed outside what the
+    /// mobility model declares (e.g. a mutable model was updated in place).
+    /// Positions are sampled afresh at every transmission anyway; this
+    /// rebuilds the neighbor grid before the next one, so a station that
+    /// moved into range is found.
     pub fn node_moved(&mut self) {
-        self.pos_key = SnapshotKey::Stale;
+        self.grid_built_at = None;
     }
 
-    /// Ensure the position snapshot (and neighbor grid) is usable for
-    /// instant `now`.
+    /// Collect into `cand`, in ascending order, every station that may
+    /// sense a frame sent from `center`, with positions sampled at `at`:
+    /// all stations without a grid, else the grid's candidates within the
+    /// carrier-sense cutoff inflated by how far any node may have drifted
+    /// since the cells were built. `drift_rate` bounds that drift per
+    /// second; `None` means unbounded.
     ///
-    /// [`PositionEpoch::Static`] models are sampled once and
-    /// [`PositionEpoch::Step`] models once per epoch, at the epoch start.
-    /// [`PositionEpoch::Continuous`] models split on the mobility model's
-    /// [`MobilityModel::max_speed`] bound:
-    ///
-    /// * unbounded — the snapshot and grid are resampled at every distinct
-    ///   transmission timestamp: exact, but O(nodes) per timestamp;
-    /// * bounded — the grid tolerates staleness: cells are rebuilt only
-    ///   once the drift bound `vmax·Δt` exceeds `grid_slack`, every query
-    ///   radius is inflated by the same bound, and the sender and every
-    ///   candidate are sampled exactly at the transmission's instant
-    ///   ([`MobilityModel::positions_of`] for the candidates). The
-    ///   candidate set stays a superset of the true carrier-sense set in
-    ///   ascending order, and the per-candidate power check runs on exact
-    ///   coordinates, so the event schedule is bit-identical to rebuilding
-    ///   per timestamp — a grid exists only under deterministic propagation,
-    ///   where a below-cutoff extra candidate draws no RNG and schedules
-    ///   nothing (see DESIGN.md §13).
-    fn refresh_positions(&mut self, now: SimTime) {
-        let (key, sample_at) = match self.mobility.epoch(now) {
-            PositionEpoch::Static => (SnapshotKey::Forever, now),
-            PositionEpoch::Continuous => {
-                if let Some(vmax) = self.lazy_vmax {
-                    self.snapshot_lagged = true;
-                    let stale = self.pos_key == SnapshotKey::Stale
-                        || vmax * self.grid_age_secs(now) > self.grid_slack;
-                    if stale {
-                        self.resample_all(now);
-                        self.pos_key = SnapshotKey::At(now);
-                    }
-                    return;
-                }
-                (SnapshotKey::At(now), now)
-            }
-            PositionEpoch::Step { id, start } => (SnapshotKey::Epoch(id), start),
-        };
-        self.snapshot_lagged = false;
-        if self.pos_key == key {
+    /// The cells are rebuilt from every node's position at `at` when they
+    /// were never built, were invalidated, or may have drifted beyond
+    /// `grid_slack`: with an unbounded rate, at every new sample instant.
+    /// The candidates stay a superset of the stations in carrier-sense
+    /// range, and the caller checks each one's power at its exact position,
+    /// so the event schedule is the full scan's — a grid exists only under
+    /// deterministic propagation, where a below-cutoff extra candidate
+    /// draws no RNG and schedules nothing (see DESIGN.md §13).
+    fn candidates(
+        &mut self,
+        center: (f64, f64),
+        at: SimTime,
+        drift_rate: Option<f64>,
+        cand: &mut Vec<usize>,
+    ) {
+        let n = self.kernel.node_count;
+        let Some(grid) = &mut self.grid else {
+            cand.extend(0..n);
             return;
-        }
-        self.resample_all(sample_at);
-        self.pos_key = key;
-    }
-
-    /// Sample every node's position at `at` and rebuild the grid from them.
-    fn resample_all(&mut self, at: SimTime) {
-        self.grid_built_at = at;
-        self.positions.clear();
-        for i in 0..self.kernel.node_count {
-            self.positions.push(self.mobility.position(i, at));
-        }
-        if let Some(grid) = &mut self.grid {
-            grid.rebuild(&self.positions);
-        }
-    }
-
-    /// Seconds elapsed since the grid snapshot was built.
-    fn grid_age_secs(&self, now: SimTime) -> f64 {
-        now.as_nanos().saturating_sub(self.grid_built_at.as_nanos()) as f64 * 1e-9
+        };
+        let drift = match (self.grid_built_at, drift_rate) {
+            (Some(built), Some(v)) => v * (built.as_nanos().abs_diff(at.as_nanos()) as f64 * 1e-9),
+            (Some(built), None) if built == at => 0.0,
+            _ => f64::INFINITY,
+        };
+        let drift = if drift > self.grid_slack {
+            self.scratch_pos.clear();
+            self.scratch_pos
+                .extend((0..n).map(|i| self.mobility.position(i, at)));
+            grid.rebuild(&self.scratch_pos);
+            self.grid_built_at = Some(at);
+            0.0
+        } else {
+            drift
+        };
+        grid.candidates_within(center, self.cs_cutoff + drift, cand);
     }
 
     /// Put a frame on the air from node `idx`: schedule its end at the
@@ -1197,49 +1148,30 @@ impl<O: SimObserver> Simulator<O> {
             self.macs[idx].on_medium_busy(&mut hooks);
         }
 
-        self.refresh_positions(now);
-        // Outside the stale-grid regime the snapshot covers `now`. Inside
-        // it the snapshot may lag, so the sender and every candidate are
-        // sampled at `now` (the candidates in one bulk call): the same
-        // coordinates, bit for bit, that a full refresh would have read.
-        let lagged = self.snapshot_lagged;
-        let (sx, sy) = if lagged {
-            self.mobility.position(idx, now)
-        } else {
-            self.positions[idx]
+        // The sender and every candidate are sampled at one instant: the
+        // epoch's start under `Step`, the transmission's own otherwise.
+        let (at, drift_rate) = match self.mobility.epoch(now) {
+            PositionEpoch::Static => (now, Some(0.0)),
+            PositionEpoch::Continuous => (now, self.max_speed),
+            PositionEpoch::Step { start, .. } => (start, self.max_speed),
         };
+        let (sx, sy) = self.mobility.position(idx, at);
         if O::ENABLED {
             self.observer.on_frame_tx(now, idx, &frame);
         }
         let tx_id = self.channel.begin(NodeId(idx as u32), frame, now, end, 1);
         self.kernel.stats.transmissions += 1;
 
-        // Enumerate candidate receivers: grid-adjacent stations when the
-        // grid is active, otherwise all stations. Grid candidates come back
-        // in ascending node order, so the (time, seq) event schedule is
-        // identical to the full scan's — the grid only skips stations whose
-        // received power is provably below the carrier-sense threshold.
+        // Candidates come back in ascending node order, so the (time, seq)
+        // event schedule is identical to the full scan's: the grid only
+        // skips stations whose received power is provably below the
+        // carrier-sense threshold.
         let mut cand = std::mem::take(&mut self.scratch);
         cand.clear();
-        match &self.grid {
-            Some(grid) => {
-                // Cells may lag `now` in the stale-grid regime: inflate the
-                // query by the worst-case drift so the superset property
-                // holds. Zero when the grid is fresh.
-                let drift = self
-                    .lazy_vmax
-                    .map_or(0.0, |vmax| vmax * self.grid_age_secs(now));
-                grid.candidates_within((sx, sy), self.cs_cutoff + drift, &mut cand);
-            }
-            None => cand.extend(0..self.kernel.node_count),
-        }
-
-        if lagged {
-            self.mobility
-                .positions_of(&cand, now, &mut self.scratch_pos);
-        }
+        self.candidates((sx, sy), at, drift_rate, &mut cand);
+        self.mobility.positions_of(&cand, at, &mut self.scratch_pos);
         let mut rows = std::mem::take(&mut self.rx_rows);
-        for (k, &j) in cand.iter().enumerate() {
+        for (&j, &(x, y)) in cand.iter().zip(&self.scratch_pos) {
             if j == idx {
                 continue;
             }
@@ -1248,11 +1180,6 @@ impl<O: SimObserver> Simulator<O> {
             if !self.node_up[j] {
                 continue;
             }
-            let (x, y) = if lagged {
-                self.scratch_pos[k]
-            } else {
-                self.positions[j]
-            };
             let d = ((x - sx).powi(2) + (y - sy).powi(2)).sqrt();
             let power = self.link.rx_power(d, &mut self.kernel.rng);
             if power >= self.config.phy.cs_threshold_w {
@@ -1491,7 +1418,7 @@ impl<O: SimObserver> Simulator<O> {
         // `n` is untrusted snapshot input and sizes nothing: an over-long
         // count fails as `Truncated` inside the loop.
         let n = r.get_usize()?;
-        let mut queue = EventQueue::with_capacity(self.kernel.node_count);
+        let mut queue = EventQueue::default();
         for _ in 0..n {
             let time = read_time(r)?;
             let seq = r.get_u64()?;
@@ -1554,10 +1481,10 @@ impl<O: SimObserver> Simulator<O> {
             queue.insert(time, seq, event);
         }
         self.kernel.queue = queue;
-        // Positions and the neighbor grid are derived state: force a
-        // rebuild at the next transmission. Observer logs restart empty —
-        // the snapshot carries simulation state, not telemetry backlog.
-        self.pos_key = SnapshotKey::Stale;
+        // The neighbor grid is derived state: force a rebuild at the next
+        // transmission. Observer logs restart empty — the snapshot carries
+        // simulation state, not telemetry backlog.
+        self.grid_built_at = None;
         self.kernel.sched_log.clear();
         self.kernel.route_log.clear();
         Ok(())
@@ -2042,7 +1969,7 @@ mod tests {
     }
 
     /// Bounded-speed continuous mobility: nodes orbit a ring at constant
-    /// angular velocity, exercising the stale-grid regime.
+    /// angular velocity, so the grid is reused while its nodes drift.
     struct Orbit {
         n: usize,
         circumference: f64,
@@ -2063,9 +1990,9 @@ mod tests {
         }
     }
 
-    /// Moving + faulted fingerprint: with the grid, the stale-grid regime
-    /// with exact per-candidate resampling, plus impairment draws from the
-    /// fault RNG — the two most order-sensitive receiver-loop paths.
+    /// Moving + faulted fingerprint: with the grid, cells reused while their
+    /// nodes drift and drift-inflated queries, plus impairment draws from
+    /// the fault RNG — the two most order-sensitive receiver-loop paths.
     fn moving_faulted_fingerprint(
         neighbor_grid: bool,
     ) -> (GlobalStats, Vec<(NodeStats, MacStats)>) {
@@ -2162,7 +2089,7 @@ mod tests {
             .build();
         sim.run_until_secs(2.0);
         let delivered = received.borrow().len();
-        // ~100 packets fit before the jump; the snapshot must go stale at
+        // ~100 packets fit before the jump; positions must be resampled at
         // t = 1 s or packets would keep arriving at the old position.
         assert!(delivered > 50, "in-range phase delivered {delivered}");
         assert!(
@@ -2524,16 +2451,53 @@ mod tests {
         assert!(matches!(res, Err(WireError::TrailingBytes { extra: 1 })));
     }
 
+    /// A static layout held in shared state, so a test can move a node
+    /// without the model declaring it.
+    struct SharedLayout(Rc<RefCell<Vec<(f64, f64)>>>);
+    impl crate::MobilityModel for SharedLayout {
+        fn position(&self, index: usize, _t: SimTime) -> (f64, f64) {
+            self.0.borrow()[index]
+        }
+        fn node_count(&self) -> usize {
+            self.0.borrow().len()
+        }
+        fn epoch(&self, _t: SimTime) -> PositionEpoch {
+            PositionEpoch::Static
+        }
+    }
+
     #[test]
     fn node_moved_marks_snapshot_stale() {
+        // Node 1 starts 5 km from broadcaster 0, then moves to 100 m.
+        let layout = Rc::new(RefCell::new(vec![(0.0, 0.0), (5000.0, 0.0)]));
         let mut sim = Simulator::builder(ScenarioConfig::default())
             .nodes(2)
-            .mobility(Box::new(StaticMobility::line(2, 100.0)))
+            .mobility(Box::new(SharedLayout(Rc::clone(&layout))))
+            .app(
+                0,
+                Box::new(TestApp {
+                    dst: NodeId::BROADCAST,
+                    count: 100,
+                    sent: 0,
+                    received: Rc::new(RefCell::new(Vec::new())),
+                }),
+            )
             .build();
-        sim.run_until_secs(0.1);
-        sim.node_moved();
-        assert_eq!(sim.pos_key, SnapshotKey::Stale);
-        // Still runs fine afterwards.
         sim.run_until_secs(0.2);
+        let before = sim.global_stats();
+        assert!(before.transmissions > 10, "{before:?}");
+        assert_eq!(before.decoded, 0, "node 1 is out of range");
+        layout.borrow_mut()[1] = (100.0, 0.0);
+        sim.node_moved();
+        sim.run_until_secs(0.4);
+        let after = sim.global_stats();
+        // Every frame sent after the move, the first one included, is
+        // decoded at node 1.
+        assert!(after.transmissions > before.transmissions);
+        assert_eq!(
+            after.decoded,
+            after.transmissions - before.transmissions,
+            "{after:?}"
+        );
     }
 }

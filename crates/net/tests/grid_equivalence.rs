@@ -51,22 +51,34 @@ proptest! {
 
     /// The carrier-sense cutoff is conservative: any station whose received
     /// power reaches the carrier-sense threshold lies within the cutoff
-    /// radius, for both deterministic propagation models.
+    /// radius, for both deterministic propagation models. Checked on the
+    /// default PHY and on PHYs calibrated to carrier-sense ranges up to
+    /// 1,000 km, at distances on both sides of each range.
     #[test]
-    fn carrier_sense_cutoff_is_conservative(d in 0.1f64..5000.0) {
-        let phy = PhyParams::default();
+    fn carrier_sense_cutoff_is_conservative(
+        d in 0.1f64..5000.0,
+        cs_range in 100.0f64..1e6,
+        frac in 0.0f64..2.0,
+    ) {
+        let default = PhyParams::default();
         let mut rng = SimRng::seed_from_u64(0);
         for model in [Propagation::FreeSpace, Propagation::TwoRayGround] {
-            let cutoff = phy.carrier_sense_cutoff(model)
-                .expect("deterministic model has a cutoff");
-            let power = phy.rx_power(model, d, &mut rng);
-            if power >= phy.cs_threshold_w {
-                prop_assert!(
-                    d <= cutoff,
-                    "station at {d} m senses the frame but lies outside the {cutoff} m cutoff"
-                );
+            let calibrated = PhyParams::default().calibrate_ranges(model, cs_range / 2.0, cs_range);
+            for (phy, d) in [(&default, d), (&calibrated, (cs_range * frac).max(0.1))] {
+                let power = phy.rx_power(model, d, &mut rng);
+                if power < phy.cs_threshold_w {
+                    continue;
+                }
+                // `None` promises nothing, so every station is scanned.
+                if let Some(cutoff) = phy.carrier_sense_cutoff(model) {
+                    prop_assert!(
+                        d <= cutoff,
+                        "station at {d} m senses the frame but lies outside the {cutoff} m cutoff"
+                    );
+                }
             }
         }
+        prop_assert!(default.carrier_sense_cutoff(Propagation::TwoRayGround).is_some());
     }
 }
 
@@ -123,4 +135,38 @@ proptest! {
         prop_assert_eq!(ga, gb, "global stats diverged");
         prop_assert_eq!(ma, mb, "per-node MAC stats diverged");
     }
+}
+
+/// Two stations 250 km apart on a PHY calibrated to a 300 km carrier-sense
+/// range: the station is far beyond any radius a bisection can bracket, so
+/// the grid must fall back to the full scan and hear every frame it does.
+#[test]
+fn stations_beyond_the_cutoff_bracket_are_heard() {
+    let phy =
+        PhyParams::default().calibrate_ranges(Propagation::TwoRayGround, 260_000.0, 300_000.0);
+    let config = ScenarioConfig {
+        phy,
+        ..ScenarioConfig::default()
+    };
+    let run = |use_grid: bool| {
+        let mut sim = Simulator::builder(config)
+            .nodes(2)
+            .seed(1)
+            .mobility(Box::new(StaticMobility::line(2, 250_000.0)))
+            .neighbor_grid(use_grid)
+            .app(
+                0,
+                Box::new(Chatter {
+                    dst: NodeId::BROADCAST,
+                    sent: 0,
+                    count: 5,
+                }),
+            )
+            .build();
+        sim.run_until_secs(0.5);
+        sim.global_stats()
+    };
+    let (grid, scan) = (run(true), run(false));
+    assert_eq!(scan.decoded, 5, "{scan:?}");
+    assert_eq!(grid, scan);
 }

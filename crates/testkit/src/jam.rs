@@ -2,11 +2,12 @@
 //! at 3 m/s round a circular ring, one CBR source whose single packet is
 //! TTL-flooded by every station.
 //!
-//! The trace-backed mobility has a finite speed bound, so the engine runs in
-//! the stale-grid regime, and at this density every transmission reaches
-//! every station within carrier-sense range (~550 of them once the ring is
-//! longer than the carrier-sense disk). Headway is independent of the fleet
-//! size, so per-transmission work is the same at every node count.
+//! The trace-backed mobility has a finite speed bound, so the engine reuses
+//! its neighbor grid while the nodes drift, and at this density every
+//! transmission reaches every station within carrier-sense range (~550 of
+//! them once the ring is longer than the carrier-sense disk). Headway is
+//! independent of the fleet size, so per-transmission work is the same at
+//! every node count.
 
 use std::time::Duration;
 
