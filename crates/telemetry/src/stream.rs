@@ -473,7 +473,7 @@ impl SimObserver for StreamProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Counter;
+    use crate::metrics::{Counter, Gauge, HistogramId};
     use cavenet_net::{CancelSignal, TrialCancelled};
 
     fn registry_with(c: Counter, n: u64) -> MetricsRegistry {
@@ -690,5 +690,41 @@ mod tests {
         assert_eq!(drained[2].events, 10);
         assert_eq!(drained[2].registry, final_registry);
         assert_eq!(final_registry.counter(Counter::EventsDispatched), 10);
+    }
+
+    #[test]
+    fn observer_is_enabled() {
+        // A compile-time check: the probe's hooks must actually fire.
+        const { assert!(StreamProbe::ENABLED) }
+    }
+
+    /// A probe armed with a stride no test reaches: it publishes only at
+    /// [`StreamProbe::finish_and_publish`].
+    fn armed_until_finish() -> StreamProbe {
+        StreamProbe::armed(SnapshotBus::new(4).publisher("t"), u64::MAX)
+    }
+
+    #[test]
+    fn latency_histogram_uses_origin_times() {
+        let mut probe = armed_until_finish();
+        let node = NodeId(0);
+        probe.on_packet_originated(SimTime::from_nanos(100), node, 7);
+        probe.on_packet_delivered(SimTime::from_nanos(350), node, 7);
+        // Delivery of an unknown uid (MAC duplicate) records nothing.
+        probe.on_packet_delivered(SimTime::from_nanos(400), node, 7);
+        let registry = probe.finish_and_publish().expect("armed");
+        let h = registry.histogram(HistogramId::DeliveryLatencyNs);
+        assert_eq!((h.count(), h.sum()), (1, 250));
+    }
+
+    #[test]
+    fn finish_reports_in_flight_packets() {
+        let mut probe = armed_until_finish();
+        probe.on_packet_originated(SimTime::from_nanos(1), NodeId(1), 1);
+        probe.on_packet_originated(SimTime::from_nanos(2), NodeId(2), 2);
+        probe.on_packet_dropped(SimTime::from_nanos(3), NodeId(2), 2, DropReason::NoRoute);
+        let registry = probe.finish_and_publish().expect("armed");
+        assert_eq!(registry.gauge(Gauge::PacketsInFlight), 1);
+        assert_eq!(registry.counter(Counter::PacketsDropped), 1);
     }
 }

@@ -10,10 +10,10 @@ use std::time::Duration;
 use cavenet_core::{Experiment, Protocol, Scenario};
 use cavenet_net::{FaultPlan, SimTime};
 use cavenet_telemetry::{
-    render_prometheus, CampaignAggregator, Counter, HistogramId, MetricsRegistry, SnapshotBus,
-    SnapshotEnvelope, StreamProbe,
+    fnv64, render_prometheus, CampaignAggregator, Counter, HistogramId, MetricsRegistry,
+    SnapshotBus, SnapshotEnvelope, StreamProbe,
 };
-use cavenet_testkit::{GoldenDigest, Tee};
+use cavenet_testkit::{check_golden, GoldenDigest, Tee};
 use proptest::prelude::*;
 
 /// The Fig. 11 scenario shortened for tests (matches `tests/telemetry.rs`).
@@ -25,6 +25,18 @@ fn quick(protocol: Protocol, seed: u64) -> Scenario {
     s.traffic.senders = vec![1, 2, 3];
     s.seed = seed;
     s
+}
+
+/// The quick AODV run under node churn: two relays crash and recover
+/// mid-traffic.
+fn churn(seed: u64) -> Scenario {
+    let mut scenario = quick(Protocol::Aodv, seed);
+    scenario.fault_plan = FaultPlan::new()
+        .crash(SimTime::from_secs(10), 12)
+        .recover(SimTime::from_secs(20), 12)
+        .crash(SimTime::from_secs(15), 20)
+        .recover(SimTime::from_secs(24), 20);
+    scenario
 }
 
 /// Run `scenario` twice — digest-only, then digest plus an armed
@@ -87,17 +99,35 @@ fn live_streaming_leaves_event_stream_bit_identical() {
 /// plain quick scenario never takes.
 #[test]
 fn live_streaming_invisible_under_churn() {
-    let mut scenario = quick(Protocol::Aodv, 2);
-    scenario.fault_plan = FaultPlan::new()
-        .crash(SimTime::from_secs(10), 12)
-        .recover(SimTime::from_secs(20), 12)
-        .crash(SimTime::from_secs(15), 20)
-        .recover(SimTime::from_secs(24), 20);
-    let (feed, registry) = assert_stream_invisible(scenario);
+    let (feed, registry) = assert_stream_invisible(churn(2));
     assert!(registry.counter(Counter::Faults) > 0);
     // The feed's tail is the final flush: identical to the registry the
     // probe handed back.
     assert_eq!(feed.last().unwrap().registry, registry);
+}
+
+/// What an armed probe publishes, pinned byte for byte on the churn
+/// fixture and the AODV and Flooding quick runs: the whole feed (every
+/// drained envelope's JSONL line, in order, joined by `\n`) and the final
+/// registry's rendered snapshot, each by its FNV-1a hash and byte length.
+/// A change to what the probe counts, when it publishes or how the feed
+/// renders moves them.
+#[test]
+fn stream_feed_is_pinned() {
+    for (name, scenario) in [
+        ("churn", churn(2)),
+        ("aodv", quick(Protocol::Aodv, 11)),
+        ("flooding", quick(Protocol::Flooding, 11)),
+    ] {
+        let (feed, registry) = assert_stream_invisible(scenario);
+        let lines: Vec<String> = feed.iter().map(SnapshotEnvelope::render_line).collect();
+        let feed = lines.join("\n");
+        let registry = registry.snapshot().render();
+        for (kind, text) in [("feed", feed), ("registry", registry)] {
+            let fixture = format!("stream_{kind}_{name}");
+            check_golden(&fixture, fnv64(text.as_bytes()), text.len() as u64);
+        }
+    }
 }
 
 /// The JSONL campaign feed round-trips: every line parses back, and

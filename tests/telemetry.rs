@@ -8,7 +8,8 @@ use std::time::Duration;
 
 use cavenet_core::{Experiment, Protocol, Scenario};
 use cavenet_telemetry::{
-    Counter, Json, RunManifest, TelemetryObserver, TraceCategory, TraceConfig, Tracer,
+    Counter, Json, RunManifest, SnapshotBus, StreamProbe, TelemetryObserver, TraceCategory,
+    TraceConfig, Tracer,
 };
 use cavenet_testkit::{GoldenDigest, InvariantChecker, Tee};
 
@@ -92,14 +93,15 @@ fn drop_counts_agree_with_conservation_ledger() {
 }
 
 /// Route-discovery telemetry: AODV on the quick scenario must start
-/// discoveries, and the observer's counters must match what the routing
-/// instances report.
+/// discoveries, and the armed stream probe's final registry must match
+/// what the routing instances report.
 #[test]
 fn route_discovery_counters_match_protocol_telemetry() {
     let scenario = quick(Protocol::Aodv, 5);
     let nodes = scenario.nodes;
+    let bus = SnapshotBus::new(1 << 16);
     let (_, sim) = Experiment::new(scenario)
-        .run_with_observer(TelemetryObserver::new())
+        .run_with_observer(StreamProbe::armed(bus.publisher("trial"), 4096))
         .unwrap();
     let mut started = 0;
     let mut succeeded = 0;
@@ -108,15 +110,12 @@ fn route_discovery_counters_match_protocol_telemetry() {
         started += t.discoveries_started;
         succeeded += t.discoveries_succeeded;
     }
-    let obs = sim.observer();
+    let registry = sim.into_observer().finish_and_publish().expect("armed");
     assert!(started > 0, "AODV must discover routes in this scenario");
     assert!(succeeded > 0);
+    assert_eq!(registry.counter(Counter::RouteDiscoveryStarts), started);
     assert_eq!(
-        obs.registry().counter(Counter::RouteDiscoveryStarts),
-        started
-    );
-    assert_eq!(
-        obs.registry().counter(Counter::RouteDiscoverySuccesses),
+        registry.counter(Counter::RouteDiscoverySuccesses),
         succeeded
     );
 }
