@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use cavenet_mobility::{MobilityTrace, Point2};
-use cavenet_net::{ChannelBackend, MacBackend, WireError, WireReader, WireWriter};
+use cavenet_net::{ChannelBackend, MacBackend, NetError, WireError, WireReader, WireWriter};
 use cavenet_rng::fnv::{fnv64, Fnv64};
 
 use crate::field::Field;
@@ -126,7 +126,8 @@ impl FluidEngine {
     /// # Errors
     ///
     /// [`FluidError`] for an empty scenario, a zero step, an out-of-range
-    /// flow endpoint, or a trace that cannot place every node.
+    /// flow endpoint, a backend the exact engine would refuse or with no
+    /// finite reception range, or a trace that cannot place every node.
     pub fn new(cfg: FluidConfig, trace: MobilityTrace) -> Result<Self, FluidError> {
         if cfg.nodes == 0 || cfg.sim_time.is_zero() {
             return Err(FluidError::EmptyScenario);
@@ -142,10 +143,18 @@ impl FluidEngine {
                 });
             }
         }
+        if let Err(NetError::BadConfig { field }) = cfg.backend.validate() {
+            return Err(FluidError::BadConfig { field });
+        }
+        let rx_range = cfg.backend.rx_range();
+        if !rx_range.is_finite() {
+            return Err(FluidError::BadConfig {
+                field: "phy.rx_threshold_w",
+            });
+        }
         // Fail fast if the trace cannot place every node.
         let mut positions = Vec::new();
         trace.positions_into(cfg.nodes as usize, 0.0, &mut positions)?;
-        let rx_range = cfg.backend.rx_range();
         // A carrier-sense model without a known bound (shadowing, or a
         // threshold still met 100 km out) degrades to twice the reception
         // range for contention purposes.
@@ -953,5 +962,31 @@ mod tests {
             FluidEngine::new(cfg, trace).err(),
             Some(FluidError::BadStep)
         );
+    }
+
+    /// A backend the exact engine refuses, or one with no finite reception
+    /// range, is refused at build with the field it names, instead of
+    /// panicking in an airtime mid-run or sizing cells by infinity.
+    #[test]
+    fn bad_backends_are_refused_at_build() {
+        use cavenet_net::ExactBackend;
+        let trace = static_trace(&[(0.0, 0.0), (10.0, 0.0)]);
+        let refusal = |spoil: fn(&mut ExactBackend)| {
+            let mut cfg = FluidConfig::ns2_default(2, Duration::from_secs(1));
+            spoil(&mut cfg.backend);
+            FluidEngine::new(cfg, trace.clone()).err()
+        };
+        let bad = |field| Some(FluidError::BadConfig { field });
+        let data_rate = bad("phy.data_rate_bps");
+        assert_eq!(refusal(|b| b.phy.data_rate_bps = 0.0), data_rate);
+        assert_eq!(refusal(|b| b.phy.data_rate_bps = f64::NAN), data_rate);
+        let basic_rate = bad("phy.basic_rate_bps");
+        assert_eq!(refusal(|b| b.phy.basic_rate_bps = 0.0), basic_rate);
+        assert_eq!(refusal(|b| b.phy.basic_rate_bps = f64::NAN), basic_rate);
+        assert_eq!(refusal(|b| b.mac.slot = Duration::ZERO), bad("mac.slot"));
+        assert_eq!(refusal(|b| b.mac.cw_max = u32::MAX), bad("mac.cw_max"));
+        let threshold = bad("phy.rx_threshold_w");
+        assert_eq!(refusal(|b| b.phy.rx_threshold_w = 0.0), threshold);
+        assert_eq!(refusal(|b| b.phy.rx_threshold_w = -1.0), threshold);
     }
 }

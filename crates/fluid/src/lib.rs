@@ -153,6 +153,15 @@ pub enum FluidError {
     },
     /// The mobility trace cannot answer a position query.
     Mobility(MobilityError),
+    /// A backend field the model would divide by or overflow on (see
+    /// [`ScenarioConfig::validate`](cavenet_net::ScenarioConfig::validate)),
+    /// or a reception threshold met at every distance, which leaves no
+    /// finite reception range to size cells by.
+    BadConfig {
+        /// The offending field, as `phy.data_rate_bps` or
+        /// `phy.rx_threshold_w`.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for FluidError {
@@ -164,6 +173,9 @@ impl std::fmt::Display for FluidError {
                 write!(f, "fluid flow {src}->{dst} has an invalid endpoint")
             }
             FluidError::Mobility(e) => write!(f, "fluid mobility query failed: {e}"),
+            FluidError::BadConfig { field } => {
+                write!(f, "fluid backend field `{field}` is out of range")
+            }
         }
     }
 }

@@ -130,9 +130,22 @@ impl PhyParams {
 
     /// The distance at which the mean received power crosses the reception
     /// threshold, found by bisection. Useful for verifying calibration.
+    ///
+    /// The bracket is 1 m to 100 km, and its far end doubles while the
+    /// threshold is still met there, so a longer range is found rather
+    /// than clipped. Returns `f64::INFINITY` when the threshold is met at
+    /// every finite distance (a threshold ≤ 0, or a mean power that never
+    /// falls).
     pub fn effective_range(&self, model: Propagation) -> f64 {
         let mut lo = 1.0;
         let mut hi = 1e5;
+        while self.mean_rx_power(model, hi) >= self.rx_threshold_w {
+            if hi.is_infinite() {
+                return f64::INFINITY;
+            }
+            lo = hi;
+            hi *= 2.0;
+        }
         for _ in 0..200 {
             let mid = (lo + hi) / 2.0;
             if self.mean_rx_power(model, mid) >= self.rx_threshold_w {
@@ -320,6 +333,19 @@ mod tests {
             (r - 550.0).abs() < 5.0,
             "ns-2 CS range should be ≈550 m, got {r}"
         );
+    }
+
+    /// A range past the first 100 km bracket is found, not clipped to it,
+    /// and a threshold met at every distance gives an unbounded range.
+    #[test]
+    fn effective_range_grows_past_100_km() {
+        let model = Propagation::TwoRayGround;
+        let p = PhyParams::ns2_default().calibrate_ranges(model, 260_000.0, 300_000.0);
+        let r = p.effective_range(model);
+        assert!((r - 260_000.0).abs() < 1.0, "got {r}");
+        let mut open = PhyParams::ns2_default();
+        open.rx_threshold_w = 0.0;
+        assert_eq!(open.effective_range(model), f64::INFINITY);
     }
 
     #[test]

@@ -45,12 +45,14 @@ impl ScenarioConfig {
     /// refused at build instead of panicking in the middle of a run: bit
     /// rates (every airtime divides by them), the slot (a frozen backoff
     /// divides by it) and the contention-window bounds (a retry doubles the
-    /// window as `(cw + 1) * 2 - 1`).
+    /// window as `(cw + 1) * 2 - 1`). The exact engine and the fluid engine
+    /// both build through it.
     ///
     /// # Errors
     ///
-    /// [`NetError::BadConfig`] naming the first offending field.
-    pub(crate) fn validate(&self) -> Result<(), NetError> {
+    /// [`NetError::BadConfig`] naming the first offending field; no other
+    /// variant.
+    pub fn validate(&self) -> Result<(), NetError> {
         let rate_ok = |bps: f64| bps >= 1.0 && bps.is_finite();
         let cw_ok = |cw: u32| cw < u32::MAX / 2;
         let field = if !rate_ok(self.phy.data_rate_bps) {

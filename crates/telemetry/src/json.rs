@@ -2,7 +2,7 @@
 //! parser.
 //!
 //! The telemetry subsystem ships no serialization dependency, so the few
-//! JSON shapes it needs (trace records, metric snapshots, run manifests)
+//! JSON shapes it needs (feed envelopes, metric snapshots, run manifests)
 //! are built from this enum. Objects keep their members in insertion
 //! order — renders are byte-stable across runs, which is what lets bench
 //! reports be diffed.
@@ -78,7 +78,7 @@ impl Json {
         }
     }
 
-    /// Render on a single line (the JSONL form used by the tracer).
+    /// Render on a single line (the JSONL form of the campaign feed).
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, None, 0);

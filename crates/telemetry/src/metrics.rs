@@ -11,10 +11,10 @@ use crate::json::Json;
 ///
 /// Slots fall into two families sharing the one registry so every sink
 /// (snapshot bus, JSONL feed, Prometheus exposition) works unchanged:
-/// engine counters fed by the
-/// [`TelemetryObserver`](crate::TelemetryObserver) and campaign-supervisor
-/// counters fed by `cavenet-server`. A source only ever touches its own family; the merge
-/// semantics (counters add) keep foreign slots at zero.
+/// engine counters fed by the [`StreamProbe`](crate::StreamProbe) and
+/// campaign-supervisor counters fed by `cavenet-server`. A source only
+/// ever touches its own family; the merge semantics (counters add) keep
+/// foreign slots at zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
     /// Engine events dispatched.
@@ -221,7 +221,7 @@ impl HistogramId {
 
 /// Read a `u64` out of either JSON shape [`Json::num_u64`] produces: a
 /// plain number up to 2^53, or a decimal string above it.
-fn scalar_u64(json: &Json) -> Option<u64> {
+pub(crate) fn scalar_u64(json: &Json) -> Option<u64> {
     match json {
         Json::Str(s) => s.parse::<u64>().ok(),
         _ => json.as_u64(),
@@ -308,9 +308,10 @@ impl Histogram {
 
     /// Rebuild a histogram from its [`to_json`](Self::to_json) shape.
     ///
-    /// `mean` is derived and ignored; `sum` survives exactly up to 2^53
-    /// (the [`Json::Num`] precision limit), which covers every realistic
-    /// campaign. Trailing buckets beyond the serialized prefix are zero.
+    /// `mean` is derived and ignored; `count`, `sum` and the buckets come
+    /// back exactly, since each is written as a decimal string above 2^53
+    /// (the [`Json::Num`] precision limit). Trailing buckets beyond the
+    /// serialized prefix are zero.
     ///
     /// # Errors
     ///
@@ -360,7 +361,11 @@ impl Histogram {
             .map_or(0, |i| i + 1);
         Json::Obj(vec![
             ("count".into(), Json::num_u64(self.count)),
-            ("sum".into(), Json::Num(self.sum as f64)),
+            (
+                "sum".into(),
+                u64::try_from(self.sum)
+                    .map_or_else(|_| Json::Str(self.sum.to_string()), Json::num_u64),
+            ),
             ("mean".into(), self.mean().map_or(Json::Null, Json::Num)),
             (
                 "buckets".into(),
@@ -376,8 +381,8 @@ impl Histogram {
 }
 
 /// The metrics registry: every counter, gauge and histogram in fixed
-/// slots, populated by the
-/// [`TelemetryObserver`](crate::TelemetryObserver).
+/// slots, populated by the [`StreamProbe`](crate::StreamProbe) and the
+/// campaign supervisor.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsRegistry {
     counters: [u64; Counter::COUNT],
@@ -450,39 +455,30 @@ impl MetricsRegistry {
     ///
     /// Returns a message naming the offending section and member.
     pub fn from_json(json: &Json) -> Result<MetricsRegistry, String> {
+        // The members of one section; none when it is absent.
+        let section = |key: &str| match json.get(key) {
+            None => Ok(&[][..]),
+            Some(Json::Obj(members)) => Ok(&members[..]),
+            Some(_) => Err(format!("registry: '{key}' is not an object")),
+        };
         let mut r = MetricsRegistry::new();
-        if let Some(section) = json.get("counters") {
-            let Json::Obj(members) = section else {
-                return Err("registry: 'counters' is not an object".into());
-            };
-            for (name, value) in members {
-                let c = Counter::from_name(name)
-                    .ok_or_else(|| format!("registry: unknown counter '{name}'"))?;
-                r.counters[c as usize] = scalar_u64(value)
-                    .ok_or_else(|| format!("registry: counter '{name}' malformed"))?;
-            }
+        for (name, value) in section("counters")? {
+            let c = Counter::from_name(name)
+                .ok_or_else(|| format!("registry: unknown counter '{name}'"))?;
+            r.counters[c as usize] =
+                scalar_u64(value).ok_or_else(|| format!("registry: counter '{name}' malformed"))?;
         }
-        if let Some(section) = json.get("gauges") {
-            let Json::Obj(members) = section else {
-                return Err("registry: 'gauges' is not an object".into());
-            };
-            for (name, value) in members {
-                let g = Gauge::from_name(name)
-                    .ok_or_else(|| format!("registry: unknown gauge '{name}'"))?;
-                r.gauges[g as usize] = scalar_u64(value)
-                    .ok_or_else(|| format!("registry: gauge '{name}' malformed"))?;
-            }
+        for (name, value) in section("gauges")? {
+            let g = Gauge::from_name(name)
+                .ok_or_else(|| format!("registry: unknown gauge '{name}'"))?;
+            r.gauges[g as usize] =
+                scalar_u64(value).ok_or_else(|| format!("registry: gauge '{name}' malformed"))?;
         }
-        if let Some(section) = json.get("histograms") {
-            let Json::Obj(members) = section else {
-                return Err("registry: 'histograms' is not an object".into());
-            };
-            for (name, value) in members {
-                let h = HistogramId::from_name(name)
-                    .ok_or_else(|| format!("registry: unknown histogram '{name}'"))?;
-                r.histograms[h as usize] = Histogram::from_json(value)
-                    .map_err(|e| format!("registry: histogram '{name}': {e}"))?;
-            }
+        for (name, value) in section("histograms")? {
+            let h = HistogramId::from_name(name)
+                .ok_or_else(|| format!("registry: unknown histogram '{name}'"))?;
+            r.histograms[h as usize] = Histogram::from_json(value)
+                .map_err(|e| format!("registry: histogram '{name}': {e}"))?;
         }
         Ok(r)
     }
@@ -573,6 +569,19 @@ mod tests {
         r.observe(HistogramId::BackoffDelayNs, 250_000_000);
         r.observe(HistogramId::DeliveryLatencyNs, 1_234_567);
         let back = MetricsRegistry::from_json(&r.snapshot()).expect("round trip");
+        assert_eq!(back, r);
+    }
+
+    /// A sum above 2^53 is no longer exact as a JSON number; it must come
+    /// back through the rendered snapshot unchanged.
+    #[test]
+    fn histogram_sum_above_2_pow_53_round_trips() {
+        let mut r = MetricsRegistry::new();
+        r.observe(HistogramId::DeliveryLatencyNs, (1 << 53) + 1);
+        r.observe(HistogramId::FrameSizeBytes, u64::MAX);
+        r.observe(HistogramId::FrameSizeBytes, u64::MAX);
+        let text = r.snapshot().render();
+        let back = MetricsRegistry::from_json(&crate::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r);
     }
 

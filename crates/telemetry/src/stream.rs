@@ -1,12 +1,12 @@
 //! Live streaming of in-flight metrics snapshots.
 //!
-//! PR 4's telemetry is post-hoc: a trial's [`MetricsRegistry`] becomes
-//! visible when the trial finishes. This module adds the *during*: a
-//! [`SnapshotBus`] that in-flight trials publish deterministic registry
-//! snapshots onto, a [`CampaignAggregator`] that folds per-trial snapshots
-//! into one campaign-level registry mid-flight, and a [`StreamProbe`]
-//! observer that drives publication, and the trial's heartbeat, from
-//! inside a running simulation.
+//! A trial's metrics are visible while it runs, not only once it ends.
+//! This module holds the [`StreamProbe`] observer that fills a trial's
+//! [`MetricsRegistry`] and drives publication, and the trial's heartbeat,
+//! from inside a running simulation; a [`SnapshotBus`] that in-flight
+//! trials publish deterministic registry snapshots onto; and a
+//! [`CampaignAggregator`] that folds per-trial snapshots into one
+//! campaign-level registry mid-flight.
 //!
 //! # Digest invisibility
 //!
@@ -38,7 +38,7 @@
 //! or interleaved across trials and the aggregate still converges to the
 //! same registry.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -48,9 +48,7 @@ use cavenet_net::{
 };
 
 use crate::json::{parse, Json};
-use crate::metrics::MetricsRegistry;
-use crate::observer::TelemetryObserver;
-use crate::trace::TraceConfig;
+use crate::metrics::{scalar_u64, Counter, Gauge, HistogramId, MetricsRegistry};
 
 /// Version stamped into every serialized [`SnapshotEnvelope`]. Bump on
 /// any change to the envelope or registry-snapshot shape.
@@ -109,10 +107,7 @@ impl SnapshotEnvelope {
             .to_string();
         let field = |key: &str| {
             json.get(key)
-                .and_then(|j| match j {
-                    Json::Str(s) => s.parse::<u64>().ok(),
-                    _ => j.as_u64(),
-                })
+                .and_then(scalar_u64)
                 .ok_or_else(|| format!("envelope: missing or malformed '{key}'"))
         };
         Ok(SnapshotEnvelope {
@@ -215,11 +210,6 @@ pub struct SnapshotPublisher {
 }
 
 impl SnapshotPublisher {
-    /// The source name stamped on published envelopes.
-    pub fn source(&self) -> &str {
-        &self.source
-    }
-
     /// Publish one snapshot. Never blocks beyond the bus mutex; sheds the
     /// oldest queued snapshot when the bus is full.
     pub fn publish(&self, sim_time_ns: u64, events: u64, registry: &MetricsRegistry) {
@@ -316,17 +306,20 @@ impl CampaignAggregator {
 }
 
 /// The per-trial observer of a supervised exact trial: it carries the
-/// trial's heartbeat and, when armed, its live registry feed.
+/// trial's heartbeat and, when armed, fills and feeds the trial's live
+/// [`MetricsRegistry`].
 ///
 /// One countdown drives both. Every `stride` dispatched events the probe
 /// [beats](ProgressHandle::beat) the trial's [`ProgressHandle`] with the
 /// events it has seen and the virtual time reached, which unwinds the
-/// trial if the watchdog has raised a stall. An armed probe then
-/// publishes the registry of the [`TelemetryObserver`] it wraps onto a
-/// [`SnapshotBus`]; without a publisher there is no telemetry to feed,
-/// and every other hook is one `Option` test on a thin pointer. Either
-/// way the probe stays digest-invisible (see the module docs). It
-/// deliberately keeps the default empty checkpoint
+/// trial if the watchdog has raised a stall. An armed probe then stamps
+/// those two figures into its registry and publishes it onto a
+/// [`SnapshotBus`]; its other hooks count frames, MAC transitions, packet
+/// fates, faults and route discoveries straight into the registry, so a
+/// dispatch writes nothing there. Without a publisher there is no
+/// telemetry to feed, and every other hook is one `Option` test on a thin
+/// pointer. Either way the probe stays digest-invisible (see the module
+/// docs). It deliberately keeps the default empty checkpoint
 /// `capture_state`/`restore_state`, so a resumed attempt restarts its
 /// count and its stream from a fresh registry segment rather than
 /// dragging pre-crash samples into the new attempt's feed.
@@ -345,14 +338,32 @@ pub struct StreamProbe {
 /// What an armed probe adds: the registry it fills and where it goes.
 #[derive(Debug, Clone)]
 struct Feed {
-    telemetry: TelemetryObserver,
+    registry: MetricsRegistry,
+    /// Origination time of every data packet still in flight, for the
+    /// delivery-latency histogram. Only ever probed by uid, never
+    /// iterated, so its randomized order cannot leak into any output.
+    origin_times: HashMap<u64, SimTime>,
     publisher: SnapshotPublisher,
+}
+
+impl Feed {
+    /// Stamp the probe's dispatch count and virtual time into the registry
+    /// and publish it.
+    fn publish(&mut self, now: SimTime, events: u64) {
+        // Counters only grow: add the dispatches since the last publish.
+        let published = self.registry.counter(Counter::EventsDispatched);
+        self.registry
+            .add(Counter::EventsDispatched, events - published);
+        self.registry.set(Gauge::SimTimeNs, now.as_nanos());
+        self.publisher
+            .publish(now.as_nanos(), events, &self.registry);
+    }
 }
 
 impl StreamProbe {
     /// A probe beating `handle` every `stride` dispatched events (clamped
     /// to ≥ 1) and, with a `publisher`, publishing its registry at each
-    /// beat. Tracing is off — the feed is the output channel.
+    /// beat.
     pub fn new(
         handle: ProgressHandle,
         stride: u64,
@@ -366,7 +377,8 @@ impl StreamProbe {
             now: SimTime::ZERO,
             feed: publisher.map(|publisher| {
                 Box::new(Feed {
-                    telemetry: TelemetryObserver::with_config(TraceConfig::off()),
+                    registry: MetricsRegistry::new(),
+                    origin_times: HashMap::new(),
                     publisher,
                 })
             }),
@@ -379,101 +391,102 @@ impl StreamProbe {
         StreamProbe::new(ProgressHandle::new(), stride, Some(publisher))
     }
 
-    /// Close the observer (deriving final gauges) and publish one last
-    /// snapshot so the feed's tail equals the trial's final registry.
-    /// Returns that registry when armed.
+    /// Derive the final gauges and publish one last snapshot so the feed's
+    /// tail equals the trial's final registry. Returns that registry when
+    /// armed.
     pub fn finish_and_publish(&mut self) -> Option<MetricsRegistry> {
         let feed = self.feed.as_deref_mut()?;
-        feed.telemetry.finish();
-        feed.publisher
-            .publish(self.now.as_nanos(), self.events, feed.telemetry.registry());
-        Some(feed.telemetry.registry().clone())
+        feed.registry
+            .set(Gauge::PacketsInFlight, feed.origin_times.len() as u64);
+        feed.publish(self.now, self.events);
+        Some(feed.registry.clone())
+    }
+
+    /// Count one occurrence of `counter` when armed.
+    fn count(&mut self, counter: Counter) {
+        if let Some(feed) = self.feed.as_deref_mut() {
+            feed.registry.inc(counter);
+        }
     }
 }
 
 impl SimObserver for StreamProbe {
-    fn on_event_scheduled(&mut self, at: SimTime, seq: u64, node: usize, kind: EventKind) {
-        if let Some(feed) = self.feed.as_deref_mut() {
-            feed.telemetry.on_event_scheduled(at, seq, node, kind);
-        }
-    }
-
-    fn on_event_dispatched(&mut self, now: SimTime, seq: u64, node: usize, kind: EventKind) {
-        if let Some(feed) = self.feed.as_deref_mut() {
-            feed.telemetry.on_event_dispatched(now, seq, node, kind);
-        }
+    fn on_event_dispatched(&mut self, now: SimTime, _seq: u64, _node: usize, _kind: EventKind) {
         self.events += 1;
         self.now = now;
         self.until_beat -= 1;
         if self.until_beat == 0 {
             self.until_beat = self.stride;
             self.handle.beat(now, self.events);
-            if let Some(feed) = self.feed.as_deref() {
-                feed.publisher
-                    .publish(now.as_nanos(), self.events, feed.telemetry.registry());
+            if let Some(feed) = self.feed.as_deref_mut() {
+                feed.publish(now, self.events);
             }
         }
     }
 
-    fn on_frame_tx(&mut self, now: SimTime, node: usize, frame: &Frame) {
+    fn on_frame_tx(&mut self, _now: SimTime, _node: usize, frame: &Frame) {
         if let Some(feed) = self.feed.as_deref_mut() {
-            feed.telemetry.on_frame_tx(now, node, frame);
+            feed.registry.inc(Counter::FramesTx);
+            feed.registry
+                .observe(HistogramId::FrameSizeBytes, u64::from(frame.size_bytes));
         }
     }
 
-    fn on_frame_rx(&mut self, now: SimTime, node: usize, frame: &Frame) {
+    fn on_frame_rx(&mut self, _now: SimTime, _node: usize, _frame: &Frame) {
+        self.count(Counter::FramesRx);
+    }
+
+    fn on_frame_drop(&mut self, _now: SimTime, _node: usize, _reason: FrameDropReason) {
+        self.count(Counter::FramesDropped);
+    }
+
+    fn on_mac_transition(&mut self, _now: SimTime, _node: NodeId, _from: MacState, _to: MacState) {
+        self.count(Counter::MacTransitions);
+    }
+
+    fn on_packet_originated(&mut self, now: SimTime, _node: NodeId, uid: u64) {
         if let Some(feed) = self.feed.as_deref_mut() {
-            feed.telemetry.on_frame_rx(now, node, frame);
+            feed.registry.inc(Counter::PacketsOriginated);
+            feed.origin_times.insert(uid, now);
         }
     }
 
-    fn on_frame_drop(&mut self, now: SimTime, node: usize, reason: FrameDropReason) {
+    fn on_packet_delivered(&mut self, now: SimTime, _node: NodeId, uid: u64) {
         if let Some(feed) = self.feed.as_deref_mut() {
-            feed.telemetry.on_frame_drop(now, node, reason);
+            feed.registry.inc(Counter::PacketsDelivered);
+            if let Some(t0) = feed.origin_times.remove(&uid) {
+                feed.registry.observe(
+                    HistogramId::DeliveryLatencyNs,
+                    now.saturating_since(t0).as_nanos() as u64,
+                );
+            }
         }
     }
 
-    fn on_mac_transition(&mut self, now: SimTime, node: NodeId, from: MacState, to: MacState) {
+    fn on_packet_dropped(&mut self, _now: SimTime, _node: NodeId, uid: u64, _reason: DropReason) {
         if let Some(feed) = self.feed.as_deref_mut() {
-            feed.telemetry.on_mac_transition(now, node, from, to);
+            feed.registry.inc(Counter::PacketsDropped);
+            feed.origin_times.remove(&uid);
         }
     }
 
-    fn on_packet_originated(&mut self, now: SimTime, node: NodeId, uid: u64) {
-        if let Some(feed) = self.feed.as_deref_mut() {
-            feed.telemetry.on_packet_originated(now, node, uid);
-        }
+    fn on_fault(&mut self, _now: SimTime, _node: NodeId, _kind: FaultKind) {
+        self.count(Counter::Faults);
     }
 
-    fn on_packet_delivered(&mut self, now: SimTime, node: NodeId, uid: u64) {
-        if let Some(feed) = self.feed.as_deref_mut() {
-            feed.telemetry.on_packet_delivered(now, node, uid);
-        }
-    }
-
-    fn on_packet_dropped(&mut self, now: SimTime, node: NodeId, uid: u64, reason: DropReason) {
-        if let Some(feed) = self.feed.as_deref_mut() {
-            feed.telemetry.on_packet_dropped(now, node, uid, reason);
-        }
-    }
-
-    fn on_fault(&mut self, now: SimTime, node: NodeId, kind: FaultKind) {
-        if let Some(feed) = self.feed.as_deref_mut() {
-            feed.telemetry.on_fault(now, node, kind);
-        }
-    }
-
-    fn on_route_event(&mut self, now: SimTime, node: NodeId, dst: NodeId, kind: RouteEventKind) {
-        if let Some(feed) = self.feed.as_deref_mut() {
-            feed.telemetry.on_route_event(now, node, dst, kind);
-        }
+    fn on_route_event(&mut self, _now: SimTime, _node: NodeId, _dst: NodeId, kind: RouteEventKind) {
+        self.count(match kind {
+            RouteEventKind::DiscoveryStart => Counter::RouteDiscoveryStarts,
+            RouteEventKind::DiscoveryRetry => Counter::RouteDiscoveryRetries,
+            RouteEventKind::DiscoverySuccess => Counter::RouteDiscoverySuccesses,
+            _ => Counter::RouteDiscoveryFailures,
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Counter, Gauge, HistogramId};
     use cavenet_net::{CancelSignal, TrialCancelled};
 
     fn registry_with(c: Counter, n: u64) -> MetricsRegistry {

@@ -7,9 +7,9 @@
 //! count and an allocation ceiling of 1.2 × the committed allocations per
 //! event. Five run unobserved; one runs under the observer stack of a
 //! streamed campaign trial (an armed stream probe beside the golden
-//! digest), which pins that a hook whose trace record is filtered out
-//! allocates nothing. Wall-clock speed is the repository benchmark's
-//! business, not this test's.
+//! digest), which pins that the probe's hooks allocate nothing per event.
+//! Wall-clock speed is the repository benchmark's business, not this
+//! test's.
 //!
 //! The allocation counter is process-wide, so this binary holds exactly
 //! one test: no other test can allocate while a workload is measured.
@@ -101,12 +101,15 @@ enum Observer {
 /// `(workload, scenario, observer, events, committed allocations)`. The
 /// bare rows' committed allocation counts are the flat-memory engine's as
 /// first recorded; the ceiling scales their per-event rate by the run's
-/// event count. The engine has since dropped to 4,401, 6,930, 11,134,
-/// 14,028 and 14,442 (4,510, 7,035, 11,306, 14,385 and 14,835 with the
-/// calendar queue of sorted runs that reception tables replaced). The
-/// streamed row was first recorded once filtered trace records stopped
-/// being built; while every hook built its record, the same run made
-/// 79,168 allocations (1.40 per event). It now makes 4,430 (4,539 with
+/// event count. The engine has since dropped to 4,380, 6,882, 11,065,
+/// 13,950 and 14,370 (4,401, 6,930, 11,134, 14,028 and 14,442 with single
+/// events in a calendar queue; 4,510, 7,035, 11,306, 14,385 and 14,835
+/// with the calendar queue of sorted runs that reception tables
+/// replaced). The streamed row was first recorded once the probe's
+/// wrapped observer stopped building the trace records it filtered out;
+/// while it built them, the same run made 79,168 allocations (1.40 per
+/// event). It now makes 4,409, as it did before the probe filled its own
+/// registry (4,430 with single events in a calendar queue, 4,539 with
 /// sorted runs).
 fn workloads() -> Vec<(&'static str, Scenario, Observer, u64, u64)> {
     use Observer::{Bare, Streamed};
