@@ -39,11 +39,13 @@ fn churn(seed: u64) -> Scenario {
     scenario
 }
 
-/// Run `scenario` twice — digest-only, then digest plus an armed
-/// [`StreamProbe`] publishing every 256 events — and require the golden
-/// event-stream digests to be bit-identical. Returns the drained feed and
-/// the probe's final registry for further checks.
+/// Run `scenario` three times — unobserved, digest-only, then digest plus
+/// an armed [`StreamProbe`] publishing every 256 events — and require the
+/// golden event-stream digests to be bit-identical and the three results
+/// equal. Returns the drained feed and the probe's final registry for
+/// further checks.
 fn assert_stream_invisible(scenario: Scenario) -> (Vec<SnapshotEnvelope>, MetricsRegistry) {
+    let unobserved = Experiment::new(scenario.clone()).run().unwrap();
     let (plain_result, plain_sim) = Experiment::new(scenario.clone())
         .run_with_observer(GoldenDigest::new())
         .unwrap();
@@ -66,6 +68,11 @@ fn assert_stream_invisible(scenario: Scenario) -> (Vec<SnapshotEnvelope>, Metric
     );
     assert_eq!(plain_result.global, streamed_result.global);
     assert_eq!(plain_result.drops, streamed_result.drops);
+    assert_eq!(
+        unobserved.global, streamed_result.global,
+        "the observed run diverged from the unobserved one"
+    );
+    assert_eq!(unobserved.drops, streamed_result.drops);
     assert_eq!(
         registry.counter(Counter::EventsDispatched),
         plain.events(),
